@@ -27,7 +27,7 @@ from .implicitize import (
     run_pipeline,
     verify_implicit,
 )
-from .linalg import QMatrix, Rational, det_rational, nullspace_basis, rank, solve_in_span
+from .linalg import QMatrix, Rational, det_rational, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,

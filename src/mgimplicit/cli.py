@@ -8,14 +8,19 @@ Subcommands::
     implicit implicitize FILE [--nu A,B,..] [--samples N] [--trials N] [--points N] [--seed S] [--out PATH]
     implicit verify FILE --poly PATH
 
+Vector options (``--nu``, ``--blocks``, ``--gamma``) accept a leading minus
+sign in either spelling, ``--nu -1,5`` or ``--nu=-1,5``.
+
 Exit codes: 0 success / verified, 1 validation or usage error,
-2 computation finished but unverified or inconclusive.
+2 computation finished but unverified or inconclusive, 141 standard output
+closed by the reader before all output was written (e.g. ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from .implicitize import (
     MinorsRankError,
     PipelineError,
     run_pipeline,
+    verify_implicit,
 )
 from .multipoly import PolyParseError, parse_poly
 from .problem import ProblemValidationError, hypersurface_check, load_problem
@@ -41,6 +47,10 @@ from .regions import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNVERIFIED = 2
+# 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
+
+VECTOR_OPTIONS = ("--nu", "--blocks", "--gamma")
 
 
 def _parse_vector(text, what):
@@ -187,8 +197,6 @@ def cmd_verify(args):
         raise ProblemValidationError(f"polynomial file: {exc}")
     if delta.is_zero():
         raise ProblemValidationError("the zero polynomial vanishes vacuously; nothing to verify")
-    from .implicitize import verify_implicit
-
     ok = verify_implicit(delta, inst)
     print("vanishes exactly on the parametrization" if ok else "does NOT vanish on the parametrization")
     return EXIT_OK if ok else EXIT_UNVERIFIED
@@ -238,16 +246,38 @@ def build_parser():
     return parser
 
 
+def _attach_negative_vectors(argv):
+    """Glue ``--nu -1,5`` into ``--nu=-1,5``: argparse reads a separate value
+    with a leading minus as an option flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in VECTOR_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         # remap argparse's own exit codes onto the documented scheme
         code = exc.code if isinstance(exc.code, int) else 1
         return EXIT_OK if code == 0 else EXIT_VALIDATION
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ProblemValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

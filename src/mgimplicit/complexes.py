@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .linalg import QMatrix, _whole, nullspace_basis, rank, solve_in_span
+from .linalg import QMatrix, _whole, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     PolyRing,
@@ -38,7 +38,8 @@ class InRegionWarning(UserWarning):
 
 
 class StrandAssemblyError(RuntimeError):
-    """An exact solve that is guaranteed by theory failed: internal invariant broken."""
+    """A cycle-basis expansion that is guaranteed by theory failed: internal
+    invariant broken."""
 
 
 @dataclass(frozen=True)
@@ -209,21 +210,7 @@ class LinearFormMatrix:
     col_labels: list = None
 
     def entry_str(self, i, j) -> str:
-        pieces = []
-        for t, c in enumerate(self.coeffs[i][j]):
-            if not c:
-                continue
-            neg = c < 0
-            a = -c if neg else c
-            body = self.target_names[t] if a == 1 else f"{a}*{self.target_names[t]}"
-            pieces.append((neg, body))
-        if not pieces:
-            return "0"
-        neg0, body0 = pieces[0]
-        out = [("-" if neg0 else "") + body0]
-        for neg, body in pieces[1:]:
-            out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        return str(self.entry_poly(i, j))
 
     def entry_poly(self, i, j, ring=None) -> MultiPoly:
         ring = ring or target_ring(self.target_names)
@@ -247,16 +234,6 @@ class LinearFormMatrix:
             for i in range(self.rows)
         ]
         return QMatrix(data, cols=self.cols)
-
-    def submatrix_cols(self, col_idx) -> "LinearFormMatrix":
-        return LinearFormMatrix(
-            rows=self.rows,
-            cols=len(col_idx),
-            target_names=self.target_names,
-            coeffs=[[self.coeffs[i][j] for j in col_idx] for i in range(self.rows)],
-            row_labels=self.row_labels,
-            col_labels=[self.col_labels[j] for j in col_idx] if self.col_labels else None,
-        )
 
     def to_json_dict(self, extra=None) -> dict:
         out = {
@@ -371,12 +348,27 @@ def _contract_vector(vector, subsets, lm, tgt_subset_pos, tgt_len, j):
     return out
 
 
+def _is_expansion(w, free, basis):
+    """Whether ``w`` equals ``sum_t w[free[t]] * basis[t]``: the exact test
+    that ``w`` lies in the span of a canonical kernel basis whose vector
+    ``t`` is 1 at free column ``free[t]`` and 0 at the others."""
+    acc = [0] * len(w)
+    for ft, v in zip(free, basis):
+        k = w[ft]
+        if k:
+            for i, x in enumerate(v):
+                if x:
+                    acc[i] += k * x
+    return all(a == b for a, b in zip(acc, w))
+
+
 def z_complex_strand(inst: ProblemInstance, nu) -> ZComplexStrand:
     """Assemble every differential of the degree-``nu`` strand.
 
     The q-th differential sends a q-cycle to ``sum_j T_j * (contraction by
-    e_j)``; for q >= 2 the contractions are re-expressed in the (q-1)-cycle
-    basis by exact linear solves, whose guaranteed solvability is checked.
+    e_j)``; for q >= 2 the contractions are re-expressed in the canonical
+    (q-1)-cycle basis by reading them at its free columns, and the exact
+    re-expansion is checked against the contraction.
     """
     nu = tuple(nu)
     n = inst.n
@@ -401,35 +393,23 @@ def z_complex_strand(inst: ProblemInstance, nu) -> ZComplexStrand:
             per_j.append(cols)
         if q == 1:
             # target coordinates are already the monomial basis
-            solved = [
-                [[per_j[j][c][t] for c in range(len(src))] for j in range(n1)]
-                for t in range(tgt_len)
-            ]
-        else:
-            targets = [per_j[j][c] for j in range(n1) for c in range(len(src))]
-            try:
-                x = solve_in_span(tgt.vectors, targets)
-            except ValueError as exc:
-                raise StrandAssemblyError(
-                    f"contraction image not expressible in the {q - 1}-cycle basis "
-                    f"at degree {nu}: {exc}"
-                ) from exc
-            solved = [
-                [
-                    [x[t][j * len(src) + c] for c in range(len(src))]
-                    for j in range(n1)
-                ]
-                for t in range(len(tgt))
-            ]
-        rows = len(tgt) if q > 1 else tgt_len
-        coeffs = [
-            [[solved[t][j][c] for j in range(n1)] for c in range(len(src))]
-            for t in range(rows)
-        ]
-        if q == 1:
+            coords = range(tgt_len)
             row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials]
         else:
-            row_labels = [f"Z{q - 1}[{t}]" for t in range(rows)]
+            coords = [max(i for i, x in enumerate(v) if x) for v in tgt.vectors]
+            for cols in per_j:
+                for w in cols:
+                    if not _is_expansion(w, coords, tgt.vectors):
+                        raise StrandAssemblyError(
+                            f"contraction image not in the span of the {q - 1}-cycle "
+                            f"basis at degree {nu}"
+                        )
+            row_labels = [f"Z{q - 1}[{t}]" for t in range(len(tgt))]
+        rows = len(coords)
+        coeffs = [
+            [[per_j[j][c][t] for j in range(n1)] for c in range(len(src))]
+            for t in coords
+        ]
         diffs.append(
             LinearFormMatrix(
                 rows=rows,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .complexes import (
@@ -28,9 +28,10 @@ from .complexes import (
     homology_dim,
     representation_matrix,
 )
-from .linalg import rank
+from .linalg import _bareiss, rank
 from .multipoly import (
     MultiPoly,
+    _primitive_factor,
     eval_at,
     exact_div,
     gcd_poly,
@@ -152,56 +153,24 @@ def _integerize_columns(entries):
     rational factor is irrelevant: results are normalized afterwards)."""
     if not entries or not entries[0]:
         return entries
-    rows = len(entries)
-    cols = len(entries[0])
-    from math import gcd, lcm
-
-    out = [[None] * cols for _ in range(rows)]
-    for j in range(cols):
-        den = 1
-        for i in range(rows):
-            for c in entries[i][j].terms.values():
-                den = lcm(den, c.denominator)
-        num = 0
-        for i in range(rows):
-            for c in entries[i][j].terms.values():
-                num = gcd(num, int(c * den))
-        factor = Fraction(den, num) if num else 1
-        for i in range(rows):
-            out[i][j] = entries[i][j].scale(factor)
-    return out
+    factors = [
+        _primitive_factor(c for row in entries for c in row[j].terms.values())
+        for j in range(len(entries[0]))
+    ]
+    return [[p.scale(f) for p, f in zip(row, factors)] for row in entries]
 
 
 def _det_poly(entries, ring) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials by fraction-free
-    (Bareiss) elimination with exact polynomial division; deterministic
-    row pivoting on the first nonzero entry."""
+    """Exact determinant of a square matrix of polynomials, by the shared
+    fraction-free elimination with exact polynomial division."""
     n = len(entries)
     one = MultiPoly.constant(ring, 1)
     if n == 0:
         return one
     work = [row[:] for row in entries]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        pivot_at = None
-        for i in range(k, n):
-            if not work[i][k].is_zero():
-                pivot_at = i
-                break
-        if pivot_at is None:
-            return MultiPoly.zero(ring)
-        if pivot_at != k:
-            work[k], work[pivot_at] = work[pivot_at], work[k]
-            sign = -sign
-        piv = work[k][k]
-        for i in range(k + 1, n):
-            head = work[i][k]
-            for j in range(k + 1, n):
-                num = work[i][j] * piv - head * work[k][j]
-                work[i][j] = exact_div(num, prev) if prev is not one else num
-            work[i][k] = MultiPoly.zero(ring)
-        prev = piv
+    pivots, sign = _bareiss(work, n, exact_div, one)
+    if len(pivots) < n:
+        return MultiPoly.zero(ring)
     det = work[n - 1][n - 1]
     return -det if sign < 0 else det
 
@@ -236,8 +205,6 @@ def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPol
     seen = set()
     subsets = []
     if total <= samples:
-        from itertools import combinations
-
         subsets = list(combinations(range(m.cols), m.rows))
     else:
         while len(subsets) < samples:

@@ -1,11 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are Python ints or ``fractions.Fraction``; all elimination is
-fraction-free (Bareiss), so after each row is cleared of denominators every
-intermediate value is an integer (a minor of the scaled input, by Sylvester's
-identity).  Pivoting is deterministic -- the first nonzero entry in column
-order -- which makes ranks, determinants and kernel bases reproducible from
-run to run.  No floating point, no tolerances.
+Entries are Python ints or ``fractions.Fraction``.  One fraction-free
+(Bareiss) elimination routine, :func:`_bareiss`, serves every exact
+elimination in the package: after each row is cleared of denominators every
+intermediate value of a rational matrix is an integer (a minor of the scaled
+input, by Sylvester's identity), and the same loop computes determinants of
+polynomial matrices when given exact polynomial division.  Pivoting is
+deterministic -- the first nonzero entry in column order -- which makes
+ranks, determinants and kernel bases reproducible from run to run.  Kernel
+bases are canonical, so coordinates in them are read off at the free
+columns instead of solved for.  No floating point, no tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import floordiv
 
 Rational = int | Fraction
 
@@ -55,9 +60,6 @@ class QMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def copy(self):
-        return QMatrix(self.data, cols=self.cols)
 
     def transpose(self):
         return QMatrix(
@@ -103,8 +105,52 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def _bareiss(work, cols, div, one):
+    """Fraction-free row echelon form of ``work``, in place.
+
+    Entries may come from any integral domain: the loop uses only ``*``,
+    ``-``, truthiness and ``div(num, prev)``, an exact division by the
+    previous pivot (Sylvester's identity guarantees exactness); ``one`` is
+    the ring's unit and seeds ``prev``.  Returns ``(pivot_cols, sign)``:
+    the pivot column indices in order and the row-swap permutation sign.
+    For a square input of full rank the last pivot is the determinant
+    times ``sign``.
+    """
+    rows = len(work)
+    zero = one - one
+    pivot_cols = []
+    sign = 1
+    prev = one
+    pr = 0
+    for pc in range(cols):
+        pivot_at = None
+        for i in range(pr, rows):
+            if work[i][pc]:
+                pivot_at = i
+                break
+        if pivot_at is None:
+            continue
+        if pivot_at != pr:
+            work[pr], work[pivot_at] = work[pivot_at], work[pr]
+            sign = -sign
+        row_p = work[pr]
+        piv = row_p[pc]
+        for i in range(pr + 1, rows):
+            row_i = work[i]
+            head = row_i[pc]
+            for j in range(pc + 1, cols):
+                row_i[j] = div(piv * row_i[j] - head * row_p[j], prev)
+            row_i[pc] = zero
+        prev = piv
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return pivot_cols, sign
+
+
 def _ff_echelon(m: QMatrix):
-    """Fraction-free row echelon form.
+    """Fraction-free row echelon form of a rational matrix.
 
     Returns ``(work, pivot_cols, sign, scale)`` where ``work`` is the
     echelonized integer array, ``pivot_cols`` the pivot column indices in
@@ -120,35 +166,7 @@ def _ff_echelon(m: QMatrix):
             mult = lcm(mult, x.denominator)
         work.append([int(x * mult) for x in row])
         scale *= mult
-
-    pivot_cols = []
-    sign = 1
-    prev = 1
-    pr = 0
-    for pc in range(m.cols):
-        pivot_at = None
-        for i in range(pr, m.rows):
-            if work[i][pc]:
-                pivot_at = i
-                break
-        if pivot_at is None:
-            continue
-        if pivot_at != pr:
-            work[pr], work[pivot_at] = work[pivot_at], work[pr]
-            sign = -sign
-        piv = work[pr][pc]
-        for i in range(pr + 1, m.rows):
-            head = work[i][pc]
-            row_i = work[i]
-            row_p = work[pr]
-            for j in range(pc + 1, m.cols):
-                row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
-            row_i[pc] = 0
-        prev = piv
-        pivot_cols.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
+    pivot_cols, sign = _bareiss(work, m.cols, floordiv, 1)
     return work, pivot_cols, sign, scale
 
 
@@ -176,8 +194,10 @@ def nullspace_basis(m: QMatrix):
 
     One vector per free column, ordered by free column index; the vector for
     free column ``j`` has entry 1 at ``j``, 0 at the other free columns, and
-    the unique pivot-column entries making ``m @ v = 0``.  This basis is
-    canonical: it does not depend on elimination details.
+    the unique pivot-column entries making ``m @ v = 0`` (all before ``j``,
+    so ``j`` is the vector's last nonzero entry).  This basis is canonical:
+    it does not depend on elimination details, and the coordinates of a
+    kernel vector in it are its entries at the free columns.
     """
     work, pivots, _, _ = _ff_echelon(m)
     free_cols = [c for c in range(m.cols) if c not in set(pivots)]
@@ -197,57 +217,3 @@ def nullspace_basis(m: QMatrix):
             v[pc] = _whole(Fraction(-acc, row[pc])) if acc else 0
         basis.append(v)
     return basis
-
-
-def solve_in_span(columns, targets):
-    """Express each target vector in the span of the given column vectors.
-
-    Solves ``sum_i X[i][t] * columns[i] = targets[t]`` exactly and returns
-    ``X`` as a ``len(columns) x len(targets)`` list of lists.  Raises
-    ``ValueError`` when some target lies outside the span.  When the columns
-    are dependent an arbitrary consistent solution is returned (free
-    coefficients set to 0).
-    """
-    k = len(columns)
-    t = len(targets)
-    if t == 0:
-        return [[] for _ in range(k)]
-    dim = len(targets[0])
-    if any(len(c) != dim for c in columns) or any(len(w) != dim for w in targets):
-        raise ValueError("vector length mismatch")
-
-    aug = [
-        [Fraction(columns[i][r]) for i in range(k)]
-        + [Fraction(targets[j][r]) for j in range(t)]
-        for r in range(dim)
-    ]
-    pivots = []
-    pr = 0
-    for pc in range(k):
-        pivot_at = None
-        for i in range(pr, dim):
-            if aug[i][pc]:
-                pivot_at = i
-                break
-        if pivot_at is None:
-            continue
-        aug[pr], aug[pivot_at] = aug[pivot_at], aug[pr]
-        piv = aug[pr][pc]
-        aug[pr] = [x / piv for x in aug[pr]]
-        for i in range(dim):
-            if i != pr and aug[i][pc]:
-                f = aug[i][pc]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == dim:
-            break
-    for i in range(pr, dim):
-        if any(aug[i][k + j] for j in range(t)):
-            raise ValueError("target vector outside the span of the columns")
-
-    x = [[0] * t for _ in range(k)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(t):
-            x[pc][j] = _whole(aug[row_idx][k + j])
-    return x

@@ -520,7 +520,8 @@ def substitute_targets(p: MultiPoly, images) -> MultiPoly:
 
 
 def eval_at(p: MultiPoly, assignment) -> Rational:
-    """Exact value of ``p`` at a point given as ``{variable name: rational}``."""
+    """Exact value of ``p`` at a point given as ``{variable name: rational}``;
+    integer coefficients at an integer point give integer arithmetic."""
     values = [None] * p.ring.nvars
     used = set()
     for e in p.terms:
@@ -531,10 +532,10 @@ def eval_at(p: MultiPoly, assignment) -> Rational:
         name = p.ring.names[i]
         if name not in assignment:
             raise ValueError(f"missing assignment for variable {name!r}")
-        values[i] = Fraction(assignment[name])
-    total = Fraction(0)
+        values[i] = assignment[name]
+    total = 0
     for e, c in p.terms.items():
-        v = Fraction(c)
+        v = c
         for i, k in enumerate(e):
             if k:
                 v *= values[i] ** k
@@ -578,17 +579,25 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
     return try_exact_div(p, q) is not None
 
 
+def _primitive_factor(coeffs) -> Rational:
+    """The positive rational that scales ``coeffs`` to coprime integers:
+    lcm of the denominators over gcd of the cleared numerators (1 when
+    every coefficient is zero)."""
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    num = 0
+    for c in coeffs:
+        num = gcd(num, int(c * den))
+    return Fraction(den, num) if num else 1
+
+
 def normalize_poly(p: MultiPoly) -> MultiPoly:
     """Integer-primitive representative with positive leading coefficient."""
     if p.is_zero():
         return p
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, int(c * den))
-    factor = Fraction(den, num)
+    factor = _primitive_factor(p.terms.values())
     _, lead = p.leading()
     if lead < 0:
         factor = -factor

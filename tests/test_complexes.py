@@ -3,9 +3,11 @@ import random
 import pytest
 
 from helpers import random_p1p1_instance, random_poly
+import mgimplicit.complexes
 from mgimplicit import (
     InRegionWarning,
     ProblemInstance,
+    StrandAssemblyError,
     cycle_basis,
     homology_dim,
     koszul_differential_strand,
@@ -186,21 +188,44 @@ def test_z_strand_compositions_random():
         assert z.check_zero_compositions()
 
 
-def test_z_strand_single_block_dimensions():
-    # three generic binary forms on P^1: strand sizes follow rank-nullity
+def single_block_instance():
+    """Three random binary cubics on P^1 and the classical corner
+    ``nu = 2(d - 1)`` for n = 2."""
     rng = random.Random(9)
     ring = parameter_ring([["x", "y"]])
     blocks = BlockStructure((1,))
-    d = 3
-    polys = [random_poly(ring, blocks, (d,), rng) for _ in range(3)]
-    inst = ProblemInstance.from_polys(polys)
-    nu = (2 * (d - 1),)  # the classical corner for P^1 with n = 2
+    polys = [random_poly(ring, blocks, (3,), rng) for _ in range(3)]
+    return ProblemInstance.from_polys(polys), (4,)
+
+
+def test_z_strand_single_block_dimensions():
+    # three generic binary forms on P^1: strand sizes follow rank-nullity
+    inst, nu = single_block_instance()
     z = z_complex_strand(inst, nu)
     assert z.check_zero_compositions()
     for q in range(1, 3):
-        strand_deg = tuple(x + q * d for x in nu)
+        strand_deg = tuple(x + q * g for x, g in zip(nu, inst.gamma))
         m = koszul_differential_strand(inst, q, strand_deg)
         assert z.dims[q] == m.cols - rank(m)
+
+
+def test_z_strand_rejects_corrupted_cycle_basis(monkeypatch):
+    # the coordinates of a contraction image are read off the canonical
+    # 1-cycle basis; with one basis vector missing the exact re-expansion
+    # check must refuse to assemble the second differential
+    inst, nu = single_block_instance()
+    assert z_complex_strand(inst, nu).dims == [5, 7, 2]
+    intact = mgimplicit.complexes.cycle_basis
+
+    def drop_last_1_cycle(inst, q, nu):
+        cb = intact(inst, q, nu)
+        if q == 1:
+            cb.vectors = cb.vectors[:-1]
+        return cb
+
+    monkeypatch.setattr(mgimplicit.complexes, "cycle_basis", drop_last_1_cycle)
+    with pytest.raises(StrandAssemblyError, match="1-cycle basis"):
+        z_complex_strand(inst, nu)
 
 
 # -- homology dimensions ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import GOLDEN_COEFFS, base_locus_probably_empty, random_p1p1_instance
 from mgimplicit import (
@@ -12,6 +14,7 @@ from mgimplicit import (
     expected_degree_p1p1,
     generic_rank,
     minors_gcd,
+    normalize_poly,
     parameter_ring,
     parse_poly,
     rank_drop_check,
@@ -22,7 +25,8 @@ from mgimplicit import (
     verify_implicit,
 )
 from mgimplicit.complexes import LinearFormMatrix
-from oracles import symbolic_rank_oracle
+from mgimplicit.implicitize import _det_poly
+from oracles import det_cofactor_poly, symbolic_rank_oracle
 
 
 def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
@@ -137,6 +141,48 @@ def test_det_zero_column_is_zero():
     z = (0, 0, 0)
     m = linear_matrix([[z, (1, 0, 0)], [z, (0, 1, 0)]])
     assert det_linear_matrix(m).is_zero()
+
+
+COEFF = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def square_linear_matrices(draw):
+    """``(matrix, deficient)``: a square linear-form matrix of size 1-4 in
+    3-4 target variables, with integer and Fraction coefficients and about a
+    third of the entries zero (so that pivot rows get swapped); when
+    ``deficient`` its last column is a rational combination of the others."""
+    size = draw(st.integers(1, 4))
+    nvars = draw(st.integers(3, 4))
+    nonzero = st.lists(COEFF, min_size=nvars, max_size=nvars)
+    form = st.one_of(st.just([0] * nvars), nonzero, nonzero)
+    cols = [draw(st.lists(form, min_size=size, max_size=size)) for _ in range(size)]
+    deficient = draw(st.booleans())
+    if deficient:
+        weights = draw(st.lists(COEFF, min_size=size - 1, max_size=size - 1))
+        cols[-1] = [
+            [sum(w * cols[k][i][t] for k, w in enumerate(weights)) for t in range(nvars)]
+            for i in range(size)
+        ]
+    rows = [[cols[j][i] for j in range(size)] for i in range(size)]
+    return linear_matrix(rows, names=[f"T_{t}" for t in range(nvars)]), deficient
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(square_linear_matrices())
+def test_det_matches_cofactor_oracle(case):
+    m, deficient = case
+    ring = target_ring(m.target_names)
+    entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
+    expected = det_cofactor_poly(entries)
+    # the raw determinant, sign included, before normalization hides it
+    assert _det_poly(entries, ring) == expected
+    delta = det_linear_matrix(m)
+    assert delta == normalize_poly(expected)
+    if deficient:
+        assert delta.is_zero()
 
 
 # -- minors gcd ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_matrix
-from mgimplicit import QMatrix, det_rational, nullspace_basis, rank, solve_in_span
+from mgimplicit import QMatrix, det_rational, nullspace_basis, rank
 from oracles import det_cofactor, nullspace_oracle, rank_oracle
 
 
@@ -106,19 +106,3 @@ def test_nullspace_matches_oracle_on_random_matrices():
         cols = rng.randint(1, 9)
         data = random_matrix(rows, cols, rng, lo=-4, hi=4)
         assert nullspace_basis(QMatrix(data)) == nullspace_oracle(data, cols)
-
-
-def test_solve_in_span_roundtrip():
-    rng = random.Random(5)
-    cols = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(3)]
-    combo = [
-        sum(c * v[i] for c, v in zip((2, -1, 3), cols)) for i in range(6)
-    ]
-    x = solve_in_span(cols, [combo])
-    assert [row[0] for row in x] == [2, -1, 3]
-
-
-def test_solve_in_span_rejects_outside_vector():
-    cols = [[1, 0, 0], [0, 1, 0]]
-    with pytest.raises(ValueError):
-        solve_in_span(cols, [[0, 0, 1]])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,6 +179,37 @@ def test_cmd_matrix_wrong_arity(capsys):
     assert "components" in capsys.readouterr().err
 
 
+def test_cmd_matrix_negative_nu_as_separate_argument(capsys):
+    # a negative component must not be read as an option flag
+    assert main(["matrix", GOLDEN_JSON, "--nu", "-1,5"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["nu"] == [-1, 5]
+    assert payload["rows"] == 0
+    assert main(["matrix", GOLDEN_JSON, "--nu=-1,5"]) == 0
+    assert capsys.readouterr().out == captured.out
+
+
+def test_cmd_matrix_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mgimplicit.cli", "matrix", GOLDEN_JSON, "--nu", "3,1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr
+
+
 def test_cmd_matrix_out_file(tmp_path):
     out_path = tmp_path / "m.json"
     assert main(["matrix", GOLDEN_JSON, "--nu", "3,1", "--out", str(out_path)]) == 0
@@ -224,6 +258,14 @@ def test_cmd_implicitize_bilinear(tmp_path, capsys):
 def test_cmd_implicitize_in_region_fails_cleanly(capsys):
     assert main(["implicitize", GOLDEN_JSON, "--nu", "2,2"]) == 2
     assert "re-check nu" in capsys.readouterr().err
+
+
+def test_cmd_implicitize_negative_nu_as_separate_argument(capsys):
+    # parsed as the vector (-1, 5), whose strand is empty: a clean pipeline error
+    assert main(["implicitize", GOLDEN_JSON, "--nu", "-1,5"]) == 2
+    err = capsys.readouterr().err
+    assert "empty strand at nu (-1, 5)" in err
+    assert "expected one argument" not in err
 
 
 # -- verify ----------------------------------------------------------------------------
