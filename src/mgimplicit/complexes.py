@@ -3,14 +3,14 @@
 Given n+1 multihomogeneous polynomials ``f_0..f_n`` of one multidegree
 ``gamma``, the Koszul complex carries the grading ``K_q = wedge^q R[-q*gamma]^{n+1}``,
 so the degree-``d`` strand of ``K_q`` has basis indexed by (size-q subset S
-of {0..n}, monomial of multidegree ``d - q*gamma``), subset-major.  The
-differential uses the sign ``(-1)^pos(j, S)`` with ``pos`` the zero-based
-position of j in increasing S.
+of {0..n}, monomial of multidegree ``d - q*gamma``), subset-major.
 
-Cycle strands are exact kernels of the strand differentials; the
-cycle-complex strand in degree ``nu`` has spaces ``(Z_q) at nu + q*gamma``
-and T-linear differentials obtained by contracting subset indices against
-the target variables.  Its first differential is the representation matrix
+One contraction serves both complexes: ``e_S -> sum_j (-1)^pos(j, S) x_j
+e_{S minus j}``, with ``pos`` the zero-based position of j in increasing S.
+With ``x_j = f_j`` it is the Koszul differential whose kernels are the
+cycles; with ``x_j = T_j`` it gives the T-linear differentials of the
+cycle-complex strand in degree ``nu``, whose spaces are ``(Z_q) at nu +
+q*gamma``.  The first of these differentials is the representation matrix
 ``M_nu``: rows indexed by the monomials of degree ``nu``, columns by the
 degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
 """
@@ -21,6 +21,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .linalg import QMatrix, _whole, nullspace_basis, rank
 from .multipoly import (
@@ -97,6 +98,18 @@ def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _faces(n1, q):
+    """Every deletion of one index j from a size-q subset S of {0..n1-1}, as
+    ``(index of S, j, index of S minus j, (-1)^pos(j, S))``; subsets are
+    numbered in ``combinations`` order."""
+    tgt_pos = {T: i for i, T in enumerate(combinations(range(n1), q - 1))}
+    return [
+        (si, j, tgt_pos[S[:pos] + S[pos + 1 :]], -1 if pos % 2 else 1)
+        for si, S in enumerate(combinations(range(n1), q))
+        for pos, j in enumerate(S)
+    ]
+
+
 def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
     """Matrix of the q-th Koszul differential on the degree-``d`` strand.
 
@@ -110,24 +123,17 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
     gamma = inst.gamma
     src_mons = strand_basis(inst.blocks, _vsub(d, _vscale(q, gamma)))
     tgt_mons = strand_basis(inst.blocks, _vsub(d, _vscale(q - 1, gamma)))
-    src_subsets = list(combinations(range(n1), q))
-    tgt_subsets = list(combinations(range(n1), q - 1))
-    tgt_subset_pos = {S: i for i, S in enumerate(tgt_subsets)}
     tgt_mon_pos = {m: i for i, m in enumerate(tgt_mons)}
-    rows = len(tgt_subsets) * len(tgt_mons)
-    cols = len(src_subsets) * len(src_mons)
+    lm, lt = len(src_mons), len(tgt_mons)
+    rows = comb(n1, q - 1) * lt
+    cols = comb(n1, q) * lm
     data = [[0] * cols for _ in range(rows)]
-    lm = len(src_mons)
-    for si, S in enumerate(src_subsets):
-        for pos, j in enumerate(S):
-            T = S[:pos] + S[pos + 1 :]
-            sign = -1 if pos % 2 else 1
-            base = tgt_subset_pos[T] * len(tgt_mons)
-            for ui, u in enumerate(src_mons):
-                col = si * lm + ui
-                for w_f, c in inst.f[j].terms.items():
-                    row = base + tgt_mon_pos[_vadd(u, w_f)]
-                    data[row][col] = _whole(data[row][col] + sign * c)
+    for si, j, ti, sign in _faces(n1, q):
+        for ui, u in enumerate(src_mons):
+            col = si * lm + ui
+            for w_f, c in inst.f[j].terms.items():
+                row = ti * lt + tgt_mon_pos[_vadd(u, w_f)]
+                data[row][col] = _whole(data[row][col] + sign * c)
     return QMatrix(data, cols=cols)
 
 
@@ -269,22 +275,9 @@ def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> Linear
             InRegionWarning,
             stacklevel=2,
         )
-    cb = cycle_basis(inst, 1, nu)
-    mons = cb.monomials
-    lm = len(mons)
-    n1 = len(inst.f)
-    coeffs = [
-        [[cb.vectors[c][j * lm + i] for j in range(n1)] for c in range(len(cb))]
-        for i in range(lm)
-    ]
-    return LinearFormMatrix(
-        rows=lm,
-        cols=len(cb),
-        target_names=inst.target.names,
-        coeffs=coeffs,
-        row_labels=[monomial_str(inst.ring, m) for m in mons],
-        col_labels=list(range(len(cb))),
-    )
+    m = _cycle_differential(inst, cycle_basis(inst, 1, nu), cycle_basis(inst, 0, nu))
+    m.col_labels = list(range(m.cols))
+    return m
 
 
 @dataclass
@@ -305,121 +298,87 @@ class ZComplexStrand:
 
 
 def _composition_is_zero(a: LinearFormMatrix, b: LinearFormMatrix) -> bool:
-    """Expand the product of two linear-form matrices as quadratic forms and
-    test that every coefficient vanishes."""
+    """Whether every entry of the product of two linear-form matrices
+    expands to the zero quadratic form."""
     if a.cols != b.rows:
         raise ValueError("composition shape mismatch")
-    nt = len(a.target_names)
-    for i in range(a.rows):
-        for k in range(b.cols):
-            quad = {}
-            for j in range(a.cols):
-                ca = a.coeffs[i][j]
-                cb = b.coeffs[j][k]
-                for t1 in range(nt):
-                    if not ca[t1]:
-                        continue
-                    for t2 in range(nt):
-                        if not cb[t2]:
-                            continue
-                        key = (t1, t2) if t1 <= t2 else (t2, t1)
-                        quad[key] = quad.get(key, 0) + ca[t1] * cb[t2]
-            if any(v != 0 for v in quad.values()):
-                return False
-    return True
+    ring = target_ring(a.target_names)
+    pa = [[a.entry_poly(i, j, ring) for j in range(a.cols)] for i in range(a.rows)]
+    pb = [[b.entry_poly(j, k, ring) for k in range(b.cols)] for j in range(b.rows)]
+    zero = MultiPoly.zero(ring)
+    return not any(
+        sum((pa[i][j] * pb[j][k] for j in range(a.cols)), zero)
+        for i in range(a.rows)
+        for k in range(b.cols)
+    )
 
 
-def _contract_vector(vector, subsets, lm, tgt_subset_pos, tgt_len, j):
-    """Contract the subset index of a cycle vector against e_j: the
-    T_j-coefficient of the strand differential image."""
-    out = [0] * tgt_len
-    for si, S in enumerate(subsets):
-        if j not in S:
-            continue
-        pos = S.index(j)
-        sign = -1 if pos % 2 else 1
-        T = S[:pos] + S[pos + 1 :]
-        base = tgt_subset_pos[T] * lm
-        src_base = si * lm
-        for ui in range(lm):
-            c = vector[src_base + ui]
-            if c:
-                out[base + ui] = _whole(out[base + ui] + sign * c)
-    return out
-
-
-def _is_expansion(w, free, basis):
-    """Whether ``w`` equals ``sum_t w[free[t]] * basis[t]``: the exact test
-    that ``w`` lies in the span of a canonical kernel basis whose vector
-    ``t`` is 1 at free column ``free[t]`` and 0 at the others."""
+def _is_expansion(w, support):
+    """Whether ``w`` equals ``sum_t w[f_t] * basis[t]``: the exact test that
+    ``w`` lies in the span of a canonical kernel basis.  ``support[t]``
+    lists the nonzero ``(index, entry)`` pairs of vector ``t``; the last is
+    ``(f_t, 1)`` at its free column ``f_t``, where the other vectors are 0."""
     acc = [0] * len(w)
-    for ft, v in zip(free, basis):
-        k = w[ft]
+    for nz in support:
+        k = w[nz[-1][0]]
         if k:
-            for i, x in enumerate(v):
+            for i, x in nz:
+                acc[i] += k if x == 1 else k * x
+    return acc == w
+
+
+def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis) -> LinearFormMatrix:
+    """The T-linear map sending a q-cycle of ``src`` to ``sum_j T_j *
+    (contraction by e_j)``, written in the canonical (q-1)-cycle basis ``tgt``.
+
+    Each contraction image is read at the free columns of ``tgt`` (the last
+    nonzero entry of each basis vector) and checked by exact re-expansion;
+    at q = 1, ``tgt`` is the identity basis of the monomials of degree nu.
+    """
+    n1 = len(inst.f)
+    lm = len(src.monomials)
+    support = [[(i, x) for i, x in enumerate(v) if x] for v in tgt.vectors]
+    free = [nz[-1][0] for nz in support]
+    faces = _faces(n1, src.q)
+    coeffs = [[None] * len(src) for _ in free]
+    for c, v in enumerate(src.vectors):
+        images = [[0] * (len(tgt.subsets) * lm) for _ in range(n1)]
+        for si, j, ti, sign in faces:
+            # (j, ti) determines si, so each image entry is written once
+            w = images[j]
+            for ui in range(lm):
+                x = v[si * lm + ui]
                 if x:
-                    acc[i] += k * x
-    return all(a == b for a, b in zip(acc, w))
+                    w[ti * lm + ui] = x if sign > 0 else -x
+        for w in images:
+            if not _is_expansion(w, support):
+                raise StrandAssemblyError(
+                    f"contraction image not in the span of the {tgt.q}-cycle "
+                    f"basis at degree {src.nu}"
+                )
+        for t, ft in enumerate(free):
+            coeffs[t][c] = [w[ft] for w in images]
+    if tgt.q == 0:
+        row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials]
+    else:
+        row_labels = [f"Z{tgt.q}[{t}]" for t in range(len(tgt))]
+    return LinearFormMatrix(
+        rows=len(free),
+        cols=len(src),
+        target_names=inst.target.names,
+        coeffs=coeffs,
+        row_labels=row_labels,
+        col_labels=[f"Z{src.q}[{c}]" for c in range(len(src))],
+    )
 
 
 def z_complex_strand(inst: ProblemInstance, nu) -> ZComplexStrand:
-    """Assemble every differential of the degree-``nu`` strand.
-
-    The q-th differential sends a q-cycle to ``sum_j T_j * (contraction by
-    e_j)``; for q >= 2 the contractions are re-expressed in the canonical
-    (q-1)-cycle basis by reading them at its free columns, and the exact
-    re-expansion is checked against the contraction.
-    """
+    """Assemble every differential of the degree-``nu`` strand: the q-th
+    sends a q-cycle to ``sum_j T_j * (contraction by e_j)``, written in the
+    canonical (q-1)-cycle basis."""
     nu = tuple(nu)
-    n = inst.n
-    n1 = len(inst.f)
-    bases = [cycle_basis(inst, q, nu) for q in range(n + 1)]
-    diffs = []
-    for q in range(1, n + 1):
-        src = bases[q]
-        tgt = bases[q - 1]
-        lm = len(src.monomials)
-        tgt_subsets = (
-            [()] if q - 1 == 0 else list(combinations(range(n1), q - 1))
-        )
-        tgt_subset_pos = {S: i for i, S in enumerate(tgt_subsets)}
-        tgt_len = len(tgt_subsets) * len(tgt.monomials)
-        per_j = []
-        for j in range(n1):
-            cols = [
-                _contract_vector(v, src.subsets, lm, tgt_subset_pos, tgt_len, j)
-                for v in src.vectors
-            ]
-            per_j.append(cols)
-        if q == 1:
-            # target coordinates are already the monomial basis
-            coords = range(tgt_len)
-            row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials]
-        else:
-            coords = [max(i for i, x in enumerate(v) if x) for v in tgt.vectors]
-            for cols in per_j:
-                for w in cols:
-                    if not _is_expansion(w, coords, tgt.vectors):
-                        raise StrandAssemblyError(
-                            f"contraction image not in the span of the {q - 1}-cycle "
-                            f"basis at degree {nu}"
-                        )
-            row_labels = [f"Z{q - 1}[{t}]" for t in range(len(tgt))]
-        rows = len(coords)
-        coeffs = [
-            [[per_j[j][c][t] for j in range(n1)] for c in range(len(src))]
-            for t in coords
-        ]
-        diffs.append(
-            LinearFormMatrix(
-                rows=rows,
-                cols=len(src),
-                target_names=inst.target.names,
-                coeffs=coeffs,
-                row_labels=row_labels,
-                col_labels=[f"Z{q}[{c}]" for c in range(len(src))],
-            )
-        )
+    bases = [cycle_basis(inst, q, nu) for q in range(inst.n + 1)]
+    diffs = [_cycle_differential(inst, src, tgt) for tgt, src in zip(bases, bases[1:])]
     return ZComplexStrand(nu=nu, differentials=diffs, dims=[len(b) for b in bases])
 
 

@@ -452,12 +452,6 @@ def multidegree_of(p: MultiPoly):
     return next(iter(degs))
 
 
-def is_multihomogeneous(p: MultiPoly) -> bool:
-    if p.ring.kind != "parameter" or p.is_zero():
-        return False
-    return len({p.ring.block_degrees(e) for e in p.terms}) == 1
-
-
 # --------------------------------------------------------------------------
 # substitution / evaluation
 
@@ -553,6 +547,16 @@ def try_exact_div(p: MultiPoly, q: MultiPoly):
         raise ZeroDivisionError("polynomial division by zero")
     if p.is_zero():
         return MultiPoly.zero(p.ring)
+    if len(q.terms) == 1:
+        # a one-term divisor: shift every exponent, divide every coefficient
+        ((lq_e, lq_c),) = q.terms.items()
+        quot = {}
+        for e, c in p.terms.items():
+            diff = tuple(a - b for a, b in zip(e, lq_e))
+            if min(diff) < 0:
+                return None
+            quot[diff] = c if lq_c == 1 else _whole(Fraction(c) / lq_c)
+        return MultiPoly(p.ring, quot)
     lq_e, lq_c = q.leading()
     quot = {}
     r = p

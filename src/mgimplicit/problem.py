@@ -109,12 +109,30 @@ def _load_json(text) -> ProblemFile:
     for key in ("blocks", "polynomials"):
         if key not in obj:
             raise ProblemValidationError(f"missing key {key!r}")
+    blocks, polys = obj["blocks"], obj["polynomials"]
+    targets, degree = obj.get("target_vars"), obj.get("degree")
+    if not isinstance(blocks, list) or not all(_is_list_of(g, str) for g in blocks):
+        raise ProblemValidationError("'blocks' must be a list of lists of strings")
+    if not _is_list_of(polys, str):
+        raise ProblemValidationError("'polynomials' must be a list of strings")
+    if targets is not None and not _is_list_of(targets, str):
+        raise ProblemValidationError("'target_vars' must be a list of strings")
+    if degree is not None and not _is_list_of(degree, int):
+        raise ProblemValidationError("'degree' must be a list of integers")
     return ProblemFile(
-        blocks=[list(g) for g in obj["blocks"]],
-        target_vars=list(obj["target_vars"]) if obj.get("target_vars") is not None else None,
-        polynomials=[str(p) for p in obj["polynomials"]],
-        degree=tuple(obj["degree"]) if obj.get("degree") is not None else None,
+        blocks=blocks,
+        target_vars=targets,
+        polynomials=polys,
+        degree=tuple(degree) if degree is not None else None,
     ).validate()
+
+
+def _is_list_of(value, kind):
+    """Whether ``value`` is a JSON array of ``kind`` values (booleans are not
+    integers here)."""
+    return isinstance(value, list) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in value
+    )
 
 
 def _load_text(text) -> ProblemFile:

@@ -34,6 +34,16 @@ def random_poly(ring, blocks, degree, rng, lo=-5, hi=5):
             return MultiPoly(ring, terms)
 
 
+def random_instance(blocks, degree, npolys, rng):
+    """Random instance of ``npolys`` forms of multidegree ``degree`` over the
+    variable blocks ``blocks``."""
+    ring = parameter_ring(blocks)
+    structure = BlockStructure(tuple(len(names) - 1 for names in blocks))
+    return ProblemInstance.from_polys(
+        [random_poly(ring, structure, degree, rng) for _ in range(npolys)]
+    )
+
+
 def random_p1p1_instance(a, b, rng, npolys=4):
     """Random instance of ``npolys`` bidegree-(a, b) forms on P^1 x P^1."""
     ring = parameter_ring(GOLDEN_BLOCKS)

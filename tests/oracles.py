@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's fraction-free elimination: rank and
 kernels come from a plain Gauss-Jordan reduction with Fraction arithmetic,
-determinants from cofactor expansion, and the generic rank of a matrix of
-linear forms from symbolic cofactor minors.
+determinants from cofactor expansion, the generic rank of a matrix of
+linear forms from symbolic cofactor minors, and the cycle-complex
+differentials from Koszul matrices built entry by entry and solved by
+Gauss-Jordan.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from mgimplicit.regions import strand_basis
 
 
 def rref(rows):
@@ -108,3 +112,74 @@ def symbolic_rank_oracle(matrix, ring):
                 if not det_cofactor_poly(sub).is_zero():
                     return k
     return 0
+
+
+def koszul_cycles_oracle(inst, q, nu):
+    """Canonical basis of the Koszul q-cycles whose coefficients have
+    multidegree ``nu``, over (subset, monomial) pairs, subset-major: the
+    Koszul matrix is built entry by entry from its definition and its kernel
+    is read off the Gauss-Jordan RREF."""
+    mons = strand_basis(inst.blocks, nu)
+    if q == 0:
+        return nullspace_oracle([], len(mons))
+    n1 = len(inst.f)
+    cols = [(S, u) for S in combinations(range(n1), q) for u in mons]
+    up = strand_basis(inst.blocks, tuple(a + b for a, b in zip(nu, inst.gamma)))
+    rows = [(T, w) for T in combinations(range(n1), q - 1) for w in up]
+    row_of = {key: r for r, key in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in row_of]
+    for c, (S, u) in enumerate(cols):
+        for pos, j in enumerate(S):
+            T = tuple(x for x in S if x != j)
+            for e, coef in inst.f[j].terms.items():
+                w = tuple(a + b for a, b in zip(u, e))
+                matrix[row_of[T, w]][c] += (-1) ** pos * coef
+    return nullspace_oracle(matrix, len(cols))
+
+
+def solve_in_basis_oracle(basis, ws):
+    """For each ``w`` in ``ws`` the coordinates ``x`` with ``sum_t x[t] *
+    basis[t] == w``, by one Gauss-Jordan reduction of the system augmented
+    with every ``w``; raises ValueError when some ``w`` is not in the span."""
+    k = len(basis)
+    n = len(ws[0]) if ws else 0
+    m, pivots = rref([[b[i] for b in basis] + [w[i] for w in ws] for i in range(n)])
+    if any(pc >= k for pc in pivots):
+        raise ValueError("vector outside the span of the basis")
+    out = [[Fraction(0)] * k for _ in ws]
+    for r, pc in enumerate(pivots):
+        for x, v in zip(out, m[r][k:]):
+            x[pc] = v
+    return out
+
+
+def cycle_differentials_oracle(inst, nu):
+    """``coeffs`` of every differential of the degree-``nu`` cycle-complex
+    strand: the q-th maps q-cycle ``c`` to ``sum_j T_j * x_j`` where ``x_j``
+    solves the contraction of ``c`` by ``e_j`` against the (q-1)-cycle
+    basis; ``coeffs[t][c][j]`` is the t-th coordinate of ``x_j``."""
+    n1 = len(inst.f)
+    lm = len(strand_basis(inst.blocks, nu))
+    bases = [koszul_cycles_oracle(inst, q, nu) for q in range(n1)]
+    out = []
+    for q in range(1, n1):
+        subsets = list(combinations(range(n1), q))
+        lower = {T: i for i, T in enumerate(combinations(range(n1), q - 1))}
+        images = []
+        for v in bases[q]:
+            for j in range(n1):
+                w = [0] * (len(lower) * lm)
+                for si, S in enumerate(subsets):
+                    if j in S:
+                        ti = lower[tuple(x for x in S if x != j)]
+                        for ui in range(lm):
+                            w[ti * lm + ui] += (-1) ** S.index(j) * v[si * lm + ui]
+                images.append(w)
+        xs = solve_in_basis_oracle(bases[q - 1], images)
+        out.append(
+            [
+                [[xs[c * n1 + j][t] for j in range(n1)] for c in range(len(bases[q]))]
+                for t in range(len(bases[q - 1]))
+            ]
+        )
+    return out

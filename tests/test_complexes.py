@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_p1p1_instance, random_poly
+from helpers import golden_instance, random_instance, random_p1p1_instance, random_poly
 import mgimplicit.complexes
 from mgimplicit import (
     InRegionWarning,
@@ -20,7 +20,7 @@ from mgimplicit import (
 )
 from mgimplicit.multipoly import MultiPoly, eval_at
 from mgimplicit.regions import BlockStructure, strand_basis
-from oracles import rank_oracle
+from oracles import cycle_differentials_oracle, rank_oracle
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +113,24 @@ def test_representation_matrix_warns_in_region(golden):
         representation_matrix(golden, (2, 2))
 
 
-def test_representation_matrix_entries_match_cycles(golden, golden_matrix):
-    cb = cycle_basis(golden, 1, (3, 1))
-    mons = strand_basis(golden.blocks, (3, 1))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (golden_instance(), (3, 1)),
+        lambda: (random_instance([["x", "y", "z"], ["s", "t"]], (1, 1), 5, random.Random(21)), (1, 1)),
+        lambda: (random_instance([["a", "b"], ["c", "d"], ["e", "f"]], (1, 1, 1), 5, random.Random(22)), (1, 1, 0)),
+    ],
+    ids=["golden", "p2p1", "p1p1p1"],
+)
+def test_representation_matrix_entries_match_cycles(make):
+    inst, nu = make()
+    m = representation_matrix(inst, nu, warn_region=False)
+    cb = cycle_basis(inst, 1, nu)
+    mons = strand_basis(inst.blocks, nu)
+    assert (m.rows, m.cols) == (len(mons), len(cb)) and m.cols > 0
     for c, cyc in enumerate(cb.cycles):
         for i, mon in enumerate(mons):
-            assert golden_matrix.coeffs[i][c] == [g.coeff(mon) for g in cyc]
+            assert m.coeffs[i][c] == [g.coeff(mon) for g in cyc]
 
 
 def test_equal_monomial_generators_give_difference_columns():
@@ -207,6 +219,31 @@ def test_z_strand_single_block_dimensions():
         strand_deg = tuple(x + q * g for x, g in zip(nu, inst.gamma))
         m = koszul_differential_strand(inst, q, strand_deg)
         assert z.dims[q] == m.cols - rank(m)
+
+
+def p2_quadric_net():
+    """Four random ternary quadrics on P^2 at ``nu = 2``."""
+    return random_instance([["x", "y", "z"]], (2,), 4, random.Random(3)), (2,)
+
+
+def p2p1_bilinear():
+    """Four random bilinear forms on P^2 x P^1 at ``nu = (1, 1)``."""
+    return random_instance([["x", "y", "z"], ["s", "t"]], (1, 1), 4, random.Random(0)), (1, 1)
+
+
+@pytest.mark.parametrize(
+    "make, dims",
+    [(single_block_instance, [5, 7, 2]), (p2_quadric_net, [6, 9, 4, 1]), (p2p1_bilinear, [6, 6, 4, 1])],
+    ids=["p1-cubics", "p2-quadrics", "p2p1"],
+)
+def test_z_strand_matches_gauss_jordan_oracle(make, dims):
+    # every differential against contraction images solved by Gauss-Jordan
+    # in a cycle basis computed from scratch
+    inst, nu = make()
+    z = z_complex_strand(inst, nu)
+    assert z.dims == dims
+    assert all(any(any(e) for row in d.coeffs for e in row) for d in z.differentials[1:])
+    assert [d.coeffs for d in z.differentials] == cycle_differentials_oracle(inst, nu)
 
 
 def test_z_strand_rejects_corrupted_cycle_basis(monkeypatch):

@@ -18,6 +18,7 @@ from mgimplicit import (
     parse_poly,
     substitute_targets,
     target_ring,
+    try_exact_div,
 )
 from mgimplicit.regions import BlockStructure
 
@@ -276,6 +277,26 @@ def test_exact_div_roundtrip(tring):
     assert exact_div(p, d) == parse_poly("X_0 - X_1", tring)
     with pytest.raises(ValueError):
         exact_div(parse_poly("X_0^2 + X_1", tring), d)
+
+
+@pytest.mark.parametrize(
+    "divisor, quotient",
+    [
+        ("2", "3*X_0^2*X_1 - 2*X_0*X_1^2 + 1/3*X_1^3"),
+        ("-2*X_1", "-3*X_0^2 + 2*X_0*X_1 - 1/3*X_1^2"),
+        ("X_0", None),
+    ],
+    ids=["constant", "monomial", "monomial-not-dividing"],
+)
+def test_exact_div_one_term_divisor(tring, divisor, quotient):
+    p = parse_poly("6*X_0^2*X_1 - 4*X_0*X_1^2 + 2/3*X_1^3", tring)
+    d = parse_poly(divisor, tring)
+    if quotient is None:
+        assert try_exact_div(p, d) is None
+        assert not divides(d, p)
+    else:
+        assert exact_div(p, d) == parse_poly(quotient, tring)
+        assert exact_div(p, d) * d == p
 
 
 def test_normalize_poly(tring):

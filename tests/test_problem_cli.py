@@ -94,6 +94,28 @@ def test_cmd_info_validation_error(tmp_path, capsys):
     assert "multidegree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"polynomials": 5},
+        {"blocks": 3},
+        {"degree": 1},
+        {"blocks": [[1, 2]]},
+        {"target_vars": "XY"},
+        {"blocks": ["su", "tv"]},
+    ],
+    ids=["polynomials-int", "blocks-int", "degree-int", "blocks-int-names", "targets-str", "blocks-str"],
+)
+def test_cmd_info_rejects_mistyped_json_field(tmp_path, capsys, field):
+    f = tmp_path / "bad.json"
+    problem = {"blocks": [["s", "u"], ["t", "v"]], "polynomials": ["s*t", "u*v"]}
+    f.write_text(json.dumps({**problem, **field}))
+    assert main(["info", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # -- region --------------------------------------------------------------------------
 
 def test_cmd_info_json(capsys):
