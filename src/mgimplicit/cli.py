@@ -36,6 +36,7 @@ from .problem import ProblemValidationError, hypersurface_check, load_problem
 from .regions import (
     BlockStructure,
     ascii_region_plot,
+    check_strand_degree,
     complement_corners,
     describe_region,
     region_RB,
@@ -61,10 +62,13 @@ def _parse_vector(text, what):
 
 
 def _write_or_print(payload, out):
-    if out:
-        Path(out).write_text(payload + "\n")
-    else:
+    if not out:
         print(payload)
+        return
+    try:
+        Path(out).write_text(payload + "\n")
+    except OSError as exc:
+        raise ProblemValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_info(args):
@@ -133,7 +137,7 @@ def cmd_region(args):
         elif args.plot == "-":
             print(ascii_region_plot(blocks, gamma))
         else:
-            Path(args.plot).write_text(svg_region_plot(blocks, gamma) + "\n")
+            _write_or_print(svg_region_plot(blocks, gamma), args.plot)
             print(f"plot written to {args.plot}", file=sys.stderr)
     return EXIT_OK
 
@@ -141,17 +145,9 @@ def cmd_region(args):
 def cmd_matrix(args):
     inst = load_problem(args.file).instance()
     nu = _parse_vector(args.nu, "--nu")
-    if len(nu) != inst.blocks.s:
-        raise ProblemValidationError(
-            f"--nu needs {inst.blocks.s} components for this problem, got {len(nu)}"
-        )
-    in_region = region_RB(inst.blocks, inst.gamma).contains(nu)
-    warnings = []
-    if in_region:
-        warnings.append(
-            f"nu {nu} lies in the unreliable region: the determinant guarantee does not apply"
-        )
-        print(warnings[0], file=sys.stderr)
+    warnings = check_strand_degree(inst.blocks, inst.gamma, nu)
+    for w in warnings:
+        print(w, file=sys.stderr)
     m = representation_matrix(inst, nu, warn_region=False)
     payload = json.dumps(m.to_json_dict(extra={"nu": list(nu), "warnings": warnings}), indent=2)
     _write_or_print(payload, args.out)
@@ -163,10 +159,6 @@ def cmd_implicitize(args):
     inst = pf.instance()
     hypersurface_check(inst)
     nu = _parse_vector(args.nu, "--nu") if args.nu else None
-    if nu is not None and len(nu) != inst.blocks.s:
-        raise ProblemValidationError(
-            f"--nu needs {inst.blocks.s} components for this problem, got {len(nu)}"
-        )
     try:
         result = run_pipeline(
             inst,

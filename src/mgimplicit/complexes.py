@@ -26,12 +26,13 @@ from math import comb
 from .linalg import QMatrix, _whole, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
+    NotMultihomogeneousError,
     PolyRing,
     monomial_str,
     multidegree_of,
     target_ring,
 )
-from .regions import BlockStructure, region_RB, strand_basis, strand_dim
+from .regions import BlockStructure, check_strand_degree, strand_basis, strand_dim
 
 
 class InRegionWarning(UserWarning):
@@ -48,37 +49,41 @@ class ProblemInstance:
     """The data of one implicitization problem.
 
     ``f`` are nonzero multihomogeneous polynomials of the common multidegree
-    ``gamma`` in the parameter ring; ``target`` is the ring of the image
-    coordinates, one variable per polynomial.
+    ``gamma`` in the parameter ring ``ring``; ``target`` is the ring of the
+    image coordinates, one variable per polynomial.
     """
 
     ring: PolyRing
-    blocks: BlockStructure
     f: tuple[MultiPoly, ...]
     gamma: tuple[int, ...]
     target: PolyRing
 
     @classmethod
     def from_polys(cls, polys, target_names=None):
+        """Build the instance; the one multidegree check (errors name ``polynomial #k``)."""
         polys = tuple(polys)
         if len(polys) < 2:
             raise ValueError("need at least two polynomials")
         ring = polys[0].ring
-        if ring.kind != "parameter":
-            raise ValueError("polynomials must live in a parameter ring")
-        degs = set()
-        for p in polys:
+        degs = []
+        for k, p in enumerate(polys):
             if p.ring != ring:
                 raise ValueError("polynomials live in different rings")
-            degs.add(multidegree_of(p))
-        if len(degs) != 1:
-            raise ValueError(f"polynomials do not share one multidegree: {sorted(degs)}")
-        gamma = next(iter(degs))
-        blocks = BlockStructure(tuple(size - 1 for size in ring.block_sizes))
+            try:
+                degs.append(multidegree_of(p))
+            except NotMultihomogeneousError as exc:
+                raise NotMultihomogeneousError(f"polynomial #{k}: {exc}") from exc
+        if len(set(degs)) != 1:
+            listing = ", ".join(f"#{k}: {d}" for k, d in enumerate(degs))
+            raise ValueError(f"polynomials do not share one multidegree ({listing})")
         tgt = target_ring(target_names if target_names is not None else len(polys))
         if tgt.nvars != len(polys):
             raise ValueError("need exactly one target variable per polynomial")
-        return cls(ring, blocks, polys, gamma, tgt)
+        return cls(ring, polys, degs[0], tgt)
+
+    @property
+    def blocks(self) -> BlockStructure:
+        return self.ring.blocks
 
     @property
     def n(self):
@@ -265,16 +270,14 @@ def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> Linear
     Rows are indexed by the monomials of multidegree ``nu``, columns by the
     degree-``nu`` syzygies ``(g_0..g_n)`` of f; the (u, c) entry is
     ``sum_j coeff(g_j, x^u) * T_j``.  A degree inside the unreliable region
-    is allowed but triggers :class:`InRegionWarning`.
+    is allowed but triggers :class:`InRegionWarning` when ``warn_region`` is
+    true; a degree with the wrong number of components raises ``ValueError``.
     """
     nu = tuple(nu)
-    if warn_region and region_RB(inst.blocks, inst.gamma).contains(nu):
-        warnings.warn(
-            f"strand degree {nu} lies in the unreliable region; the determinant "
-            "guarantee does not apply",
-            InRegionWarning,
-            stacklevel=2,
-        )
+    notes = check_strand_degree(inst.blocks, inst.gamma, nu)
+    if warn_region:
+        for note in notes:
+            warnings.warn(note, InRegionWarning, stacklevel=2)
     m = _cycle_differential(inst, cycle_basis(inst, 1, nu), cycle_basis(inst, 0, nu))
     m.col_labels = list(range(m.cols))
     return m

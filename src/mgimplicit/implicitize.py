@@ -39,7 +39,7 @@ from .multipoly import (
     substitute_targets,
     target_ring,
 )
-from .regions import region_RB, suggest_nu
+from .regions import check_strand_degree, suggest_nu
 
 # numerators of random target specializations are drawn uniformly from
 # [-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE] (denominator 1)
@@ -227,7 +227,7 @@ def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPol
             f"all {len(subsets)} sampled {m.rows}x{m.rows} minors vanish; "
             "the strand matrix is rank-deficient, re-check nu"
         )
-    return normalize_poly(g)
+    return g
 
 
 def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
@@ -309,7 +309,8 @@ def run_pipeline(
 ) -> ImplicitResult:
     """Matrix -> ranks -> determinant (or minors gcd) -> exact verification.
 
-    ``nu`` defaults to the suggested complement corner.  Raises
+    ``nu`` defaults to the suggested complement corner; a ``nu`` with the
+    wrong number of components raises ``ValueError``.  Raises
     :class:`PipelineError` when the matrix shape/rank rules out extraction;
     an inconclusive rank-drop check only warns (verification is the gate).
     """
@@ -318,10 +319,7 @@ def run_pipeline(
         nu = suggest_nu(inst.blocks, inst.gamma)
         warnings_list.append(f"auto-selected nu {tuple(nu)}")
     nu = tuple(nu)
-    if region_RB(inst.blocks, inst.gamma).contains(nu):
-        warnings_list.append(
-            f"nu {nu} lies in the unreliable region: the determinant guarantee does not apply"
-        )
+    warnings_list.extend(check_strand_degree(inst.blocks, inst.gamma, nu))
     m = representation_matrix(inst, nu, warn_region=False)
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
@@ -340,11 +338,6 @@ def run_pipeline(
     if square:
         delta = det_linear_matrix(m)
     else:
-        if m.rows > m.cols:
-            raise PipelineError(
-                f"matrix is {m.rows}x{m.cols} with more rows than columns; "
-                "strand degree does not support extraction"
-            )
         warnings_list.append(
             f"matrix is {m.rows}x{m.cols}: using gcd of {samples} sampled maximal minors"
         )

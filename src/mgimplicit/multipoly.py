@@ -1,10 +1,10 @@
-"""Exact multivariate polynomials over Q, in two flavours of ring.
+"""Exact multivariate polynomials over Q in block-graded rings.
 
-A *parameter ring* is a polynomial ring whose variables come in blocks
-(one block per projective factor) and is graded by the per-block total
-degree, an integer vector.  A *target ring* is an ordinary standard-graded
-polynomial ring ``k[T_0..T_n]``.  Both are carried by a :class:`PolyRing`
-value; a polynomial never mixes variables of two rings.
+A :class:`PolyRing` is a polynomial ring whose variables come in blocks
+(one per projective factor), graded by the per-block total degree as its
+:class:`~mgimplicit.regions.BlockStructure` says: ``s`` blocks for the
+parameter ring of ``P^{r_1} x ... x P^{r_s}``, one block for the target
+ring ``k[T_0..T_n]`` of ``P^n``.  A polynomial never mixes two rings.
 
 Representation: a term map ``exponent tuple -> coefficient`` with dense
 exponent tuples (variable counts here are tiny) and no zero coefficients
@@ -37,6 +37,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import Rational, _whole
+from .regions import BlockStructure
 
 
 class PolyParseError(ValueError):
@@ -59,29 +60,17 @@ class NotMultihomogeneousError(ValueError):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Variable context for :class:`MultiPoly`.
+    """Variable context for :class:`MultiPoly`: the variable names, block
+    by block, and the grading ``blocks`` (``r_i + 1`` names in block i)."""
 
-    ``kind`` is ``"parameter"`` or ``"target"``; ``block_sizes`` gives the
-    number of variables per block for parameter rings (``r_i + 1`` each)
-    and is ``None`` for target rings.
-    """
-
-    kind: str
     names: tuple[str, ...]
-    block_sizes: tuple[int, ...] | None = None
+    blocks: BlockStructure
 
     def __post_init__(self):
-        if self.kind not in ("parameter", "target"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        if self.kind == "parameter":
-            if self.block_sizes is None or sum(self.block_sizes) != len(self.names):
-                raise ValueError("block sizes do not cover the variable names")
-            if any(b < 1 for b in self.block_sizes):
-                raise ValueError("every block needs at least one variable")
-        elif self.block_sizes is not None:
-            raise ValueError("target rings have no blocks")
+        if self.blocks.nvars != len(self.names):
+            raise ValueError("block sizes do not cover the variable names")
 
     @cached_property
     def index(self):
@@ -89,13 +78,11 @@ class PolyRing:
 
     @cached_property
     def block_slices(self):
-        if self.block_sizes is None:
-            return ((0, len(self.names)),)
         out = []
         start = 0
-        for size in self.block_sizes:
-            out.append((start, start + size))
-            start += size
+        for ri in self.blocks.r:
+            out.append((start, start + ri + 1))
+            start += ri + 1
         return tuple(out)
 
     @property
@@ -110,19 +97,15 @@ class PolyRing:
 def parameter_ring(blocks) -> PolyRing:
     """Build the block-graded ring from name groups, e.g. ``[["s","u"],["t","v"]]``."""
     groups = [tuple(g) for g in blocks]
-    if not groups:
-        raise ValueError("need at least one block")
     names = tuple(n for g in groups for n in g)
-    return PolyRing("parameter", names, tuple(len(g) for g in groups))
+    return PolyRing(names, BlockStructure(tuple(len(g) - 1 for g in groups)))
 
 
 def target_ring(names_or_count) -> PolyRing:
-    """Build the standard-graded ring, from names or as ``T_0..T_{n}``."""
+    """Build the one-block (standard-graded) ring, from names or as ``T_0..T_{n}``."""
     if isinstance(names_or_count, int):
-        names = tuple(f"T_{i}" for i in range(names_or_count))
-    else:
-        names = tuple(names_or_count)
-    return PolyRing("target", names)
+        names_or_count = [f"T_{i}" for i in range(names_or_count)]
+    return parameter_ring([names_or_count])
 
 
 def _term_key(exps):
@@ -378,7 +361,6 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
                 raise PolyParseError("dangling sign", tokens[i - 1][2])
         coeff = Fraction(1)
         exps = [0] * ring.nvars
-        saw_factor = False
         if peek("int"):
             num = int(tokens[i][1])
             i += 1
@@ -423,13 +405,10 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
                 power = int(tokens[i][1])
                 i += 1
             exps[var] += power
-            saw_factor = True
             if peek_op("*"):
                 i += 1
                 continue
             break
-        if not saw_factor:
-            raise PolyParseError("empty term")
         terms.append((tuple(exps), sign * coeff))
         if i < n and not (peek_op("+") or peek_op("-")):
             raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
@@ -440,9 +419,7 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
 # grading
 
 def multidegree_of(p: MultiPoly):
-    """Common per-block degree vector of a multihomogeneous parameter-ring polynomial."""
-    if p.ring.kind != "parameter":
-        raise ValueError("multidegree is defined on parameter-ring polynomials")
+    """Common per-block degree vector of a multihomogeneous polynomial."""
     if p.is_zero():
         raise NotMultihomogeneousError("zero polynomial has no multidegree")
     degs = {p.ring.block_degrees(e) for e in p.terms}
@@ -456,15 +433,13 @@ def multidegree_of(p: MultiPoly):
 # substitution / evaluation
 
 def substitute_targets(p: MultiPoly, images) -> MultiPoly:
-    """Replace each target variable of ``p`` by the corresponding image polynomial.
+    """Replace each variable of ``p`` by the corresponding image polynomial.
 
-    ``images`` must be one parameter-ring polynomial per target variable,
-    all multihomogeneous of one common multidegree; the result is the exact
+    ``images`` must be one polynomial per variable of ``p``, all in one ring
+    and multihomogeneous of one common multidegree; the result is the exact
     expansion.  Partial products over the exponent prefixes are cached, so a
     dense degree-d input costs far less than d-fold naive expansion.
     """
-    if p.ring.kind != "target":
-        raise ValueError("substitute_targets expects a target-ring polynomial")
     images = list(images)
     if len(images) != p.ring.nvars:
         raise ValueError(
@@ -608,13 +583,6 @@ def normalize_poly(p: MultiPoly) -> MultiPoly:
     return p.scale(factor)
 
 
-def _clear_denominators(p):
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    return p.scale(den) if den != 1 else p
-
-
 def _active_vars(p):
     active = set()
     for e in p.terms:
@@ -735,5 +703,5 @@ def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     p._check_ring(q)
     if p.is_zero() and q.is_zero():
         return p
-    g = _gcd_z(_clear_denominators(p), _clear_denominators(q))
+    g = _gcd_z(normalize_poly(p), normalize_poly(q))
     return normalize_poly(g)

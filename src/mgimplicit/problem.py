@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .complexes import ProblemInstance
-from .multipoly import PolyParseError, multidegree_of, parameter_ring, parse_poly
+from .multipoly import PolyParseError, parameter_ring, parse_poly
 
 
 class ProblemValidationError(ValueError):
@@ -52,29 +52,18 @@ class ProblemFile:
         polys = []
         for k, text in enumerate(self.polynomials):
             try:
-                p = parse_poly(text, ring)
+                polys.append(parse_poly(text, ring))
             except PolyParseError as exc:
                 raise ProblemValidationError(f"polynomial #{k}: {exc}") from exc
-            if p.is_zero():
-                raise ProblemValidationError(f"polynomial #{k} is zero")
-            polys.append(p)
-        degs = []
-        for k, p in enumerate(polys):
-            try:
-                degs.append(multidegree_of(p))
-            except ValueError as exc:
-                raise ProblemValidationError(f"polynomial #{k}: {exc}") from exc
-        if len(set(degs)) != 1:
-            listing = ", ".join(f"#{k}: {d}" for k, d in enumerate(degs))
-            raise ProblemValidationError(f"polynomials do not share one multidegree ({listing})")
-        if self.degree is not None and tuple(self.degree) != degs[0]:
-            raise ProblemValidationError(
-                f"declared degree {tuple(self.degree)} does not match the actual {degs[0]}"
-            )
         try:
-            return ProblemInstance.from_polys(polys, target_names=self.target_vars)
+            inst = ProblemInstance.from_polys(polys, target_names=self.target_vars)
         except ValueError as exc:
             raise ProblemValidationError(str(exc)) from exc
+        if self.degree is not None and tuple(self.degree) != inst.gamma:
+            raise ProblemValidationError(
+                f"declared degree {tuple(self.degree)} does not match the actual {inst.gamma}"
+            )
+        return inst
 
     def validate(self):
         if not self.blocks or any(not g for g in self.blocks):

@@ -1,11 +1,14 @@
 """Block grading of products of projective spaces and degree regions.
 
-For blocks of sizes ``r_1..r_s`` the coordinate ring is graded by Z^s.
-This module computes strand dimensions and monomial bases, the shifted
-orthants ``Q_alpha`` supporting the local cohomology of the ring with
-respect to the irrelevant ideal, the unreliable region ``R_B(gamma)`` of
-strand degrees, its complement corners, and a suggested strand degree
-``nu`` (the corner with the smallest strand, i.e. the smallest matrix).
+For blocks of sizes ``r_1..r_s`` the coordinate ring is graded by Z^s;
+:class:`BlockStructure` is that grading for every ring of the package (the
+target ring ``k[T_0..T_n]`` is the one-block case).  This module computes
+strand dimensions and monomial bases, the shifted orthants ``Q_alpha``
+supporting the local cohomology of the ring with respect to the irrelevant
+ideal, the unreliable region ``R_B(gamma)`` of strand degrees (a down-set),
+its complement corners, a suggested strand degree ``nu`` (the corner with
+the smallest strand), and :func:`check_strand_degree`, the one check of a
+requested ``nu``.
 
 Index conventions: blocks are 0-based in code; human-readable output
 prints them 1-based.  Degree vectors are plain int tuples of length s.
@@ -209,6 +212,20 @@ def region_RB_via_sigma(blocks: BlockStructure, gamma) -> RegionUnion:
     return sigma_B(blocks, gamma).translated(tuple(-g for g in gamma))
 
 
+def check_strand_degree(blocks: BlockStructure, gamma, nu) -> list:
+    """Check a strand degree ``nu`` for forms of degree ``gamma``.
+
+    Raises ``ValueError`` when ``nu`` does not have one component per
+    block; returns the warnings that apply to ``nu`` (one when it lies in
+    the unreliable region, else none)."""
+    nu = tuple(nu)
+    if len(nu) != blocks.s:
+        raise ValueError(f"nu needs {blocks.s} components for this problem, got {len(nu)}")
+    if region_RB(blocks, gamma).contains(nu):
+        return [f"nu {nu} lies in the unreliable region: the determinant guarantee does not apply"]
+    return []
+
+
 # --------------------------------------------------------------------------
 # complement corners and suggestion
 
@@ -219,31 +236,23 @@ def corner_scan_bound(blocks: BlockStructure, gamma) -> int:
 
 def complement_corners(blocks: BlockStructure, gamma):
     """Componentwise-minimal points of the complement of the unreliable
-    region within ``[0, corner_scan_bound]^s``, sorted lexicographically."""
+    region within ``[0, corner_scan_bound]^s``, sorted lexicographically.
+
+    The complement is an up-set, so a complement point is minimal exactly
+    when none of its lower neighbours is a complement point."""
     region = region_RB(blocks, gamma)
     bound = corner_scan_bound(blocks, gamma)
-    outside = [
+    outside = {
         mu for mu in product(range(bound + 1), repeat=blocks.s) if not region.contains(mu)
-    ]
-    outside_set = set(outside)
-    # cheap local prefilter: a minimal point has no complement neighbour one
-    # step down in any coordinate; the few survivors get the full check
-    candidates = [
+    }
+    return sorted(
         p
         for p in outside
         if all(
-            p[j] == 0 or p[:j] + (p[j] - 1,) + p[j + 1 :] not in outside_set
+            p[j] == 0 or p[:j] + (p[j] - 1,) + p[j + 1 :] not in outside
             for j in range(blocks.s)
         )
-    ]
-    corners = []
-    for p in candidates:
-        dominated = any(
-            q != p and all(a <= b for a, b in zip(q, p)) for q in outside
-        )
-        if not dominated:
-            corners.append(p)
-    return sorted(corners)
+    )
 
 
 def corners_closed_form_2blocks(blocks: BlockStructure, gamma):

@@ -3,15 +3,15 @@
 These deliberately avoid the package's fraction-free elimination: rank and
 kernels come from a plain Gauss-Jordan reduction with Fraction arithmetic,
 determinants from cofactor expansion, the generic rank of a matrix of
-linear forms from symbolic cofactor minors, and the cycle-complex
+linear forms from symbolic cofactor minors, the cycle-complex
 differentials from Koszul matrices built entry by entry and solved by
-Gauss-Jordan.
+Gauss-Jordan, and the complement corners by an all-pairs dominance scan.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from mgimplicit.regions import strand_basis
+from mgimplicit.regions import corner_scan_bound, region_RB, strand_basis
 
 
 def rref(rows):
@@ -183,3 +183,30 @@ def cycle_differentials_oracle(inst, nu):
             ]
         )
     return out
+
+
+def complement_corners_oracle(blocks, gamma):
+    """Componentwise-minimal complement points in ``[0, corner_scan_bound]^s``
+    in two phases, assuming nothing about the shape of the region: a local
+    prefilter (no complement point one step down), then a full dominance
+    check of each survivor against every complement point."""
+    region = region_RB(blocks, gamma)
+    bound = corner_scan_bound(blocks, gamma)
+    outside = [
+        mu for mu in product(range(bound + 1), repeat=blocks.s) if not region.contains(mu)
+    ]
+    outside_set = set(outside)
+    candidates = [
+        p
+        for p in outside
+        if all(
+            p[j] == 0 or p[:j] + (p[j] - 1,) + p[j + 1 :] not in outside_set
+            for j in range(blocks.s)
+        )
+    ]
+    corners = [
+        p
+        for p in candidates
+        if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in outside)
+    ]
+    return sorted(corners)

@@ -30,6 +30,21 @@ def p1_pair():
     return ProblemInstance.from_polys([parse_poly("x", ring), parse_poly("y", ring)])
 
 
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ("0", "polynomial #1: zero polynomial has no multidegree"),
+        ("s*t + s^2", r"polynomial #1: terms of different block degrees: \(1, 1\), \(2, 0\)"),
+        ("s^2*t", r"do not share one multidegree \(#0: \(1, 1\), #1: \(2, 1\)\)"),
+    ],
+    ids=["zero", "mixed-degree", "other-degree"],
+)
+def test_from_polys_names_the_bad_polynomial(second, message):
+    ring = parameter_ring([["s", "u"], ["t", "v"]])
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance.from_polys([parse_poly("s*t", ring), parse_poly(second, ring)])
+
+
 # -- Koszul strand matrices -----------------------------------------------------
 
 def test_koszul_syzygy_on_p1(p1_pair):

@@ -330,6 +330,20 @@ def test_pipeline_fails_informatively_in_region(golden):
         run_pipeline(golden, (2, 2), seed=0)
 
 
+def test_pipeline_rejects_tall_matrix(golden):
+    # the strand matrix at (1, 2) is 6 x 4, so its generic rank is below its row count
+    with pytest.raises(PipelineError, match="generic rank 4 < 6 rows"):
+        run_pipeline(golden, (1, 2), seed=0)
+
+
+@pytest.mark.parametrize("nu", [(3,), (3, 1, 0)], ids=["short", "long"])
+def test_wrong_length_nu_raises(golden, nu):
+    with pytest.raises(ValueError, match="nu needs 2 components"):
+        representation_matrix(golden, nu)
+    with pytest.raises(ValueError, match="nu needs 2 components"):
+        run_pipeline(golden, nu)
+
+
 def test_pipeline_rejects_empty_strand(golden):
     with pytest.raises(PipelineError):
         run_pipeline(golden, (0, 0), seed=0)

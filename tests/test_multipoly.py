@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import GOLDEN_F, random_poly
 from mgimplicit import (
@@ -104,7 +106,47 @@ def test_roundtrip_parse_print(pring, tring):
     assert parse_poly(str(MultiPoly.zero(tring)), tring).is_zero()
 
 
+COEFF = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+RING_BLOCKS = [[["x", "y"]], [["s", "u"], ["t", "v"]], [["a", "b"], ["c"], ["d", "e", "f"]]]
+
+
+@st.composite
+def polys(draw):
+    """A polynomial in a 1-, 2- or 3-block ring, zero included (empty term
+    list, or terms that cancel)."""
+    ring = parameter_ring(draw(st.sampled_from(RING_BLOCKS)))
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    return MultiPoly.from_terms(ring, draw(st.lists(st.tuples(exps, COEFF), max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(polys())
+def test_print_parse_round_trip(p):
+    assert parse_poly(str(p), p.ring) == p
+
+
+GRAMMAR_PIECES = ["s", "u", "t", "q", "0", "3", "12", "2/3", "*", "^", "+", "-", "/", " ", "(", "."]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12).map("".join), st.text(max_size=16)))
+def test_parse_arbitrary_text_raises_only_parse_errors(text):
+    try:
+        parse_poly(text, parameter_ring([["s", "u"], ["t", "v"]]))
+    except PolyParseError:
+        pass
+
+
 # -- grading -----------------------------------------------------------------
+
+def test_target_ring_is_the_one_block_ring():
+    names = ["X", "Y", "Z"]
+    assert target_ring(names) == parameter_ring([names])
+    assert target_ring(2) == parameter_ring([["T_0", "T_1"]])
+    assert multidegree_of(parse_poly("X^3 - 2*X*Y*Z + Z^3", target_ring(names))) == (3,)
+
 
 def test_multidegree_of_golden_f0(fs):
     assert multidegree_of(fs[0]) == (2, 2)

@@ -232,6 +232,26 @@ def test_cmd_matrix_closed_stdout_exits_without_traceback():
     assert "BrokenPipeError" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", GOLDEN_JSON, "--nu", "3,1", "--out", "{tmp}/missing/m.json"],
+        ["implicitize", "{bilinear}", "--nu", "1,0", "--out", "{tmp}"],
+        ["region", "--blocks", "1,1", "--gamma", "2,2", "--plot", "{tmp}/missing/r.svg"],
+    ],
+    ids=["matrix-out", "implicitize-out-directory", "region-plot"],
+)
+def test_cli_failed_write_is_a_validation_error(tmp_path, capsys, argv):
+    bilinear = tmp_path / "bilinear.json"
+    bilinear.write_text(
+        json.dumps({"blocks": [["s", "u"], ["t", "v"]], "polynomials": ["s*t", "s*v", "u*t", "u*v"]})
+    )
+    assert main([a.format(tmp=tmp_path, bilinear=bilinear) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
 def test_cmd_matrix_out_file(tmp_path):
     out_path = tmp_path / "m.json"
     assert main(["matrix", GOLDEN_JSON, "--nu", "3,1", "--out", str(out_path)]) == 0

@@ -16,6 +16,7 @@ from mgimplicit import (
     supp_local_cohomology,
 )
 from mgimplicit.regions import ascii_region_plot, describe_region, svg_region_plot
+from oracles import complement_corners_oracle
 
 P11 = BlockStructure((1, 1))
 
@@ -146,6 +147,22 @@ def test_corners_match_closed_form_on_grid():
         assert complement_corners(blocks, (a, b)) == corners_closed_form_2blocks(
             blocks, (a, b)
         ), (r, s, a, b)
+
+
+def test_corners_match_dominance_oracle():
+    # every (r, gamma) with s <= 2, r_i <= 3, gamma_i <= 3, and a sample of s = 3
+    cases = [
+        (r, gamma)
+        for s in (1, 2)
+        for r in product(range(4), repeat=s)
+        for gamma in product(range(1, 4), repeat=s)
+    ]
+    cases += [(r, (1, 1, 1)) for r in product(range(3), repeat=3)]
+    cases += [((1, 2, 1), (2, 1, 3)), ((0, 3, 1), (3, 2, 1)), ((2, 2, 2), (2, 2, 2))]
+    for r, gamma in cases:
+        blocks = BlockStructure(r)
+        expected = complement_corners_oracle(blocks, gamma)
+        assert complement_corners(blocks, gamma) == expected, (r, gamma)
 
 
 def test_corner_outside_region_randomized():
