@@ -19,6 +19,7 @@ closed by the reader before all output was written (e.g. ``| head``).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .complexes import representation_matrix
 from .implicitize import (
     MinorsRankError,
     PipelineError,
+    evaluation_points,
     run_pipeline,
     verify_implicit,
 )
@@ -35,13 +37,13 @@ from .multipoly import PolyParseError, parse_poly
 from .problem import ProblemValidationError, hypersurface_check, load_problem
 from .regions import (
     BlockStructure,
+    _smallest_strand_corner,
     ascii_region_plot,
     check_strand_degree,
     complement_corners,
     describe_region,
     region_RB,
     strand_dim,
-    suggest_nu,
     svg_region_plot,
 )
 
@@ -61,6 +63,22 @@ def _parse_vector(text, what):
         raise ProblemValidationError(f"{what} must be a comma-separated integer vector, got {text!r}")
 
 
+def _check_out_path(out):
+    """Reject an output PATH that cannot be written (a directory, or a file
+    in a missing directory) before any work is done; creates nothing."""
+    if not out:
+        return
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    exc = OSError(code, os.strerror(code), out)
+    raise ProblemValidationError(f"cannot write {out}: {exc}")
+
+
 def _write_or_print(payload, out):
     if not out:
         print(payload)
@@ -75,8 +93,9 @@ def cmd_info(args):
     pf = load_problem(args.file)
     inst = pf.instance()
     blocks = inst.blocks
-    nu = suggest_nu(blocks, inst.gamma)
     corners = complement_corners(blocks, inst.gamma)
+    nu = _smallest_strand_corner(blocks, corners)
+    points = evaluation_points(inst, nu)
     if args.json:
         payload = {
             "schema": "problem-info/1",
@@ -88,6 +107,7 @@ def cmd_info(args):
             "complement_corners": [list(c) for c in corners],
             "suggested_nu": list(nu),
             "strand_dims": {str(list(c)): strand_dim(blocks, c) for c in corners},
+            "evaluation_points": points,
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
@@ -101,6 +121,10 @@ def cmd_info(args):
     for c in corners:
         mark = "  <- suggested" if c == nu else ""
         print(f"  nu = {c}: {strand_dim(blocks, c)}{mark}")
+    print(
+        f"evaluation points at the suggestion: {points['determinant']} per maximal minor, "
+        f"at most {points['verification']} for verification"
+    )
     return EXIT_OK
 
 
@@ -113,9 +137,10 @@ def cmd_region(args):
             raise ProblemValidationError("region needs a FILE or both --blocks and --gamma")
         blocks = BlockStructure(_parse_vector(args.blocks, "--blocks"))
         gamma = _parse_vector(args.gamma, "--gamma")
+    corners = complement_corners(blocks, gamma)
     if args.json:
         region = region_RB(blocks, gamma)
-        nu = suggest_nu(blocks, gamma)
+        nu = _smallest_strand_corner(blocks, corners)
         payload = {
             "schema": "region/1",
             "r": list(blocks.r),
@@ -124,25 +149,26 @@ def cmd_region(args):
                 {"alpha": [j + 1 for j in sorted(part.alpha)], "shift": list(part.shift)}
                 for part in region.nonempty_parts()
             ],
-            "complement_corners": [list(c) for c in complement_corners(blocks, gamma)],
+            "complement_corners": [list(c) for c in corners],
             "suggested_nu": list(nu),
             "suggested_strand_dim": strand_dim(blocks, nu),
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(describe_region(blocks, gamma))
+        print(describe_region(blocks, gamma, corners))
     if args.plot:
         if blocks.s != 2:
             print("plot refused: only two-block regions can be drawn", file=sys.stderr)
         elif args.plot == "-":
-            print(ascii_region_plot(blocks, gamma))
+            print(ascii_region_plot(blocks, gamma, corners))
         else:
-            _write_or_print(svg_region_plot(blocks, gamma), args.plot)
+            _write_or_print(svg_region_plot(blocks, gamma, corners), args.plot)
             print(f"plot written to {args.plot}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_matrix(args):
+    _check_out_path(args.out)
     inst = load_problem(args.file).instance()
     nu = _parse_vector(args.nu, "--nu")
     warnings = check_strand_degree(inst.blocks, inst.gamma, nu)
@@ -155,6 +181,7 @@ def cmd_matrix(args):
 
 
 def cmd_implicitize(args):
+    _check_out_path(args.out)
     pf = load_problem(args.file)
     inst = pf.instance()
     hypersurface_check(inst)

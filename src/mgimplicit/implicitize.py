@@ -7,8 +7,13 @@ the degree of the parametrization, possibly times a relatively prime
 extraneous factor) is its exact determinant; in the non-square case it
 divides the gcd of the maximal minors.  Factorization into those pieces is
 out of scope: the certified output is the normalized strand determinant
-together with a vanishing certificate from exact back-substitution of the
-parametrization.
+together with an exact vanishing certificate.
+
+Both are computed by integer evaluation, never by expanding polynomials:
+a strand determinant is interpolated from the integer determinants of its
+specializations on a simplex grid, and ``delta(f) = 0`` is decided by
+evaluating ``delta`` at the image of a tensor grid of parameter points.
+The degrees are known up front, so both grids are exact, not probabilistic.
 
 Randomized steps (generic rank, rank-drop sampling, minor selection) take
 explicit seeds and documented ranges, so results are reproducible.
@@ -19,8 +24,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .complexes import (
     LinearFormMatrix,
@@ -28,18 +35,19 @@ from .complexes import (
     homology_dim,
     representation_matrix,
 )
-from .linalg import _bareiss, rank
+from .linalg import _bareiss, _whole, rank
+# exact_div has no caller here; the binding stays because the benchmark test
+# perfbench/test_perfbench.py::test_tracer_wraps_every_binding_and_restores
+# reads mgimplicit.implicitize.exact_div
 from .multipoly import (
     MultiPoly,
-    _primitive_factor,
     eval_at,
     exact_div,
     gcd_poly,
     normalize_poly,
-    substitute_targets,
     target_ring,
 )
-from .regions import check_strand_degree, suggest_nu
+from .regions import check_strand_degree, strand_dim, suggest_nu
 
 # numerators of random target specializations are drawn uniformly from
 # [-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE] (denominator 1)
@@ -146,33 +154,119 @@ def rank_drop_check(
 
 
 # --------------------------------------------------------------------------
-# determinants of linear-form matrices
+# determinants of linear-form matrices, by interpolation
 
-def _integerize_columns(entries):
-    """Scale each column to integer-primitive polynomial entries (the global
-    rational factor is irrelevant: results are normalized afterwards)."""
-    if not entries or not entries[0]:
-        return entries
-    factors = [
-        _primitive_factor(c for row in entries for c in row[j].terms.values())
-        for j in range(len(entries[0]))
-    ]
-    return [[p.scale(f) for p, f in zip(row, factors)] for row in entries]
+def _eval_terms(terms, values):
+    """Exact value of a term map ``exponents -> coefficient`` at ``values``."""
+    total = 0
+    for exps, c in terms.items():
+        v = c
+        for x, k in zip(values, exps):
+            if k:
+                v *= x**k
+        total += v
+    return total
 
 
-def _det_poly(entries, ring) -> MultiPoly:
-    """Exact determinant of a square matrix of polynomials, by the shared
-    fraction-free elimination with exact polynomial division."""
-    n = len(entries)
-    one = MultiPoly.constant(ring, 1)
+def _simplex(n, top):
+    """Every ``a`` in ``N^n`` with ``|a| <= top``, in lexicographic order."""
     if n == 0:
-        return one
-    work = [row[:] for row in entries]
-    pivots, sign = _bareiss(work, n, exact_div, one)
-    if len(pivots) < n:
-        return MultiPoly.zero(ring)
-    det = work[n - 1][n - 1]
-    return -det if sign < 0 else det
+        return [()]
+    return [(k,) + rest for k in range(top + 1) for rest in _simplex(n - 1, top - k)]
+
+
+def _simplex_lines(n, top, axis):
+    """The lines of the simplex ``|a| <= top`` parallel to ``axis``, each as
+    its points in increasing ``a[axis]``."""
+    return [
+        [a[:axis] + (k,) + a[axis:] for k in range(top - sum(a) + 1)]
+        for a in _simplex(n - 1, top)
+    ]
+
+
+def _stirling_first(top):
+    """Signed Stirling numbers of the first kind ``s[k][j]``, ``k <= top``:
+    ``x (x-1) ... (x-k+1) = sum_j s[k][j] x^j``."""
+    s = [[1]]
+    for k in range(top):
+        prev = s[k] + [0]
+        s.append([(prev[j - 1] if j else 0) - k * prev[j] for j in range(k + 2)])
+    return s
+
+
+def _interpolate_simplex(values, n, top):
+    """Integer monomial coefficients ``{a: c}`` of the polynomial of total
+    degree ``<= top`` with integer coefficients that takes ``values[a]`` at
+    every ``a`` of the simplex ``|a| <= top``.
+
+    Forward differences along each axis give the Newton coefficients
+    ``Delta^b p(0)``, each divisible by ``b!``; dividing and expanding each
+    ``binom(x, k) = x (x-1) ... (x-k+1) / k!`` by Stirling numbers of the
+    first kind gives the monomial coefficients.  Every step is an integer
+    pass along the lines of one axis, so it never leaves the simplex.
+    """
+    vals = dict(values)
+    lines = [_simplex_lines(n, top, axis) for axis in range(n)]
+    for axis_lines in lines:
+        for line in axis_lines:
+            v = [vals[a] for a in line]
+            for t in range(1, len(v)):
+                for k in range(len(v) - 1, t - 1, -1):
+                    v[k] -= v[k - 1]
+            for k, a in enumerate(line):
+                vals[a] = v[k] // factorial(k)
+    stirling = _stirling_first(top)
+    for axis_lines in lines:
+        for line in axis_lines:
+            v = [vals[a] for a in line]
+            for j, a in enumerate(line):
+                vals[a] = sum(stirling[k][j] * v[k] for k in range(j, len(v)))
+    return {a: c for a, c in vals.items() if c}
+
+
+def _det_on_columns(m: LinearFormMatrix, cols) -> MultiPoly:
+    """Exact signed determinant of the square submatrix of ``m`` on the
+    columns ``cols``, as a target-ring polynomial.
+
+    The determinant is zero or a form of degree ``N = m.rows``, so it is
+    fixed by its values at ``T_0 = 1, (T_1..T_n) = a`` for the ``C(N+n, n)``
+    points ``|a| <= N``.  Each column is scaled by the lcm of its
+    denominators, so every value is the determinant of an integer matrix;
+    :func:`_interpolate_simplex` recovers the coefficients and ``T_0^(N-|a|)``
+    rehomogenizes them.  The result is checked against one more integer
+    determinant at a fixed point off the grid.
+    """
+    cols = list(cols)
+    size = m.rows
+    if len(cols) != size:
+        raise ValueError(f"{len(cols)} columns do not make a square {size}-row submatrix")
+    ring = target_ring(m.target_names)
+    if size == 0:
+        return MultiPoly.constant(ring, 1)
+    nvars = ring.nvars
+    # entries[i][k]: the coefficient vector of entry (i, cols[k]), its column
+    # scaled by the lcm of the column's denominators
+    entries = [[None] * size for _ in range(size)]
+    scale = 1
+    for k, j in enumerate(cols):
+        mult = lcm(*(c.denominator for i in range(size) for c in m.coeffs[i][j]))
+        scale *= mult
+        for i in range(size):
+            entries[i][k] = [int(c * mult) for c in m.coeffs[i][j]]
+
+    def det_at(point):
+        work = [[sum(map(mul, point, e)) for e in row] for row in entries]
+        pivots, sign = _bareiss(work, size)
+        return sign * work[-1][-1] if len(pivots) == size else 0
+
+    n = nvars - 1
+    values = {a: det_at((1,) + a) for a in _simplex(n, size)}
+    coeffs = _interpolate_simplex(values, n, size)
+    terms = {(size - sum(a),) + a: c for a, c in coeffs.items()}
+    check = [2] + [2 * (size + t) + 1 for t in range(1, nvars)]
+    if _eval_terms(terms, check) != det_at(check):
+        raise ArithmeticError("interpolated determinant disagrees with a direct evaluation")
+    return MultiPoly(ring, {e: _whole(Fraction(c, scale)) for e, c in terms.items()})
 
 
 def det_linear_matrix(m: LinearFormMatrix) -> MultiPoly:
@@ -180,10 +274,7 @@ def det_linear_matrix(m: LinearFormMatrix) -> MultiPoly:
     target-ring polynomial (integer-primitive, positive leading coefficient)."""
     if m.rows != m.cols:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    ring = target_ring(m.target_names)
-    entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
-    entries = _integerize_columns(entries)
-    return normalize_poly(_det_poly(entries, ring))
+    return normalize_poly(_det_on_columns(m, range(m.cols)))
 
 
 def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPoly:
@@ -197,9 +288,6 @@ def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPol
         raise ValueError("minors_gcd expects rows <= cols")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    ring = target_ring(m.target_names)
-    entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
-    entries = _integerize_columns(entries)
     total = comb(m.cols, m.rows)
     rng = random.Random(seed)
     seen = set()
@@ -212,10 +300,10 @@ def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPol
             if pick not in seen:
                 seen.add(pick)
                 subsets.append(pick)
-    g = MultiPoly.zero(ring)
+    g = MultiPoly.zero(target_ring(m.target_names))
     any_nonzero = False
     for cols in subsets:
-        minor = _det_poly([[entries[i][j] for j in cols] for i in range(m.rows)], ring)
+        minor = _det_on_columns(m, cols)
         if minor.is_zero():
             continue
         any_nonzero = True
@@ -230,12 +318,81 @@ def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPol
     return g
 
 
+def _vanishes_on_grid(terms, k, images, inst) -> bool:
+    """Whether the degree-``k`` form ``terms`` vanishes at the integer
+    parameter forms ``images``: ``delta_k(f)`` has multidegree ``k*gamma``,
+    so with the first variable of block ``i`` set to 1 every other one has
+    degree ``<= k*gamma_i``, and a polynomial of those degrees that vanishes
+    on the grid ``{0..k*gamma_i}`` of each variable is zero (Alon,
+    Combinatorial Nullstellensatz, Lemma 2.1).  Stops at the first nonzero
+    value."""
+    mult = lcm(*(c.denominator for c in terms.values()))
+    # each term as its integer coefficient and its (variable, exponent) factors
+    terms = [
+        (int(c * mult), [(j, e) for j, e in enumerate(exps) if e]) for exps, c in terms.items()
+    ]
+    ring = inst.ring
+    point = [0] * ring.nvars
+    free = []
+    for (start, stop), g in zip(ring.block_slices, inst.gamma):
+        point[start] = 1
+        free.extend((v, k * g) for v in range(start + 1, stop))
+    for coords in product(*(range(top + 1) for _, top in free)):
+        for (v, _), x in zip(free, coords):
+            point[v] = x
+        powers = []
+        for f in images:
+            y = _eval_terms(f, point)
+            col = [1]
+            for _ in range(k):
+                col.append(col[-1] * y)
+            powers.append(col)
+        total = 0
+        for c, factors in terms:
+            for j, e in factors:
+                c *= powers[j][e]
+            total += c
+        if total:
+            return False
+    return True
+
+
 def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
-    """Exact vanishing certificate: substitute ``T_j = f_j`` into ``delta``
-    and test for the zero polynomial."""
+    """Exact vanishing certificate: whether ``delta(f_0, .., f_n)`` is the
+    zero polynomial, decided by integer evaluation on a grid.
+
+    The homogeneous components ``delta_k`` of ``delta`` map to the distinct
+    multidegrees ``k*gamma``, so ``delta(f) = 0`` exactly when every
+    ``delta_k(f) = 0``; each component is tested on its own grid (see
+    :func:`_vanishes_on_grid`) after clearing denominators, one integer
+    multiplier for ``delta_k`` and one common multiplier ``L`` for all
+    ``f_j`` (``delta_k(L f) = L^k delta_k(f)``).
+    """
     if delta.is_zero():
         raise ValueError("cannot verify the zero polynomial")
-    return substitute_targets(delta, inst.f).is_zero()
+    if delta.ring.nvars != len(inst.f):
+        raise ValueError(
+            f"arity mismatch: {delta.ring.nvars} target variables, {len(inst.f)} images"
+        )
+    den = lcm(*(c.denominator for f in inst.f for c in f.terms.values()))
+    images = [{exps: int(c * den) for exps, c in f.terms.items()} for f in inst.f]
+    components = {}
+    for exps, c in delta.terms.items():
+        components.setdefault(sum(exps), {})[exps] = c
+    return all(_vanishes_on_grid(components[k], k, images, inst) for k in sorted(components))
+
+
+def evaluation_points(inst: ProblemInstance, nu) -> dict:
+    """Integer evaluations the pipeline needs at strand degree ``nu``, known
+    from ``D = strand_dim(nu)`` before any elimination: ``C(D+n, n)``
+    determinants per maximal minor, and at most ``prod_i (D*gamma_i +
+    1)^r_i`` grid points to verify an equation of degree ``<= D``."""
+    blocks = inst.blocks
+    size = strand_dim(blocks, nu)
+    return {
+        "determinant": comb(size + inst.n, inst.n),
+        "verification": prod((size * g + 1) ** ri for ri, g in zip(blocks.r, inst.gamma)),
+    }
 
 
 def expected_degree_p1p1(inst: ProblemInstance, nu) -> int:

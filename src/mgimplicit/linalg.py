@@ -1,15 +1,17 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are Python ints or ``fractions.Fraction``.  One fraction-free
-(Bareiss) elimination routine, :func:`_bareiss`, serves every exact
-elimination in the package: after each row is cleared of denominators every
-intermediate value of a rational matrix is an integer (a minor of the scaled
-input, by Sylvester's identity), and the same loop computes determinants of
-polynomial matrices when given exact polynomial division.  Pivoting is
-deterministic -- the first nonzero entry in column order -- which makes
-ranks, determinants and kernel bases reproducible from run to run.  Kernel
-bases are canonical, so coordinates in them are read off at the free
-columns instead of solved for.  No floating point, no tolerances.
+Entries are Python ints or ``fractions.Fraction``.  One integer
+fraction-free (Bareiss) elimination routine, :func:`_bareiss`, serves every
+exact elimination in the package: after each row is cleared of denominators
+every intermediate value is an integer (a minor of the scaled input, by
+Sylvester's identity), so each division by the previous pivot is an exact
+``//``.  No polynomial matrix is ever eliminated: determinants of
+linear-form matrices are interpolated from integer determinants of their
+specializations.  Pivoting is deterministic -- the first nonzero entry in
+column order -- which makes ranks, determinants and kernel bases
+reproducible from run to run.  Kernel bases are canonical, so coordinates
+in them are read off at the free columns instead of solved for.  No
+floating point, no tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import floordiv
 
 Rational = int | Fraction
 
@@ -105,22 +106,19 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-def _bareiss(work, cols, div, one):
-    """Fraction-free row echelon form of ``work``, in place.
+def _bareiss(work, cols):
+    """Fraction-free row echelon form of the integer matrix ``work``, in place.
 
-    Entries may come from any integral domain: the loop uses only ``*``,
-    ``-``, truthiness and ``div(num, prev)``, an exact division by the
-    previous pivot (Sylvester's identity guarantees exactness); ``one`` is
-    the ring's unit and seeds ``prev``.  Returns ``(pivot_cols, sign)``:
-    the pivot column indices in order and the row-swap permutation sign.
-    For a square input of full rank the last pivot is the determinant
-    times ``sign``.
+    Each update divides by the previous pivot with an exact ``//``
+    (Sylvester's identity guarantees exactness).  Returns ``(pivot_cols,
+    sign)``: the pivot column indices in order and the row-swap permutation
+    sign.  For a square input of full rank the last pivot is the
+    determinant times ``sign``.
     """
     rows = len(work)
-    zero = one - one
     pivot_cols = []
     sign = 1
-    prev = one
+    prev = 1
     pr = 0
     for pc in range(cols):
         pivot_at = None
@@ -139,8 +137,8 @@ def _bareiss(work, cols, div, one):
             row_i = work[i]
             head = row_i[pc]
             for j in range(pc + 1, cols):
-                row_i[j] = div(piv * row_i[j] - head * row_p[j], prev)
-            row_i[pc] = zero
+                row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
+            row_i[pc] = 0
         prev = piv
         pivot_cols.append(pc)
         pr += 1
@@ -166,7 +164,7 @@ def _ff_echelon(m: QMatrix):
             mult = lcm(mult, x.denominator)
         work.append([int(x * mult) for x in row])
         scale *= mult
-    pivot_cols, sign = _bareiss(work, m.cols, floordiv, 1)
+    pivot_cols, sign = _bareiss(work, m.cols)
     return work, pivot_cols, sign, scale
 
 

@@ -268,47 +268,56 @@ def corners_closed_form_2blocks(blocks: BlockStructure, gamma):
     return sorted([(r * a - r, r * b + s * b - s), (r * a + s * a - r, s * b - s)])
 
 
+def _smallest_strand_corner(blocks: BlockStructure, corners):
+    """The corner of ``corners`` with minimal strand dimension; ties break
+    to the lexicographically smallest corner."""
+    return min(corners, key=lambda c: (strand_dim(blocks, c), c))
+
+
 def suggest_nu(blocks: BlockStructure, gamma):
     """Complement corner with minimal strand dimension (the smallest matrix);
     ties break to the lexicographically smallest corner."""
-    corners = complement_corners(blocks, gamma)
-    return min(corners, key=lambda c: (strand_dim(blocks, c), c))
+    return _smallest_strand_corner(blocks, complement_corners(blocks, gamma))
 
 
 # --------------------------------------------------------------------------
 # pretty-printing and plots
 
-def describe_region(blocks: BlockStructure, gamma) -> str:
-    """Multi-line human-readable listing of the region, corners and suggestion."""
+def describe_region(blocks: BlockStructure, gamma, corners=None) -> str:
+    """Multi-line human-readable listing of the region, corners and
+    suggestion; ``corners`` saves the corner scan when the caller has them."""
     region = region_RB(blocks, gamma)
     lines = [f"unreliable region for gamma = {tuple(gamma)}:"]
     for part in region.nonempty_parts():
         alpha_txt = "{" + ",".join(str(j + 1) for j in sorted(part.alpha)) + "}"
         lines.append(f"  Q{alpha_txt} part: {part}")
-    corners = complement_corners(blocks, gamma)
+    if corners is None:
+        corners = complement_corners(blocks, gamma)
     lines.append("complement corners: " + ", ".join(str(c) for c in corners))
-    nu = suggest_nu(blocks, gamma)
+    nu = _smallest_strand_corner(blocks, corners)
     lines.append(f"suggested nu: {nu}  (strand dimension {strand_dim(blocks, nu)})")
     return "\n".join(lines)
 
 
-def _plot_window(blocks, gamma):
+def _plot_window(blocks, gamma, corners):
+    """``(lo, hi, region, corners, nu)`` of an s = 2 plot, scanning for the
+    corners only when ``corners`` is None."""
+    if blocks.s != 2:
+        raise ValueError("plotting needs exactly two blocks")
     region = region_RB(blocks, gamma)
-    corners = complement_corners(blocks, gamma)
+    if corners is None:
+        corners = complement_corners(blocks, gamma)
     shifts = [p.shift for p in region.nonempty_parts()]
     lo = min(min(s[j] for s in shifts) for j in range(2))
     lo = min(lo, 0) - 2
     hi = max(max(c) for c in corners) + 3
-    return lo, hi, region, corners
+    return lo, hi, region, corners, _smallest_strand_corner(blocks, corners)
 
 
-def ascii_region_plot(blocks: BlockStructure, gamma) -> str:
+def ascii_region_plot(blocks: BlockStructure, gamma, corners=None) -> str:
     """Character plot of the s = 2 region: '#' inside, '.' outside,
     'C' complement corners, 'n' the suggested strand degree."""
-    if blocks.s != 2:
-        raise ValueError("plotting needs exactly two blocks")
-    lo, hi, region, corners = _plot_window(blocks, gamma)
-    nu = suggest_nu(blocks, gamma)
+    lo, hi, region, corners, nu = _plot_window(blocks, gamma, corners)
     marks = {c: "C" for c in corners}
     marks[nu] = "n"
     lines = [f"mu_2 from {lo} (bottom) to {hi} (top), mu_1 from {lo} to {hi}"]
@@ -321,12 +330,9 @@ def ascii_region_plot(blocks: BlockStructure, gamma) -> str:
     return "\n".join(lines)
 
 
-def svg_region_plot(blocks: BlockStructure, gamma) -> str:
+def svg_region_plot(blocks: BlockStructure, gamma, corners=None) -> str:
     """Small standalone SVG of the s = 2 region (one cell per lattice point)."""
-    if blocks.s != 2:
-        raise ValueError("plotting needs exactly two blocks")
-    lo, hi, region, corners = _plot_window(blocks, gamma)
-    nu = suggest_nu(blocks, gamma)
+    lo, hi, region, corners, nu = _plot_window(blocks, gamma, corners)
     cell = 18
     n = hi - lo + 1
     width = n * cell + 40

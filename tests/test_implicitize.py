@@ -1,10 +1,16 @@
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN_COEFFS, base_locus_probably_empty, random_p1p1_instance
+from helpers import (
+    GOLDEN_COEFFS,
+    base_locus_probably_empty,
+    random_instance,
+    random_p1p1_instance,
+)
 from mgimplicit import (
     MinorsRankError,
     MultiPoly,
@@ -20,12 +26,13 @@ from mgimplicit import (
     rank_drop_check,
     representation_matrix,
     run_pipeline,
+    strand_basis,
     substitute_targets,
     target_ring,
     verify_implicit,
 )
+from mgimplicit import implicitize
 from mgimplicit.complexes import LinearFormMatrix
-from mgimplicit.implicitize import _det_poly
 from oracles import det_cofactor_poly, symbolic_rank_oracle
 
 
@@ -143,6 +150,20 @@ def test_det_zero_column_is_zero():
     assert det_linear_matrix(m).is_zero()
 
 
+def test_det_interpolation_is_checked_off_the_grid(golden_matrix, monkeypatch):
+    interpolate = implicitize._interpolate_simplex
+
+    def corrupted(values, n, top):
+        coeffs = interpolate(values, n, top)
+        corner = (top,) + (0,) * (n - 1)
+        coeffs[corner] = coeffs.get(corner, 0) + 1
+        return coeffs
+
+    monkeypatch.setattr(implicitize, "_interpolate_simplex", corrupted)
+    with pytest.raises(ArithmeticError):
+        det_linear_matrix(golden_matrix)
+
+
 COEFF = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -178,7 +199,7 @@ def test_det_matches_cofactor_oracle(case):
     entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
     expected = det_cofactor_poly(entries)
     # the raw determinant, sign included, before normalization hides it
-    assert _det_poly(entries, ring) == expected
+    assert implicitize._det_on_columns(m, range(m.cols)) == expected
     delta = det_linear_matrix(m)
     assert delta == normalize_poly(expected)
     if deficient:
@@ -228,6 +249,137 @@ def test_verify_multiple_of_delta(golden, golden_delta):
 def test_verify_zero_rejected(golden):
     with pytest.raises(ValueError):
         verify_implicit(MultiPoly.zero(golden.target), golden)
+
+
+# block dimensions r of the parameter spaces the verification property draws from
+VERIFY_BLOCKS = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
+# small instances whose pipeline delta the property multiplies: (blocks, degree, forms, seed)
+CERTIFIED = [
+    ([["s", "u"]], (2,), 3, 1),
+    ([["s", "u"]], (3,), 3, 2),
+    ([["s", "u"], ["t", "v"]], (1, 1), 4, 3),
+]
+
+
+@lru_cache(maxsize=None)
+def certified_case(index):
+    """A small instance and its pipeline-certified delta."""
+    blocks, degree, forms, seed = CERTIFIED[index]
+    inst = random_instance(blocks, degree, forms, random.Random(seed))
+    return inst, run_pipeline(inst).delta
+
+
+@st.composite
+def rational_form(draw, ring, degree):
+    """A form of multidegree ``degree`` in ``ring`` with integer and Fraction
+    coefficients, possibly zero."""
+    mons = strand_basis(ring.blocks, degree)
+    coeffs = draw(st.lists(st.one_of(st.just(0), COEFF), min_size=len(mons), max_size=len(mons)))
+    return MultiPoly.from_terms(ring, zip(mons, coeffs))
+
+
+@st.composite
+def mixed_form(draw, ring):
+    """A sum of target forms of one to three distinct degrees in 0..2."""
+    degrees = draw(st.sets(st.integers(0, 2), min_size=1, max_size=3))
+    return sum((draw(rational_form(ring, (d,))) for d in sorted(degrees)), MultiPoly.zero(ring))
+
+
+def grid_names(r):
+    return [[f"x{i}_{j}" for j in range(ri + 1)] for i, ri in enumerate(r)]
+
+
+@st.composite
+def verification_cases(draw):
+    """``(delta, inst)`` pairs where ``delta`` vanishes on the image, or
+    misses it narrowly.  Kinds:
+
+    * ``certified``: a multiple (by a mixed-degree form) of a pipeline delta,
+      or that multiple plus a perturbation;
+    * ``relation``: the last form is a rational combination of the others,
+      and ``delta`` is the linear relation times a mixed-degree form;
+    * ``random``: a random mixed-degree ``delta``;
+    * ``unit``: ``f_0`` is the product of the first variables of the blocks,
+      which is 1 on the grid, and ``delta = g*T_0 - g`` mixes two degrees
+      that cancel there;
+    * ``tight``: ``delta = T_0 * .. * T_n`` and the forms are products of
+      ``x - c*x_0`` over one free variable per block, with the roots ``c``
+      covering every grid value but the last.
+    """
+    kind = draw(st.sampled_from(["certified", "relation", "random", "unit", "tight"]))
+    if kind == "certified":
+        inst, delta = certified_case(draw(st.integers(0, len(CERTIFIED) - 1)))
+        delta = delta * draw(mixed_form(inst.target).filter(bool))
+        if draw(st.booleans()):
+            delta = delta + draw(mixed_form(inst.target))
+        assume(delta)
+        return delta, inst
+    r = draw(st.sampled_from(VERIFY_BLOCKS))
+    ring = parameter_ring(grid_names(r))
+    gamma = tuple(draw(st.integers(1, 2)) for _ in r)
+    npolys = draw(st.integers(2, 4))
+    if kind == "tight":
+        forms = []
+        for m in range(npolys):
+            factors = MultiPoly.constant(ring, draw(COEFF.filter(bool)))
+            for (start, stop), g in zip(ring.block_slices, gamma):
+                x0 = MultiPoly.monomial(ring, [int(v == start) for v in range(ring.nvars)])
+                free = draw(st.integers(start + 1, stop - 1))
+                x = MultiPoly.monomial(ring, [int(v == free) for v in range(ring.nvars)])
+                for c in range(m * g, (m + 1) * g):
+                    factors = factors * (x - x0 * c)
+            forms.append(factors)
+        inst = ProblemInstance.from_polys(forms)
+        delta = MultiPoly.monomial(inst.target, [1] * npolys)
+        return delta, inst
+    forms = [draw(rational_form(ring, gamma).filter(bool)) for _ in range(npolys)]
+    if kind == "unit":
+        forms[0] = _first_variables_power(ring, gamma)
+    if kind == "relation":
+        weights = draw(st.lists(COEFF, min_size=npolys - 1, max_size=npolys - 1))
+        last = sum((f * w for f, w in zip(forms, weights)), MultiPoly.zero(ring))
+        if last:
+            forms[-1] = last
+    inst = ProblemInstance.from_polys(forms)
+    target = inst.target
+    variables = [MultiPoly.variable(target, name) for name in target.names]
+    if kind == "relation":
+        relation = variables[-1] - sum(
+            (v * w for v, w in zip(variables, weights)), MultiPoly.zero(target)
+        )
+        delta = relation * draw(mixed_form(target).filter(bool))
+    elif kind == "unit":
+        g = draw(mixed_form(target).filter(bool))
+        delta = g * variables[0] - g
+    else:
+        delta = draw(mixed_form(target))
+    assume(delta)
+    return delta, inst
+
+
+def _first_variables_power(ring, gamma):
+    """The product of the first variable of each block to the power gamma_i."""
+    exps = [0] * ring.nvars
+    for (start, _), g in zip(ring.block_slices, gamma):
+        exps[start] = g
+    return MultiPoly.monomial(ring, exps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(verification_cases())
+def test_verify_matches_substitution_oracle(case):
+    delta, inst = case
+    assert verify_implicit(delta, inst) == substitute_targets(delta, inst.f).is_zero()
+
+
+def test_pipeline_p1p1_2_3_12x12():
+    # a 12x12 strand matrix: the determinant and the grid certificate at a
+    # size where symbolic elimination took about a minute
+    inst = random_p1p1_instance(2, 3, random.Random(5))
+    result = run_pipeline(inst)
+    assert (result.matrix_rows, result.matrix_cols) == (12, 12)
+    assert result.verified
+    assert result.degree == 12
 
 
 # -- degree accounting ----------------------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import mgimplicit.cli as cli
+from mgimplicit import regions
 from mgimplicit.cli import main
 from mgimplicit.problem import ProblemValidationError, load_problem
 
@@ -114,6 +116,55 @@ def test_cmd_info_rejects_mistyped_json_field(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_cmd_info_evaluation_points(tmp_path, capsys):
+    assert main(["info", GOLDEN_JSON, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evaluation_points"] == {"determinant": 165, "verification": 289}
+    p2p1 = tmp_path / "p2p1.json"
+    p2p1.write_text(
+        json.dumps(
+            {
+                "blocks": [["x0", "x1", "x2"], ["y0", "y1"]],
+                "polynomials": ["x0*y0^2", "x1*y0*y1", "x2*y1^2", "x0*y1^2 + x1*y0^2"],
+            }
+        )
+    )
+    assert main(["info", str(p2p1), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evaluation_points"] == {"determinant": 84, "verification": 637}
+    assert main(["info", str(p2p1)]) == 0
+    assert (
+        "evaluation points at the suggestion: 84 per maximal minor, at most 637 for verification"
+        in capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", GOLDEN_JSON],
+        ["info", GOLDEN_JSON, "--json"],
+        ["region", "--blocks", "1,1", "--gamma", "2,2"],
+        ["region", "--blocks", "1,1", "--gamma", "2,2", "--json"],
+        ["region", "--blocks", "1,1", "--gamma", "2,2", "--plot", "-"],
+        ["region", "--blocks", "1,1", "--gamma", "2,2", "--plot", "{tmp}/r.svg"],
+    ],
+    ids=["info", "info-json", "region", "region-json", "region-ascii-plot", "region-svg-plot"],
+)
+def test_cli_scans_corners_once(tmp_path, monkeypatch, capsys, argv):
+    scans = []
+    scan = regions.complement_corners
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(regions, "complement_corners", counting)
+    monkeypatch.setattr(cli, "complement_corners", counting)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert len(scans) == 1
 
 
 # -- region --------------------------------------------------------------------------
@@ -250,6 +301,21 @@ def test_cli_failed_write_is_a_validation_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["implicitize", "matrix"])
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/out.json"], ids=["directory", "missing-parent"])
+def test_out_path_rejected_before_the_work(tmp_path, monkeypatch, capsys, command, out):
+    def fail(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    monkeypatch.setattr(cli, "representation_matrix", fail)
+    out = out.format(tmp=tmp_path)
+    argv = [command, GOLDEN_JSON, "--nu", "3,1", "--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: [Errno ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cmd_matrix_out_file(tmp_path):
