@@ -20,7 +20,6 @@ from .implicitize import (
     PipelineError,
     RankDropReport,
     det_linear_matrix,
-    evaluation_points,
     expected_degree_p1p1,
     generic_rank,
     minors_gcd,

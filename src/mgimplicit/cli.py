@@ -75,8 +75,7 @@ def _check_out_path(out):
         code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
     else:
         return
-    exc = OSError(code, os.strerror(code), out)
-    raise ProblemValidationError(f"cannot write {out}: {exc}")
+    raise ProblemValidationError(f"cannot write {out}: [Errno {code}] {os.strerror(code)}: {out!r}")
 
 
 def _write_or_print(payload, out):

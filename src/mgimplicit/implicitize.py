@@ -41,6 +41,7 @@ from .linalg import _bareiss, _whole, rank
 # reads mgimplicit.implicitize.exact_div
 from .multipoly import (
     MultiPoly,
+    _eval_terms,
     eval_at,
     exact_div,
     gcd_poly,
@@ -155,18 +156,6 @@ def rank_drop_check(
 
 # --------------------------------------------------------------------------
 # determinants of linear-form matrices, by interpolation
-
-def _eval_terms(terms, values):
-    """Exact value of a term map ``exponents -> coefficient`` at ``values``."""
-    total = 0
-    for exps, c in terms.items():
-        v = c
-        for x, k in zip(values, exps):
-            if k:
-                v *= x**k
-        total += v
-    return total
-
 
 def _simplex(n, top):
     """Every ``a`` in ``N^n`` with ``|a| <= top``, in lexicographic order."""

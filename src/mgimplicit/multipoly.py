@@ -488,6 +488,20 @@ def substitute_targets(p: MultiPoly, images) -> MultiPoly:
     return MultiPoly(ring, {e: _whole(c) for e, c in acc.items()})
 
 
+def _eval_terms(terms, values):
+    """Exact value of a term map ``exponents -> coefficient`` at the point
+    ``values`` (one value per variable, in ring order; a variable that no
+    term uses may have any value)."""
+    total = 0
+    for exps, c in terms.items():
+        v = c
+        for i, k in enumerate(exps):
+            if k:
+                v *= values[i] ** k
+        total += v
+    return total
+
+
 def eval_at(p: MultiPoly, assignment) -> Rational:
     """Exact value of ``p`` at a point given as ``{variable name: rational}``;
     integer coefficients at an integer point give integer arithmetic."""
@@ -502,14 +516,7 @@ def eval_at(p: MultiPoly, assignment) -> Rational:
         if name not in assignment:
             raise ValueError(f"missing assignment for variable {name!r}")
         values[i] = assignment[name]
-    total = 0
-    for e, c in p.terms.items():
-        v = c
-        for i, k in enumerate(e):
-            if k:
-                v *= values[i] ** k
-        total += v
-    return _whole(total)
+    return _whole(_eval_terms(p.terms, values))
 
 
 # --------------------------------------------------------------------------
