@@ -12,19 +12,19 @@ from .complexes import (
     homology_dim,
     koszul_differential_strand,
     representation_matrix,
+    strand_differentials,
     z_complex_strand,
 )
 from .implicitize import (
     ImplicitResult,
-    MinorsRankError,
     PipelineError,
     RankDropReport,
     det_linear_matrix,
     expected_degree_p1p1,
     generic_rank,
-    minors_gcd,
     rank_drop_check,
     run_pipeline,
+    strand_determinant,
     verify_implicit,
 )
 from .linalg import QMatrix, Rational, det_rational, nullspace_basis, rank
@@ -37,7 +37,6 @@ from .multipoly import (
     divides,
     eval_at,
     exact_div,
-    gcd_poly,
     monomial_str,
     multidegree_of,
     normalize_poly,

@@ -5,7 +5,7 @@ Subcommands::
     implicit info FILE
     implicit region (FILE | --blocks R1,R2,.. --gamma A,B,..) [--plot PATH]
     implicit matrix FILE --nu A,B,.. [--out PATH]
-    implicit implicitize FILE [--nu A,B,..] [--samples N] [--trials N] [--points N] [--seed S] [--out PATH]
+    implicit implicitize FILE [--nu A,B,..] [--trials N] [--points N] [--seed S] [--out PATH]
     implicit verify FILE --poly PATH
 
 Vector options (``--nu``, ``--blocks``, ``--gamma``) accept a leading minus
@@ -26,13 +26,7 @@ import sys
 from pathlib import Path
 
 from .complexes import representation_matrix
-from .implicitize import (
-    MinorsRankError,
-    PipelineError,
-    evaluation_points,
-    run_pipeline,
-    verify_implicit,
-)
+from .implicitize import PipelineError, evaluation_points, run_pipeline, verify_implicit
 from .multipoly import PolyParseError, parse_poly
 from .problem import ProblemValidationError, hypersurface_check, load_problem
 from .regions import (
@@ -186,15 +180,8 @@ def cmd_implicitize(args):
     hypersurface_check(inst)
     nu = _parse_vector(args.nu, "--nu") if args.nu else None
     try:
-        result = run_pipeline(
-            inst,
-            nu,
-            samples=args.samples,
-            trials=args.trials,
-            points=args.points,
-            seed=args.seed,
-        )
-    except (PipelineError, MinorsRankError) as exc:
+        result = run_pipeline(inst, nu, trials=args.trials, points=args.points, seed=args.seed)
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED
     for w in result.warnings:
@@ -249,7 +236,6 @@ def build_parser():
     p = sub.add_parser("implicitize", help="run the full pipeline and emit the result as JSON")
     p.add_argument("file")
     p.add_argument("--nu", help="strand degree (defaults to the suggested corner)")
-    p.add_argument("--samples", type=int, default=4, help="maximal minors to sample (non-square case)")
     p.add_argument("--trials", type=int, default=4, help="random specializations for the generic rank")
     p.add_argument("--points", type=int, default=20, help="random points for the rank-drop check")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")

@@ -264,6 +264,20 @@ class LinearFormMatrix:
         return json.dumps(self.to_json_dict(extra), indent=2)
 
 
+def strand_differentials(inst: ProblemInstance, nu):
+    """The differentials ``d_1, d_2, .., d_n`` of the degree-``nu`` strand of
+    the cycle complex, each built when it is first asked for: ``d_q`` sends
+    a q-cycle to ``sum_j T_j * (contraction by e_j)``, written in the
+    canonical (q-1)-cycle basis.  Every cycle basis is computed once, and a
+    consumer that stops after ``d_q`` computes none beyond the q-cycles."""
+    nu = tuple(nu)
+    tgt = cycle_basis(inst, 0, nu)
+    for q in range(1, inst.n + 1):
+        src = cycle_basis(inst, q, nu)
+        yield _cycle_differential(inst, src, tgt)
+        tgt = src
+
+
 def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> LinearFormMatrix:
     """The first strand differential ``M_nu``.
 
@@ -278,7 +292,7 @@ def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> Linear
     if warn_region:
         for note in notes:
             warnings.warn(note, InRegionWarning, stacklevel=2)
-    m = _cycle_differential(inst, cycle_basis(inst, 1, nu), cycle_basis(inst, 0, nu))
+    m = next(strand_differentials(inst, nu))
     m.col_labels = list(range(m.cols))
     return m
 
@@ -376,13 +390,11 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
 
 
 def z_complex_strand(inst: ProblemInstance, nu) -> ZComplexStrand:
-    """Assemble every differential of the degree-``nu`` strand: the q-th
-    sends a q-cycle to ``sum_j T_j * (contraction by e_j)``, written in the
-    canonical (q-1)-cycle basis."""
+    """Every differential of the degree-``nu`` strand (see
+    :func:`strand_differentials`) and the dimension of every term."""
     nu = tuple(nu)
-    bases = [cycle_basis(inst, q, nu) for q in range(inst.n + 1)]
-    diffs = [_cycle_differential(inst, src, tgt) for tgt, src in zip(bases, bases[1:])]
-    return ZComplexStrand(nu=nu, differentials=diffs, dims=[len(b) for b in bases])
+    diffs = list(strand_differentials(inst, nu))
+    return ZComplexStrand(nu=nu, differentials=diffs, dims=[diffs[0].rows] + [d.cols for d in diffs])
 
 
 def homology_dim(inst: ProblemInstance, q: int, d) -> int:

@@ -1,22 +1,26 @@
 """Extraction and verification of the implicit equation from a strand matrix.
 
 The representation matrix ``M_nu`` has entries linear in the target
-variables and drops rank exactly on the parametrized hypersurface.  For a
-square matrix of full generic rank the implicit equation (to the power of
-the degree of the parametrization, possibly times a relatively prime
-extraneous factor) is its exact determinant; in the non-square case it
-divides the gcd of the maximal minors.  Factorization into those pieces is
-out of scope: the certified output is the normalized strand determinant
-together with an exact vanishing certificate.
+variables and drops rank exactly on the parametrized hypersurface.  It is
+the first differential of the degree-``nu`` strand of the cycle complex,
+and the implicit equation (to the power of the degree of the
+parametrization, possibly times a relatively prime extraneous factor) is
+the determinant of that whole strand, ``det((Z.)_nu)``: for a square
+``M_nu`` of full rank simply ``det(M_nu)``, and for a wide one a quotient of
+minors of the differentials by Cayley's formula (:func:`strand_determinant`).
+Factorization into those pieces is out of scope: the certified output is
+the normalized strand determinant together with an exact vanishing
+certificate.
 
-Both are computed by integer evaluation, never by expanding polynomials:
-a strand determinant is interpolated from the integer determinants of its
+Both are computed by integer evaluation, never by eliminating polynomial
+matrices: each minor is interpolated from the integer determinants of its
 specializations on a simplex grid, and ``delta(f) = 0`` is decided by
 evaluating ``delta`` at the image of a tensor grid of parameter points.
 The degrees are known up front, so both grids are exact, not probabilistic.
 
-Randomized steps (generic rank, rank-drop sampling, minor selection) take
-explicit seeds and documented ranges, so results are reproducible.
+Randomized steps (generic rank, rank-drop sampling, the point that chooses
+the minors) take explicit seeds and documented ranges, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, product
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -33,18 +37,14 @@ from .complexes import (
     LinearFormMatrix,
     ProblemInstance,
     homology_dim,
-    representation_matrix,
+    strand_differentials,
 )
-from .linalg import _bareiss, _whole, rank
-# exact_div has no caller here; the binding stays because the benchmark test
-# perfbench/test_perfbench.py::test_tracer_wraps_every_binding_and_restores
-# reads mgimplicit.implicitize.exact_div
+from .linalg import QMatrix, _bareiss, _ff_echelon, _whole, rank
 from .multipoly import (
     MultiPoly,
     _eval_terms,
     eval_at,
     exact_div,
-    gcd_poly,
     normalize_poly,
     target_ring,
 )
@@ -57,11 +57,6 @@ SPECIALIZATION_RANGE = 10**6
 # the range is wide so that proper subvarieties (base points, singular loci of
 # the image, where the specialized rank drops further) are rarely hit
 POINT_RANGE = 99
-
-
-class MinorsRankError(RuntimeError):
-    """Every sampled maximal minor vanished: the matrix does not have the
-    expected generic rank, re-check the strand degree."""
 
 
 def generic_rank(m: LinearFormMatrix, trials: int = 4, seed: int = 0) -> int:
@@ -213,11 +208,12 @@ def _interpolate_simplex(values, n, top):
     return {a: c for a, c in vals.items() if c}
 
 
-def _det_on_columns(m: LinearFormMatrix, cols) -> MultiPoly:
+def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
     """Exact signed determinant of the square submatrix of ``m`` on the
-    columns ``cols``, as a target-ring polynomial.
+    columns ``cols`` and the rows ``rows`` (all rows by default), as a
+    target-ring polynomial.
 
-    The determinant is zero or a form of degree ``N = m.rows``, so it is
+    The determinant is zero or a form of degree ``N = len(rows)``, so it is
     fixed by its values at ``T_0 = 1, (T_1..T_n) = a`` for the ``C(N+n, n)``
     points ``|a| <= N``.  Each column is scaled by the lcm of its
     denominators, so every value is the determinant of an integer matrix;
@@ -226,22 +222,23 @@ def _det_on_columns(m: LinearFormMatrix, cols) -> MultiPoly:
     determinant at a fixed point off the grid.
     """
     cols = list(cols)
-    size = m.rows
+    rows = list(range(m.rows) if rows is None else rows)
+    size = len(rows)
     if len(cols) != size:
         raise ValueError(f"{len(cols)} columns do not make a square {size}-row submatrix")
     ring = target_ring(m.target_names)
     if size == 0:
         return MultiPoly.constant(ring, 1)
     nvars = ring.nvars
-    # entries[i][k]: the coefficient vector of entry (i, cols[k]), its column
-    # scaled by the lcm of the column's denominators
+    # entries[i][k]: the coefficient vector of entry (rows[i], cols[k]), its
+    # column scaled by the lcm of the column's denominators
     entries = [[None] * size for _ in range(size)]
     scale = 1
     for k, j in enumerate(cols):
-        mult = lcm(*(c.denominator for i in range(size) for c in m.coeffs[i][j]))
+        mult = lcm(*(c.denominator for i in rows for c in m.coeffs[i][j]))
         scale *= mult
-        for i in range(size):
-            entries[i][k] = [int(c * mult) for c in m.coeffs[i][j]]
+        for i, r in enumerate(rows):
+            entries[i][k] = [int(c * mult) for c in m.coeffs[r][j]]
 
     def det_at(point):
         work = [[sum(map(mul, point, e)) for e in row] for row in entries]
@@ -266,45 +263,63 @@ def det_linear_matrix(m: LinearFormMatrix) -> MultiPoly:
     return normalize_poly(_det_on_columns(m, range(m.cols)))
 
 
-def minors_gcd(m: LinearFormMatrix, samples: int = 4, seed: int = 0) -> MultiPoly:
-    """Normalized gcd of ``samples`` random maximal minors (identically zero
-    minors are skipped).  With enough samples this is, with high
-    probability, the smallest strand-determinant multiple the maximal
-    minors generate.  Requires rows <= cols and full generic row rank;
-    raises :class:`MinorsRankError` when every sampled minor vanishes.
+def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
+    """Normalized determinant of the strand complex whose differentials
+    ``d_1, d_2, ..`` are ``diffs`` (any iterable; it is read only as far as
+    needed), by Cayley's formula.
+
+    At one seeded integer point, ``J_1`` are the pivot columns of ``d_1``;
+    the columns of ``d_q`` outside ``J_q`` become the rows ``K_q`` of
+    ``d_(q+1)``, whose pivot columns on those rows are ``J_(q+1)``, until no
+    rows are left.  Then ``det = prod_q det(d_q[K_(q-1), J_q])^((-1)^(q+1))``
+    (Gelfand, Kapranov & Zelevinsky, *Discriminants, Resultants and
+    Multidimensional Determinants*, Appendix A).  Every chosen minor is
+    nonzero at the point, so none vanishes identically, and the determinant
+    of an exact complex does not depend on the choice up to sign: the
+    normalized result does not depend on ``seed``.  Each minor is
+    interpolated by :func:`_det_on_columns`; the product of the odd ones is
+    divided exactly by the product of the even ones.  The chain stops at the
+    first empty row set, so for a square ``d_1`` of full rank no later
+    differential is built.  The later terms are zero when the strand is
+    acyclic, as it is outside the unreliable region: ``d_(q+1)`` has rank 0,
+    and a map with linear entries is never onto a nonzero free module
+    (graded Nakayama), so exactness at the next term makes it zero too.
+
+    Raises :class:`PipelineError` when a rank falls short at the point or
+    rows remain after the last differential: the strand complex is not
+    exact (at this point, or at all).
     """
-    if m.rows > m.cols:
-        raise ValueError("minors_gcd expects rows <= cols")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    total = comb(m.cols, m.rows)
     rng = random.Random(seed)
-    seen = set()
-    subsets = []
-    if total <= samples:
-        subsets = list(combinations(range(m.cols), m.rows))
-    else:
-        while len(subsets) < samples:
-            pick = tuple(sorted(rng.sample(range(m.cols), m.rows)))
-            if pick not in seen:
-                seen.add(pick)
-                subsets.append(pick)
-    g = MultiPoly.zero(target_ring(m.target_names))
-    any_nonzero = False
-    for cols in subsets:
-        minor = _det_on_columns(m, cols)
-        if minor.is_zero():
-            continue
-        any_nonzero = True
-        g = gcd_poly(g, minor)
-        if g.total_degree() == 0:
+    minors = []
+    degree = 0
+    rows = None
+    for q, d in enumerate(diffs, 1):
+        if rows is None:
+            rows = range(d.rows)
+            values = [rng.randint(-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE) for _ in d.target_names]
+        spec = d.specialize(values).data
+        _, pivots, _, _ = _ff_echelon(QMatrix([spec[i] for i in rows], cols=d.cols))
+        if len(pivots) < len(rows):
+            raise PipelineError(
+                f"the strand complex is not exact: differential {q} has rank "
+                f"{len(pivots)} < {len(rows)} on the rows left by the previous one"
+            )
+        minors.append(_det_on_columns(d, pivots, rows))
+        degree += len(pivots) if q % 2 else -len(pivots)
+        chosen = set(pivots)
+        rows = [c for c in range(d.cols) if c not in chosen]
+        if not rows:
             break
-    if not any_nonzero:
-        raise MinorsRankError(
-            f"all {len(subsets)} sampled {m.rows}x{m.rows} minors vanish; "
-            "the strand matrix is rank-deficient, re-check nu"
+    if rows:
+        raise PipelineError(
+            f"the strand complex is not exact: {len(rows)} columns of the last "
+            "differential are left over"
         )
-    return g
+    one = MultiPoly.constant(minors[0].ring, 1)
+    delta = normalize_poly(exact_div(prod(minors[0::2], start=one), prod(minors[1::2], start=one)))
+    if delta.total_degree() != degree:
+        raise ArithmeticError(f"strand determinant has degree {delta.total_degree()}, not {degree}")
+    return delta
 
 
 def _vanishes_on_grid(terms, k, images, inst) -> bool:
@@ -448,17 +463,21 @@ def run_pipeline(
     inst: ProblemInstance,
     nu=None,
     *,
-    samples: int = 4,
+    # accepted and ignored, because perfbench/workloads.py passes samples=
+    samples=None,
     trials: int = 4,
     points: int = 20,
     seed: int = 0,
 ) -> ImplicitResult:
-    """Matrix -> ranks -> determinant (or minors gcd) -> exact verification.
+    """Matrix -> ranks -> strand determinant -> exact verification.
 
     ``nu`` defaults to the suggested complement corner; a ``nu`` with the
-    wrong number of components raises ``ValueError``.  Raises
-    :class:`PipelineError` when the matrix shape/rank rules out extraction;
-    an inconclusive rank-drop check only warns (verification is the gate).
+    wrong number of components raises ``ValueError``.  The determinant is
+    that of the whole strand complex (:func:`strand_determinant`); for a
+    square ``M_nu`` of full rank it is ``det(M_nu)``.  Raises
+    :class:`PipelineError` when the matrix shape/rank rules out extraction
+    or the strand complex is not exact at ``nu``; an inconclusive rank-drop
+    check only warns (verification is the gate).
     """
     warnings_list = []
     if nu is None:
@@ -466,7 +485,8 @@ def run_pipeline(
         warnings_list.append(f"auto-selected nu {tuple(nu)}")
     nu = tuple(nu)
     warnings_list.extend(check_strand_degree(inst.blocks, inst.gamma, nu))
-    m = representation_matrix(inst, nu, warn_region=False)
+    diffs = strand_differentials(inst, nu)
+    m = next(diffs)
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
     grank = generic_rank(m, trials=trials, seed=seed)
@@ -481,15 +501,14 @@ def run_pipeline(
             f"matrix has generic rank {grank} < {m.rows} rows; no maximal minor can "
             "carry the implicit equation, re-check nu"
         )
-    if square:
-        delta = det_linear_matrix(m)
-    else:
+    if not square:
         warnings_list.append(
-            f"matrix is {m.rows}x{m.cols}: using gcd of {samples} sampled maximal minors"
+            f"matrix is {m.rows}x{m.cols}: delta is the determinant of the whole strand complex"
         )
-        delta = minors_gcd(m, samples=samples, seed=seed)
-    if delta.is_zero():
-        raise PipelineError("strand determinant vanishes identically")
+    try:
+        delta = strand_determinant(chain([m], diffs), seed=seed)
+    except PipelineError as exc:
+        raise PipelineError(f"at nu {nu}: {exc}") from exc
     expected = None
     try:
         expected = expected_degree_p1p1(inst, nu)

@@ -23,9 +23,10 @@ Text grammar (also in the README)::
     factors::= factor ('*' factor)*
     factor ::= var ['^' nat]
     coeff  ::= nat ['/' nat]
+    var    ::= [A-Za-z_][A-Za-z_0-9]*
 
-with explicit ``*`` between all factors.  ``"0"`` denotes the zero
-polynomial.
+with explicit ``*`` between all factors; a ring accepts only names that
+are a ``var``.  ``"0"`` denotes the zero polynomial.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from math import gcd, lcm
 
 from .linalg import Rational, _whole
 from .regions import BlockStructure
+
+
+# a variable name, as the tokenizer reads one back
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
 
 class PolyParseError(ValueError):
@@ -67,6 +72,12 @@ class PolyRing:
     blocks: BlockStructure
 
     def __post_init__(self):
+        for name in self.names:
+            if not isinstance(name, str) or not re.fullmatch(_NAME, name):
+                raise ValueError(
+                    f"variable name {name!r} cannot be read back: a name is a letter or '_' "
+                    "followed by letters, digits or '_'"
+                )
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         if self.blocks.nvars != len(self.names):
@@ -316,7 +327,7 @@ def monomial_str(ring, exps):
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[*^+\-/])")
+_TOKEN = re.compile(rf"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>{_NAME})|(?P<op>[*^+\-/])")
 
 
 def _tokenize(text):
@@ -520,7 +531,7 @@ def eval_at(p: MultiPoly, assignment) -> Rational:
 
 
 # --------------------------------------------------------------------------
-# exact division, normalization, gcd
+# exact division, normalization
 
 def try_exact_div(p: MultiPoly, q: MultiPoly):
     """Quotient ``p / q`` when the division is exact, else ``None``."""
@@ -588,127 +599,3 @@ def normalize_poly(p: MultiPoly) -> MultiPoly:
     if lead < 0:
         factor = -factor
     return p.scale(factor)
-
-
-def _active_vars(p):
-    active = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                active.add(i)
-    return active
-
-
-def _deg_in(p, k):
-    return max((e[k] for e in p.terms), default=-1)
-
-
-def _univariate_coeffs(p, k):
-    """View ``p`` as univariate in variable ``k``: degree -> coefficient poly."""
-    out = {}
-    for e, c in p.terms.items():
-        d = e[k]
-        stripped = e[:k] + (0,) + e[k + 1 :]
-        bucket = out.setdefault(d, {})
-        bucket[stripped] = bucket.get(stripped, 0) + c
-    return {d: MultiPoly(p.ring, t) for d, t in out.items()}
-
-
-def _coeff_in(p, k, d):
-    t = {}
-    for e, c in p.terms.items():
-        if e[k] == d:
-            t[e[:k] + (0,) + e[k + 1 :]] = c
-    return MultiPoly(p.ring, t)
-
-
-def _mul_var_pow(p, k, d):
-    if d == 0:
-        return p
-    return MultiPoly(p.ring, {e[:k] + (e[k] + d,) + e[k + 1 :]: c for e, c in p.terms.items()})
-
-
-def _abs_lead(p):
-    if p.is_zero():
-        return p
-    _, lead = p.leading()
-    return -p if lead < 0 else p
-
-
-def _prem(f, g, k):
-    """Pseudo-remainder of ``f`` by ``g``, both univariate in variable ``k``."""
-    d2 = _deg_in(g, k)
-    lc2 = _coeff_in(g, k, d2)
-    r = f
-    n = _deg_in(f, k) - d2 + 1
-    while r.terms and _deg_in(r, k) >= d2:
-        dr = _deg_in(r, k)
-        lr = _coeff_in(r, k, dr)
-        r = r * lc2 - _mul_var_pow(lr, k, dr - d2) * g
-        n -= 1
-    if n > 0:
-        r = r * lc2**n
-    return r
-
-
-def _content_primitive(p, k):
-    coeffs = _univariate_coeffs(p, k)
-    cont = MultiPoly.zero(p.ring)
-    for d in sorted(coeffs):
-        cont = _gcd_z(cont, coeffs[d])
-        if cont == 1:
-            break
-    return cont, exact_div(p, cont)
-
-
-def _gcd_z(p, q):
-    """Gcd of integer-coefficient polynomials, by primitive subresultant PRS
-    in the highest active variable (positive-leading normalization)."""
-    if p.is_zero():
-        return _abs_lead(q)
-    if q.is_zero():
-        return _abs_lead(p)
-    active = _active_vars(p) | _active_vars(q)
-    if not active:
-        a = int(next(iter(p.terms.values())))
-        b = int(next(iter(q.terms.values())))
-        return MultiPoly.constant(p.ring, gcd(a, b))
-    k = max(active)
-    cont_p, pp_p = _content_primitive(p, k)
-    cont_q, pp_q = _content_primitive(q, k)
-    d = _gcd_z(cont_p, cont_q)
-    f1, f2 = (pp_p, pp_q) if _deg_in(pp_p, k) >= _deg_in(pp_q, k) else (pp_q, pp_p)
-    if _deg_in(f2, k) == 0:
-        # primitive w.r.t. x_k and constant in it: a unit
-        return d
-    one = MultiPoly.constant(p.ring, 1)
-    g = h = one
-    while True:
-        delta = _deg_in(f1, k) - _deg_in(f2, k)
-        rem = _prem(f1, f2, k)
-        if rem.is_zero():
-            cand = f2
-            break
-        if _deg_in(rem, k) == 0:
-            cand = None
-            break
-        f1, f2 = f2, exact_div(rem, g * h**delta)
-        g = _coeff_in(f1, k, _deg_in(f1, k))
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(g**delta, h ** (delta - 1))
-    if cand is None:
-        return d
-    _, pp_cand = _content_primitive(cand, k)
-    return _abs_lead(d * pp_cand)
-
-
-def gcd_poly(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """A gcd of ``p`` and ``q``, integer-primitive with positive leading
-    coefficient; ``gcd(p, 0) = normalize(p)`` and ``gcd(0, 0) = 0``."""
-    p._check_ring(q)
-    if p.is_zero() and q.is_zero():
-        return p
-    g = _gcd_z(normalize_poly(p), normalize_poly(q))
-    return normalize_poly(g)

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,14 +13,12 @@ from helpers import (
     random_p1p1_instance,
 )
 from mgimplicit import (
-    MinorsRankError,
     MultiPoly,
     PipelineError,
     ProblemInstance,
     det_linear_matrix,
     expected_degree_p1p1,
     generic_rank,
-    minors_gcd,
     normalize_poly,
     parameter_ring,
     parse_poly,
@@ -27,13 +26,18 @@ from mgimplicit import (
     representation_matrix,
     run_pipeline,
     strand_basis,
+    strand_determinant,
+    strand_differentials,
     substitute_targets,
+    suggest_nu,
     target_ring,
     verify_implicit,
+    z_complex_strand,
 )
-from mgimplicit import implicitize
+from mgimplicit import complexes, implicitize
 from mgimplicit.complexes import LinearFormMatrix
-from oracles import det_cofactor_poly, symbolic_rank_oracle
+from mgimplicit.regions import BlockStructure
+from oracles import det_cofactor_poly, gcd_poly, rank_oracle, symbolic_rank_oracle
 
 
 def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
@@ -206,29 +210,167 @@ def test_det_matches_cofactor_oracle(case):
         assert delta.is_zero()
 
 
-# -- minors gcd ---------------------------------------------------------------------
+# -- strand determinant ---------------------------------------------------------------
 
-def test_minors_gcd_square_equals_det(golden_matrix, golden_delta):
-    assert minors_gcd(golden_matrix, samples=1, seed=0) == golden_delta
-
-
-def test_minors_gcd_coprime_entries():
-    m = linear_matrix([[(1, 0, 0), (0, 1, 0)]])
-    g = minors_gcd(m, samples=3, seed=0)
-    assert g == 1
+def test_strand_determinant_square_equals_det(golden_matrix, golden_delta):
+    assert strand_determinant([golden_matrix]) == golden_delta
 
 
-def test_minors_gcd_all_zero_raises():
+def test_strand_determinant_other_corner_vanishes(golden):
+    delta = strand_determinant(strand_differentials(golden, (1, 3)))
+    assert substitute_targets(delta, golden.f).is_zero()
+
+
+def test_strand_determinant_all_zero_row_raises():
     z = (0, 0, 0)
     m = linear_matrix([[z, z, z]])
-    with pytest.raises(MinorsRankError):
-        minors_gcd(m, samples=3, seed=0)
+    with pytest.raises(PipelineError, match="not exact"):
+        strand_determinant([m])
 
 
-def test_minors_gcd_other_corner_vanishes(golden):
-    m = representation_matrix(golden, (1, 3))
-    g = minors_gcd(m, samples=3, seed=0)
-    assert substitute_targets(g, golden.f).is_zero()
+def test_strand_determinant_non_exact_complex_raises():
+    # a 1x2 d_1 with coprime entries and no d_2: one column is left over
+    m = linear_matrix([[(1, 0, 0), (0, 1, 0)]])
+    with pytest.raises(PipelineError, match="not exact"):
+        strand_determinant([m])
+
+
+def _reversed_basis(diffs, q):
+    """The strand complex with the basis of its q-th term in reverse order:
+    the columns of ``d_q`` and the rows of ``d_(q+1)`` are reversed."""
+    out = [LinearFormMatrix(d.rows, d.cols, d.target_names, [list(row) for row in d.coeffs]) for d in diffs]
+    out[q - 1].coeffs = [row[::-1] for row in out[q - 1].coeffs]
+    if q < len(out):
+        out[q].coeffs = out[q].coeffs[::-1]
+    return out
+
+
+def test_strand_determinant_does_not_depend_on_the_choice():
+    # a net of plane quadrics: the strand complex at nu = 2 is [6, 9, 4, 1],
+    # so the formula divides by a minor of d_2 and multiplies by one of d_3
+    inst = random_instance([["x", "y", "z"]], (2,), 4, random.Random(2))
+    z = z_complex_strand(inst, (2,))
+    assert z.dims == [6, 9, 4, 1]
+    delta = strand_determinant(z.differentials)
+    assert delta.total_degree() == 6 - 3 + 1
+    assert verify_implicit(delta, inst)
+    for seed in range(1, 6):
+        assert strand_determinant(z.differentials, seed=seed) == delta
+    # reordering a basis changes which minors are chosen, not the result
+    for q in (1, 2, 3):
+        assert strand_determinant(_reversed_basis(z.differentials, q)) == delta
+
+
+@pytest.mark.parametrize(
+    "make, nu, built",
+    [
+        (lambda: random_p1p1_instance(2, 2, random.Random(0)), (3, 1), [0, 1]),
+        (lambda: _forced_base_point_instance(random.Random(15)), (3, 1), [0, 1, 2]),
+    ],
+    ids=["square", "wide"],
+)
+def test_pipeline_builds_each_cycle_basis_once(monkeypatch, make, nu, built):
+    # a square M_nu of full rank needs no q >= 2 cycle basis; the wide
+    # [8, 9, 1] strand needs the 2-cycles but not the 3-cycles
+    inst = make()
+    intact = complexes.cycle_basis
+    calls = []
+
+    def counting(inst, q, nu):
+        calls.append(q)
+        return intact(inst, q, nu)
+
+    monkeypatch.setattr(complexes, "cycle_basis", counting)
+    assert run_pipeline(inst, nu).verified
+    assert sorted(calls) == built
+
+
+def _forced_base_point_instance(rng):
+    """Four bidegree-(2, 2) forms without u^2 v^2: one base point at s = t = 0."""
+    from helpers import random_poly
+
+    ring = parameter_ring([["s", "u"], ["t", "v"]])
+    polys = []
+    for _ in range(4):
+        p = random_poly(ring, BlockStructure((1, 1)), (2, 2), rng)
+        terms = dict(p.terms)
+        terms.pop((0, 2, 0, 2), None)
+        polys.append(MultiPoly(ring, terms))
+    return ProblemInstance.from_polys(polys)
+
+
+# parameter spaces of the Cayley-formula property: (variable blocks, the
+# multidegrees drawn from).  The gcd oracle bounds the sizes: the gcd of the
+# seven 6x6 minors of a P^1 x P^1 x P^1 strand with a base point takes about
+# 25 s and the 84 minors of a plane quadric net are too many, so three blocks
+# come without base points and P^2 only in degree 1.
+CAYLEY_SPACES = [
+    ([["s", "u"]], [(1,), (2,), (3,)]),
+    ([["x", "y", "z"]], [(1,)]),
+    ([["s", "u"], ["t", "v"]], [(1, 1), (1, 2), (2, 1)]),
+    ([["a", "b"], ["c", "d"], ["e", "f"]], [(1, 1, 1)]),
+]
+
+
+@st.composite
+def cayley_instances(draw):
+    """A hypersurface instance with nonzero coefficients in [-9, 9] on one to
+    three blocks; on one or two blocks the forms may omit the pure powers of
+    the last variables (one per block), which forces a base point there, kept
+    only when it is simple: in the chart of those variables the forms'
+    linear parts have full rank, as for the benchmark's instances."""
+    blocks, degrees = draw(st.sampled_from(CAYLEY_SPACES))
+    gamma = draw(st.sampled_from(degrees))
+    ring = parameter_ring(blocks)
+    structure = BlockStructure(tuple(len(b) - 1 for b in blocks))
+    mons = strand_basis(structure, gamma)
+    dropped = []
+    if len(blocks) < 3:
+        # the pure power of the last variable of every block, or of the first
+        for end in draw(st.sets(st.sampled_from([-1, 0]), max_size=2)):
+            exps = []
+            for names, g in zip(blocks, gamma):
+                block = [0] * len(names)
+                block[end] = g
+                exps += block
+            dropped.append(tuple(exps))
+    nonzero = st.integers(-9, 9).filter(bool)
+    coeffs = [
+        {e: draw(nonzero) for e in mons if e not in dropped} for _ in range(sum(structure.r) + 2)
+    ]
+    for exps in dropped:
+        assume(_linear_parts_rank(ring, exps, coeffs) == sum(structure.r))
+    return ProblemInstance.from_polys([MultiPoly(ring, c) for c in coeffs])
+
+
+def _linear_parts_rank(ring, exps, coeffs):
+    """Rank of the forms' linear parts at the base point forced by dropping
+    the monomial ``exps``: moving one degree from each block's power
+    variable to another variable of the block gives the linear monomials."""
+    shifted = []
+    for start, stop in ring.block_slices:
+        chart = next(k for k in range(start, stop) if exps[k])
+        for j in range(start, stop):
+            if j != chart:
+                m = list(exps)
+                m[j] += 1
+                m[chart] -= 1
+                shifted.append(tuple(m))
+    return rank_oracle([[c.get(m, 0) for m in shifted] for c in coeffs])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cayley_instances())
+def test_strand_determinant_is_the_gcd_of_all_maximal_minors(inst):
+    # for an exact strand complex, Cayley's determinant is the MacRae
+    # invariant of H_0, the gcd of all maximal minors of d_1 (Northcott,
+    # Finite Free Resolutions, ch. 3)
+    nu = suggest_nu(inst.blocks, inst.gamma)
+    m = representation_matrix(inst, nu, warn_region=False)
+    expected = MultiPoly.zero(inst.target)
+    for cols in combinations(range(m.cols), m.rows):
+        expected = gcd_poly(expected, implicitize._det_on_columns(m, cols))
+    assert strand_determinant(strand_differentials(inst, nu)) == expected
 
 
 # -- verification --------------------------------------------------------------------
@@ -436,25 +578,14 @@ def test_pipeline_auto_nu(golden):
 def test_pipeline_base_point_instance_non_square():
     # four bidegree-(2,2) forms all vanishing at ((0:1),(0:1)): one base point,
     # a nonzero second-homology strand, a wide matrix and a degree drop
-    from helpers import random_poly
     from mgimplicit import homology_dim
-    from mgimplicit.regions import BlockStructure
 
-    ring = parameter_ring([["s", "u"], ["t", "v"]])
-    blocks = BlockStructure((1, 1))
-    rng = random.Random(15)
-    polys = []
-    for _ in range(4):
-        p = random_poly(ring, blocks, (2, 2), rng)
-        terms = dict(p.terms)
-        terms.pop((0, 2, 0, 2), None)
-        polys.append(MultiPoly(ring, terms))
-    inst = ProblemInstance.from_polys(polys)
+    inst = _forced_base_point_instance(random.Random(15))
     h2 = homology_dim(inst, 2, (7, 5))
     assert h2 == 1
     m = representation_matrix(inst, (3, 1))
     assert (m.rows, m.cols) == (8, 8 + h2)
-    result = run_pipeline(inst, (3, 1), seed=0, samples=6)
+    result = run_pipeline(inst, (3, 1), seed=0)
     assert not result.square
     assert result.verified
     assert result.degree == 8 - h2 == result.expected_degree

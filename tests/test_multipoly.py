@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from mgimplicit import (
     divides,
     eval_at,
     exact_div,
-    gcd_poly,
     multidegree_of,
     normalize_poly,
     parameter_ring,
@@ -23,6 +23,7 @@ from mgimplicit import (
     try_exact_div,
 )
 from mgimplicit.regions import BlockStructure
+from oracles import gcd_poly
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,15 @@ def test_target_ring_is_the_one_block_ring():
     assert target_ring(names) == parameter_ring([names])
     assert target_ring(2) == parameter_ring([["T_0", "T_1"]])
     assert multidegree_of(parse_poly("X^3 - 2*X*Y*Z + Z^3", target_ring(names))) == (3,)
+
+
+@pytest.mark.parametrize("bad", ["X+Y", "1", "", "t v", "2x", "x.y"])
+def test_rings_reject_names_the_grammar_cannot_read(bad):
+    # every variable name must tokenize back as one name, or printed
+    # polynomials do not parse back (``X+Y*1 - B*C``)
+    for make in (lambda: target_ring(["A", bad]), lambda: parameter_ring([["s", "u"], [bad, "v"]])):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            make()
 
 
 def test_multidegree_of_golden_f0(fs):

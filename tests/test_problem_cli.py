@@ -1,19 +1,25 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgimplicit.cli as cli
 from mgimplicit import regions
 from mgimplicit.cli import main
+from mgimplicit.multipoly import _NAME
 from mgimplicit.problem import ProblemValidationError, load_problem
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN_JSON = str(REPO / "problems" / "bigraded_22.json")
 GOLDEN_TXT = str(REPO / "problems" / "bigraded_22.txt")
+BASEPOINT_JSON = str(REPO / "problems" / "p1p1_22_basepoint.json")
 
 
 # -- problem files ------------------------------------------------------------------
@@ -65,6 +71,119 @@ def test_text_problem_reports_line_numbers(tmp_path):
     bad.write_text("blocks: s u ; t v\nf0 = s*t\nbogus line without equals\n")
     with pytest.raises(ProblemValidationError, match="line 3"):
         load_problem(bad)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ({"target_vars": ["X+Y", "1", "B", "C"]}, "X+Y"),
+        ({"target_vars": ["", "A", "B", "C"]}, ""),
+        ({"blocks": [["s", "u"], ["t v"]]}, "t v"),
+    ],
+    ids=["target-operator", "target-empty", "block-space"],
+)
+def test_cli_rejects_names_the_grammar_cannot_read(tmp_path, capsys, field, bad):
+    # such a name used to print deltas like "X+Y*1 - B*C" that do not parse back
+    f = tmp_path / "bad.json"
+    problem = {"blocks": [["s", "u"], ["t", "v"]], "polynomials": ["s*t", "s*v", "u*t", "u*v"]}
+    f.write_text(json.dumps({**problem, **field}))
+    assert main(["implicitize", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(bad) in err
+
+
+def _problem_text(problem):
+    """The line-oriented text form of a JSON problem."""
+    lines = ["blocks: " + " ; ".join(" ".join(g) for g in problem["blocks"])]
+    if "target_vars" in problem:
+        lines.append("targets: " + " ".join(problem["target_vars"]))
+    lines += [f"f{k} = {p}" for k, p in enumerate(problem["polynomials"])]
+    return "\n".join(lines) + "\n"
+
+
+VALID = {
+    "blocks": [["s", "u"], ["t", "v"]],
+    "target_vars": ["X_0", "X_1", "X_2", "X_3"],
+    "polynomials": ["s*t", "s*v", "u*t", "u*v"],
+    "degree": [1, 1],
+}
+BAD_NAMES = st.sampled_from(["X+Y", "1", "", "t v"]) | st.text(max_size=6).filter(
+    lambda t: not re.fullmatch(_NAME, t)
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def malformed_problems(draw):
+    """``(suffix, file text)`` of a problem file with at least one defect: a
+    truncated JSON document, a field of the wrong type, an unknown key, a
+    variable name the polynomial grammar cannot read, a polynomial with a
+    dangling operator, or a text line that is neither a key nor a polynomial."""
+    problem = json.loads(json.dumps(VALID))
+    kind = draw(
+        st.sampled_from(["truncated", "mistyped", "unknown-key", "bad-name", "bad-poly", "bad-line"])
+    )
+    if kind == "truncated":
+        text = json.dumps(problem)
+        return ".json", text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "mistyped":
+        key = draw(st.sampled_from(sorted(VALID)))
+        # null is the default of the optional keys, so it is not a defect
+        problem[key] = draw(JSON_VALUES.filter(lambda v: v is not None and not isinstance(v, list)))
+        return ".json", json.dumps(problem)
+    if kind == "unknown-key":
+        problem[draw(st.text(max_size=5).filter(lambda k: k not in VALID))] = draw(JSON_VALUES)
+        return ".json", json.dumps(problem)
+    if kind == "bad-name":
+        names = draw(st.sampled_from([problem["target_vars"], *problem["blocks"]]))
+        names[draw(st.integers(0, len(names) - 1))] = draw(BAD_NAMES)
+    elif kind == "bad-poly":
+        k = draw(st.integers(0, 3))
+        problem["polynomials"][k] += draw(st.sampled_from([" +", "*", "^", " - 1/0"]))
+    suffix = draw(st.sampled_from([".json", ".txt"]))
+    if kind == "bad-line" or suffix == ".txt":
+        if any(not n.strip() or n != "".join(n.split()) for g in problem["blocks"] for n in g):
+            # a name with blanks changes the block layout of the text form
+            suffix = ".json"
+    if kind == "bad-line":
+        suffix = ".txt"
+        lines = _problem_text(problem).splitlines()
+        junk = draw(
+            st.text(st.characters(blacklist_characters="=:#;\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), min_size=1)
+            .filter(lambda t: t.strip() and not t.strip().startswith("--"))
+        )
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+        return suffix, "\n".join(lines) + "\n"
+    return suffix, json.dumps(problem) if suffix == ".json" else _problem_text(problem)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(malformed_problems())
+def test_info_rejects_malformed_problems_cleanly(case):
+    suffix, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"problem{suffix}"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        code, err = _run_captured(["info", str(path)])
+    assert code == 1, text
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+
+
+def _run_captured(argv):
+    """Exit code and standard error of ``main(argv)``; standard output is dropped."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 # -- info ----------------------------------------------------------------------------
@@ -361,6 +480,21 @@ def test_cmd_implicitize_bilinear(tmp_path, capsys):
     assert payload["verified"] is True
     assert payload["degree"] == 2
     assert payload["delta"] in ("T_0*T_3 - T_1*T_2", "T_1*T_2 - T_0*T_3")
+
+
+def test_cmd_implicitize_wide_example(capsys):
+    # one simple base point: an 8x9 M_nu, and the degree drops from 8 to 7
+    assert main(["implicitize", BASEPOINT_JSON, "--nu", "3,1"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["matrix"] == {"rows": 8, "cols": 9}
+    assert payload["degree"] == 7 == payload["expected_degree"]
+    assert payload["verified"] is True
+    assert "delta is the determinant of the whole strand complex" in err
+
+
+def test_cmd_implicitize_has_no_samples_option(capsys):
+    assert main(["implicitize", GOLDEN_JSON, "--samples", "6"]) == 1
 
 
 def test_cmd_implicitize_in_region_fails_cleanly(capsys):
