@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -146,9 +147,9 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
 class CycleBasis:
     """Deterministic basis of the Koszul q-cycles in internal degree nu + q*gamma.
 
-    ``vectors`` are raw kernel coordinates over (subset, monomial) pairs,
-    subset-major; ``cycles`` materializes each vector as one polynomial of
-    multidegree nu per subset.
+    The basis is ``vectors / den``, integer kernel coordinates over (subset,
+    monomial) pairs, subset-major, and their least common denominator;
+    ``cycles`` materializes it as one polynomial of multidegree nu per subset.
     """
 
     q: int
@@ -156,6 +157,7 @@ class CycleBasis:
     subsets: list
     monomials: list
     vectors: list
+    den: int
     ring: PolyRing
 
     _cycles: list = field(default=None, repr=False, compare=False)
@@ -175,7 +177,7 @@ class CycleBasis:
                     for ui, m in enumerate(self.monomials):
                         c = v[si * lm + ui]
                         if c:
-                            terms[m] = c
+                            terms[m] = _whole(Fraction(c, self.den))
                     polys.append(MultiPoly(self.ring, terms))
                 out.append(tuple(polys))
             self._cycles = out
@@ -190,35 +192,40 @@ def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
         raise ValueError("q must be non-negative")
     mons = strand_basis(inst.blocks, nu)
     if q == 0:
-        vectors = []
-        for i in range(len(mons)):
-            v = [0] * len(mons)
-            v[i] = 1
-            vectors.append(v)
-        return CycleBasis(0, nu, [()], mons, vectors, inst.ring)
+        vectors = [[int(i == j) for j in range(len(mons))] for i in range(len(mons))]
+        return CycleBasis(0, nu, [()], mons, vectors, 1, inst.ring)
     n1 = len(inst.f)
     if q > n1:
-        return CycleBasis(q, nu, [], mons, [], inst.ring)
+        return CycleBasis(q, nu, [], mons, [], 1, inst.ring)
     d = _vadd(nu, _vscale(q, inst.gamma))
-    matrix = koszul_differential_strand(inst, q, d)
-    vectors = nullspace_basis(matrix)
-    return CycleBasis(q, nu, list(combinations(range(n1), q)), mons, vectors, inst.ring)
+    den, vectors = nullspace_basis(koszul_differential_strand(inst, q, d))
+    return CycleBasis(q, nu, list(combinations(range(n1), q)), mons, vectors, den, inst.ring)
 
 
 @dataclass
 class LinearFormMatrix:
     """Matrix whose entries are degree-1 polynomials in the target variables.
 
-    ``coeffs[i][j]`` is the coefficient vector of the entry: entry =
-    ``sum_t coeffs[i][j][t] * T_t``.
+    ``coeffs[i][j]`` is the integer coefficient vector of the entry over the
+    common denominator ``den``: entry = ``sum_t coeffs[i][j][t] * T_t / den``.
     """
 
     rows: int
     cols: int
     target_names: tuple[str, ...]
     coeffs: list
+    den: int
     row_labels: list = None
     col_labels: list = None
+
+    def __post_init__(self):
+        if not isinstance(self.den, int) or self.den < 1:
+            raise TypeError(f"den must be an int >= 1, not {self.den!r}")
+        for i, row in enumerate(self.coeffs):
+            for j, cell in enumerate(row):
+                for t, c in enumerate(cell):
+                    if not isinstance(c, int):
+                        raise TypeError(f"coefficient {t} of entry ({i}, {j}) is {c!r}, not an int")
 
     def entry_str(self, i, j) -> str:
         return str(self.entry_poly(i, j))
@@ -230,16 +237,16 @@ class LinearFormMatrix:
             if c:
                 e = [0] * len(self.target_names)
                 e[t] = 1
-                terms[tuple(e)] = c
+                terms[tuple(e)] = _whole(Fraction(c, self.den))
         return MultiPoly(ring, terms)
 
     def specialize(self, values) -> QMatrix:
-        """Numeric matrix at ``T_t = values[t]``."""
+        """``den`` times the numeric matrix at ``T_t = values[t]`` (same rank)."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
         data = [
             [
-                _whole(sum(c * v for c, v in zip(self.coeffs[i][j], values) if c))
+                sum(c * v for c, v in zip(self.coeffs[i][j], values) if c)
                 for j in range(self.cols)
             ]
             for i in range(self.rows)
@@ -330,18 +337,18 @@ def _composition_is_zero(a: LinearFormMatrix, b: LinearFormMatrix) -> bool:
     )
 
 
-def _is_expansion(w, support):
-    """Whether ``w`` equals ``sum_t w[f_t] * basis[t]``: the exact test that
-    ``w`` lies in the span of a canonical kernel basis.  ``support[t]``
-    lists the nonzero ``(index, entry)`` pairs of vector ``t``; the last is
-    ``(f_t, 1)`` at its free column ``f_t``, where the other vectors are 0."""
+def _is_expansion(w, support, den):
+    """Whether ``sum_t w[f_t] * u_t == den * w``: the exact test that ``w`` lies
+    in the span of a canonical kernel basis ``u_t / den``.  ``support[t]``
+    lists the nonzero ``(index, entry)`` pairs of ``u_t``; the last is
+    ``(f_t, den)`` at its free column ``f_t``, where the other ``u`` are 0."""
     acc = [0] * len(w)
     for nz in support:
         k = w[nz[-1][0]]
         if k:
             for i, x in nz:
-                acc[i] += k if x == 1 else k * x
-    return acc == w
+                acc[i] += k * x
+    return acc == [den * x for x in w]
 
 
 def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis) -> LinearFormMatrix:
@@ -350,7 +357,7 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
 
     Each contraction image is read at the free columns of ``tgt`` (the last
     nonzero entry of each basis vector) and checked by exact re-expansion;
-    at q = 1, ``tgt`` is the identity basis of the monomials of degree nu.
+    at q = 1, ``tgt`` is the identity basis.  The matrix is over ``src.den``.
     """
     n1 = len(inst.f)
     lm = len(src.monomials)
@@ -368,7 +375,7 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
                 if x:
                     w[ti * lm + ui] = x if sign > 0 else -x
         for w in images:
-            if not _is_expansion(w, support):
+            if not _is_expansion(w, support, tgt.den):
                 raise StrandAssemblyError(
                     f"contraction image not in the span of the {tgt.q}-cycle "
                     f"basis at degree {src.nu}"
@@ -384,6 +391,7 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
         cols=len(src),
         target_names=inst.target.names,
         coeffs=coeffs,
+        den=src.den,
         row_labels=row_labels,
         col_labels=[f"Z{src.q}[{c}]" for c in range(len(src))],
     )

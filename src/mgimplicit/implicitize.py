@@ -39,7 +39,7 @@ from .complexes import (
     homology_dim,
     strand_differentials,
 )
-from .linalg import QMatrix, _bareiss, _ff_echelon, _whole, rank
+from .linalg import _bareiss, _whole, rank
 from .multipoly import (
     MultiPoly,
     _eval_terms,
@@ -215,11 +215,11 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
 
     The determinant is zero or a form of degree ``N = len(rows)``, so it is
     fixed by its values at ``T_0 = 1, (T_1..T_n) = a`` for the ``C(N+n, n)``
-    points ``|a| <= N``.  Each column is scaled by the lcm of its
-    denominators, so every value is the determinant of an integer matrix;
+    points ``|a| <= N``.  On the integer ``coeffs`` every value is an
+    integer determinant, ``den^N`` times that of ``m``;
     :func:`_interpolate_simplex` recovers the coefficients and ``T_0^(N-|a|)``
     rehomogenizes them.  The result is checked against one more integer
-    determinant at a fixed point off the grid.
+    determinant at a fixed point off the grid, then divided by ``den^N``.
     """
     cols = list(cols)
     rows = list(range(m.rows) if rows is None else rows)
@@ -230,15 +230,8 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
     if size == 0:
         return MultiPoly.constant(ring, 1)
     nvars = ring.nvars
-    # entries[i][k]: the coefficient vector of entry (rows[i], cols[k]), its
-    # column scaled by the lcm of the column's denominators
-    entries = [[None] * size for _ in range(size)]
-    scale = 1
-    for k, j in enumerate(cols):
-        mult = lcm(*(c.denominator for i in rows for c in m.coeffs[i][j]))
-        scale *= mult
-        for i, r in enumerate(rows):
-            entries[i][k] = [int(c * mult) for c in m.coeffs[r][j]]
+    entries = [[m.coeffs[r][j] for j in cols] for r in rows]
+    scale = m.den**size
 
     def det_at(point):
         work = [[sum(map(mul, point, e)) for e in row] for row in entries]
@@ -298,7 +291,7 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
             rows = range(d.rows)
             values = [rng.randint(-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE) for _ in d.target_names]
         spec = d.specialize(values).data
-        _, pivots, _, _ = _ff_echelon(QMatrix([spec[i] for i in rows], cols=d.cols))
+        pivots, _ = _bareiss([spec[i] for i in rows], d.cols)
         if len(pivots) < len(rows):
             raise PipelineError(
                 f"the strand complex is not exact: differential {q} has rank "

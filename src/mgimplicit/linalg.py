@@ -1,17 +1,16 @@
 """Exact dense linear algebra over the rationals.
 
-Entries are Python ints or ``fractions.Fraction``.  One integer
-fraction-free (Bareiss) elimination routine, :func:`_bareiss`, serves every
-exact elimination in the package: after each row is cleared of denominators
-every intermediate value is an integer (a minor of the scaled input, by
-Sylvester's identity), so each division by the previous pivot is an exact
-``//``.  No polynomial matrix is ever eliminated: determinants of
-linear-form matrices are interpolated from integer determinants of their
-specializations.  Pivoting is deterministic -- the first nonzero entry in
-column order -- which makes ranks, determinants and kernel bases
-reproducible from run to run.  Kernel bases are canonical, so coordinates
-in them are read off at the free columns instead of solved for.  No
-floating point, no tolerances.
+Inputs are Python ints or ``fractions.Fraction``; outputs are integers.
+One integer fraction-free (Bareiss) elimination routine, :func:`_bareiss`,
+serves every exact elimination in the package: after each row is cleared
+of denominators every intermediate value is an integer (a minor of the
+scaled input, by Sylvester's identity), so each division by the previous
+pivot is an exact ``//``.  No polynomial matrix is ever eliminated.
+Pivoting is deterministic -- the first nonzero entry in column order --
+which makes ranks, determinants and kernel bases reproducible from run to
+run.  Kernel bases are canonical and integer over one least common
+denominator, so coordinates in them are read off at the free columns
+instead of solved for.  No floating point, no tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -20,7 +19,7 @@ comfortably handled dense; sparse storage is deliberately out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Rational = int | Fraction
 
@@ -106,14 +105,16 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-def _bareiss(work, cols):
+def _bareiss(work, cols, reduce=False):
     """Fraction-free row echelon form of the integer matrix ``work``, in place.
 
     Each update divides by the previous pivot with an exact ``//``
     (Sylvester's identity guarantees exactness).  Returns ``(pivot_cols,
     sign)``: the pivot column indices in order and the row-swap permutation
     sign.  For a square input of full rank the last pivot is the
-    determinant times ``sign``.
+    determinant times ``sign``.  With ``reduce`` the rows above each pivot
+    are cleared too, and every pivot ends up equal to the last one
+    (fraction-free Gauss-Jordan; Nakos, Turner & Williams, 1997).
     """
     rows = len(work)
     pivot_cols = []
@@ -133,10 +134,13 @@ def _bareiss(work, cols):
             sign = -sign
         row_p = work[pr]
         piv = row_p[pc]
-        for i in range(pr + 1, rows):
+        for i in range(rows) if reduce else range(pr + 1, rows):
+            if i == pr:
+                continue
             row_i = work[i]
             head = row_i[pc]
-            for j in range(pc + 1, cols):
+            # left of pc a row below is zero; a row above is not
+            for j in range(0 if i < pr else pc + 1, cols):
                 row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
             row_i[pc] = 0
         prev = piv
@@ -147,8 +151,8 @@ def _bareiss(work, cols):
     return pivot_cols, sign
 
 
-def _ff_echelon(m: QMatrix):
-    """Fraction-free row echelon form of a rational matrix.
+def _ff_echelon(m: QMatrix, reduce=False):
+    """Fraction-free row echelon form of a rational matrix (see :func:`_bareiss`).
 
     Returns ``(work, pivot_cols, sign, scale)`` where ``work`` is the
     echelonized integer array, ``pivot_cols`` the pivot column indices in
@@ -164,7 +168,7 @@ def _ff_echelon(m: QMatrix):
             mult = lcm(mult, x.denominator)
         work.append([int(x * mult) for x in row])
         scale *= mult
-    pivot_cols, sign = _bareiss(work, m.cols)
+    pivot_cols, sign = _bareiss(work, m.cols, reduce)
     return work, pivot_cols, sign, scale
 
 
@@ -188,30 +192,29 @@ def det_rational(m: QMatrix) -> Fraction:
 
 
 def nullspace_basis(m: QMatrix):
-    """Basis of the right kernel, in reduced-echelon (RREF-induced) form.
+    """Basis ``vectors / den`` of the right kernel, in reduced-echelon
+    (RREF-induced) form: integer vectors over their least common
+    denominator ``den > 0``, returned as ``(den, vectors)``.
 
     One vector per free column, ordered by free column index; the vector for
-    free column ``j`` has entry 1 at ``j``, 0 at the other free columns, and
+    free column ``j`` is 1 at ``j``, 0 at the other free columns, and has
     the unique pivot-column entries making ``m @ v = 0`` (all before ``j``,
     so ``j`` is the vector's last nonzero entry).  This basis is canonical:
     it does not depend on elimination details, and the coordinates of a
-    kernel vector in it are its entries at the free columns.
+    kernel vector in it are its entries at the free columns.  Every pivot
+    of the reduced rows is one integer ``d``; ``d`` times the basis is read
+    off them.
     """
-    work, pivots, _, _ = _ff_echelon(m)
-    free_cols = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    for fc in free_cols:
+    work, pivots, _, _ = _ff_echelon(m, reduce=True)
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    vectors = []
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
         v = [0] * m.cols
-        v[fc] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
+        v[fc] = d
+        for i, pc in enumerate(pivots):
             if pc > fc:
-                continue
-            acc = 0
-            row = work[i]
-            for c in range(pc + 1, m.cols):
-                if v[c]:
-                    acc += row[c] * v[c]
-            v[pc] = _whole(Fraction(-acc, row[pc])) if acc else 0
-        basis.append(v)
-    return basis
+                break
+            v[pc] = -work[i][fc]
+        vectors.append(v)
+    g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
+    return d // g, [[x // g for x in v] for v in vectors]

@@ -1,5 +1,7 @@
 """Shared test data and generators."""
 
+from fractions import Fraction
+
 from mgimplicit import MultiPoly, ProblemInstance, parameter_ring, parse_poly, strand_basis
 from mgimplicit.regions import BlockStructure
 
@@ -52,9 +54,13 @@ def random_p1p1_instance(a, b, rng, npolys=4):
     return ProblemInstance.from_polys(polys, target_names=GOLDEN_TARGETS[:npolys])
 
 
-def random_matrix(rows, cols, rng, lo=-9, hi=9, fractions=False):
-    from fractions import Fraction
+def over(den, vectors):
+    """``vectors / den`` entry by entry: the rational vectors that integer
+    ``vectors`` over the common denominator ``den`` stand for."""
+    return [[Fraction(x, den) for x in v] for v in vectors]
 
+
+def random_matrix(rows, cols, rng, lo=-9, hi=9, fractions=False):
     data = []
     for _ in range(rows):
         if fractions:

@@ -7,12 +7,14 @@ import random
 import time
 from contextlib import contextmanager
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 from helpers import (
     GOLDEN_COEFFS,
     base_locus_probably_empty,
     golden_instance,
+    over,
     random_matrix,
     random_p1p1_instance,
 )
@@ -174,10 +176,11 @@ def test_criterion_6_invariant_suites():
             rows = rng.randint(1, 10)
             cols = rng.randint(1, 10)
             data = random_matrix(rows, cols, rng, lo=-4, hi=4)
-            mine = nullspace_basis(QMatrix(data))
+            den, mine = nullspace_basis(QMatrix(data))
             theirs = nullspace_oracle(data, cols)
             assert len(mine) == len(theirs)
-            assert mine == theirs
+            assert over(den, mine) == theirs
+            assert den > 0 and gcd(den, *(x for v in mine for x in v)) == 1
 
 
 def test_criterion_7_embedded_pipeline_absent():

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,18 +39,29 @@ from mgimplicit import (
 )
 from mgimplicit import complexes, implicitize
 from mgimplicit.complexes import LinearFormMatrix
+from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
 from oracles import det_cofactor_poly, gcd_poly, rank_oracle, symbolic_rank_oracle
 
 
 def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
-    """Helper: build a LinearFormMatrix from per-entry coefficient vectors."""
+    """Helper: build a LinearFormMatrix from per-entry rational coefficient
+    vectors, cleared of denominators into ``den``."""
+    den = lcm(*(Fraction(c).denominator for row in rows for cell in row for c in cell))
     return LinearFormMatrix(
         rows=len(rows),
         cols=len(rows[0]) if rows else 0,
         target_names=tuple(names),
-        coeffs=[[list(cell) for cell in row] for row in rows],
+        coeffs=[[[int(c * den) for c in cell] for cell in row] for row in rows],
+        den=den,
     )
+
+
+def test_linear_form_matrix_rejects_non_integer_coefficients():
+    with pytest.raises(TypeError, match=r"coefficient 1 of entry \(0, 1\)"):
+        LinearFormMatrix(1, 2, ("T_0", "T_1"), [[[1, 0], [0, Fraction(1, 2)]]], den=1)
+    with pytest.raises(TypeError, match="den"):
+        LinearFormMatrix(1, 1, ("T_0", "T_1"), [[[1, 0]]], den=0)
 
 
 # -- generic rank -----------------------------------------------------------------
@@ -238,7 +252,7 @@ def test_strand_determinant_non_exact_complex_raises():
 def _reversed_basis(diffs, q):
     """The strand complex with the basis of its q-th term in reverse order:
     the columns of ``d_q`` and the rows of ``d_(q+1)`` are reversed."""
-    out = [LinearFormMatrix(d.rows, d.cols, d.target_names, [list(row) for row in d.coeffs]) for d in diffs]
+    out = [LinearFormMatrix(d.rows, d.cols, d.target_names, [list(row) for row in d.coeffs], d.den) for d in diffs]
     out[q - 1].coeffs = [row[::-1] for row in out[q - 1].coeffs]
     if q < len(out):
         out[q].coeffs = out[q].coeffs[::-1]
@@ -589,6 +603,27 @@ def test_pipeline_base_point_instance_non_square():
     assert not result.square
     assert result.verified
     assert result.degree == 8 - h2 == result.expected_degree
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+# the scale of f_j in problems/bigraded_22_rational.json
+RATIONAL_SCALE = (Fraction(1, 2), Fraction(2, 3), 5, Fraction(-3, 7))
+
+
+@pytest.mark.parametrize("name", ["bigraded_22.json", "p1p1_22_basepoint.json"], ids=["square", "wide"])
+def test_pipeline_on_rational_forms(name):
+    # Fraction coefficients in f reach the Koszul matrices, whose rows are
+    # cleared of denominators before elimination; scaling f_j by c_j
+    # substitutes T_j / c_j into the strand determinant
+    inst = load_problem(PROBLEMS / name).instance()
+    scaled = [f * c for f, c in zip(inst.f, RATIONAL_SCALE)]
+    if name == "bigraded_22.json":
+        assert load_problem(PROBLEMS / "bigraded_22_rational.json").instance().f == tuple(scaled)
+    result = run_pipeline(ProblemInstance.from_polys(scaled, target_names=inst.target.names))
+    assert result.verified
+    t = [MultiPoly.variable(inst.target, v) for v in inst.target.names]
+    back = [tj * (1 / Fraction(c)) for tj, c in zip(t, RATIONAL_SCALE)]
+    assert result.delta == normalize_poly(substitute_targets(run_pipeline(inst).delta, back))
 
 
 def test_matrix_square_iff_h2_vanishes():

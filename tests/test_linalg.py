@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import random_matrix
+from helpers import over, random_matrix
 from mgimplicit import QMatrix, det_rational, nullspace_basis, rank
+from mgimplicit.linalg import _bareiss
 from oracles import det_cofactor, nullspace_oracle, rank_oracle
 
 
@@ -27,11 +29,16 @@ def test_rank_fractional_entries():
 
 
 def test_nullspace_injective():
-    assert nullspace_basis(QMatrix.identity(2)) == []
+    assert nullspace_basis(QMatrix.identity(2)) == (1, [])
 
 
 def test_nullspace_symmetric_difference():
-    assert nullspace_basis(QMatrix([[1, -1]])) == [[1, 1]]
+    assert nullspace_basis(QMatrix([[1, -1]])) == (1, [[1, 1]])
+
+
+def test_nullspace_clears_denominators_once():
+    # the canonical basis [-1/2, 1, 0], [-1/3, 0, 1] over its lcd 6
+    assert nullspace_basis(QMatrix([[6, 3, 2]])) == (6, [[-3, 6, 0], [-2, 0, 6]])
 
 
 def test_nullspace_rank24_matrix_against_oracle():
@@ -40,16 +47,16 @@ def test_nullspace_rank24_matrix_against_oracle():
     data = random_matrix(24, 32, rng)
     m = QMatrix(data)
     assert rank(m) == 24 == rank_oracle(data)
-    basis = nullspace_basis(m)
+    den, basis = nullspace_basis(m)
     assert len(basis) == 8
-    assert basis == nullspace_oracle(data, 32)
+    assert over(den, basis) == nullspace_oracle(data, 32)
     for v in basis:
         assert all(x == 0 for x in m.mul_vec(v))
 
 
 def test_nullspace_of_zero_row_matrix():
     m = QMatrix([], cols=3)
-    assert nullspace_basis(m) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace_basis(m) == (1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_det_identity():
@@ -85,8 +92,9 @@ def test_rank_nullity(rows, cols):
     rng = random.Random(rows * 100 + cols)
     for trial in range(5):
         m = QMatrix(random_matrix(rows, cols, rng, lo=-3, hi=3, fractions=trial % 2 == 1))
-        basis = nullspace_basis(m)
+        den, basis = nullspace_basis(m)
         assert cols == rank(m) + len(basis)
+        assert den > 0 and gcd(den, *(x for v in basis for x in v)) == 1
         for v in basis:
             assert all(x == 0 for x in m.mul_vec(v))
 
@@ -105,4 +113,11 @@ def test_nullspace_matches_oracle_on_random_matrices():
         rows = rng.randint(1, 9)
         cols = rng.randint(1, 9)
         data = random_matrix(rows, cols, rng, lo=-4, hi=4)
-        assert nullspace_basis(QMatrix(data)) == nullspace_oracle(data, cols)
+        den, basis = nullspace_basis(QMatrix(data))
+        assert over(den, basis) == nullspace_oracle(data, cols)
+        # den is the least common denominator of the canonical basis
+        assert den > 0 and gcd(den, *(x for v in basis for x in v)) == 1
+        # clearing above the pivots changes neither the pivots nor the sign
+        echelon = [row[:] for row in data]
+        reduced = [row[:] for row in data]
+        assert _bareiss(reduced, cols, reduce=True) == _bareiss(echelon, cols)
