@@ -27,7 +27,7 @@ from .implicitize import (
     strand_determinant,
     verify_implicit,
 )
-from .linalg import QMatrix, Rational, det_rational, nullspace_basis, rank
+from .linalg import QMatrix, Rational, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .linalg import QMatrix, _whole, nullspace_basis, rank
 from .multipoly import (
@@ -244,13 +245,7 @@ class LinearFormMatrix:
         """``den`` times the numeric matrix at ``T_t = values[t]`` (same rank)."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
-        data = [
-            [
-                sum(c * v for c, v in zip(self.coeffs[i][j], values) if c)
-                for j in range(self.cols)
-            ]
-            for i in range(self.rows)
-        ]
+        data = [[sum(map(mul, cell, values)) for cell in row] for row in self.coeffs]
         return QMatrix(data, cols=self.cols)
 
     def to_json_dict(self, extra=None) -> dict:

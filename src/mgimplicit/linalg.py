@@ -1,16 +1,26 @@
 """Exact dense linear algebra over the rationals.
 
 Inputs are Python ints or ``fractions.Fraction``; outputs are integers.
-One integer fraction-free (Bareiss) elimination routine, :func:`_bareiss`,
-serves every exact elimination in the package: after each row is cleared
-of denominators every intermediate value is an integer (a minor of the
-scaled input, by Sylvester's identity), so each division by the previous
-pivot is an exact ``//``.  No polynomial matrix is ever eliminated.
-Pivoting is deterministic -- the first nonzero entry in column order --
-which makes ranks, determinants and kernel bases reproducible from run to
-run.  Kernel bases are canonical and integer over one least common
-denominator, so coordinates in them are read off at the free columns
-instead of solved for.  No floating point, no tolerances.
+Every elimination starts by clearing each row of its denominators
+(:func:`_integer_rows`), which changes neither the rank nor the kernel.
+One integer fraction-free (Bareiss) routine, :func:`_bareiss`, then
+decides every exact elimination in the package: every intermediate value
+is an integer (a minor of the scaled input, by Sylvester's identity), so
+each division by the previous pivot is an exact ``//``.  No polynomial
+matrix is ever eliminated.  Pivoting is deterministic -- the first
+nonzero entry in column order -- which makes ranks, determinants and
+kernel bases reproducible from run to run.  Kernel bases are canonical
+and integer over one least common denominator, so coordinates in them
+are read off at the free columns instead of solved for.
+
+:func:`rank` does less integer work before it calls on Bareiss.  It
+divides each column by the gcd of its entries (the column content), which
+keeps the rank but not the kernel; strand matrices specialized over one
+common denominator carry large column contents.  It then eliminates once
+modulo the fixed prime :data:`_P`: a nonzero minor modulo ``_P`` is a
+nonzero integer, so a modular rank of ``min(rows, cols)`` proves full
+rank over Q.  Any other outcome is decided by :func:`_bareiss`, so the
+result is exact whatever the prime.  No floating point, no tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -22,6 +32,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Rational = int | Fraction
+
+# The prime of the full-rank certificate in :func:`rank`: the largest prime
+# below 2**30, so a product of two residues fits in two 30-bit CPython
+# digits.  It is fixed, not drawn, so that ranks take the same route (and
+# the same time) on every run; correctness does not depend on it, since
+# only a full modular rank is trusted and that is proof for any prime.
+_P = 1073741789
 
 
 def _whole(x):
@@ -151,44 +168,66 @@ def _bareiss(work, cols, reduce=False):
     return pivot_cols, sign
 
 
-def _ff_echelon(m: QMatrix, reduce=False):
-    """Fraction-free row echelon form of a rational matrix (see :func:`_bareiss`).
-
-    Returns ``(work, pivot_cols, sign, scale)`` where ``work`` is the
-    echelonized integer array, ``pivot_cols`` the pivot column indices in
-    order, ``sign`` the row-swap permutation sign and ``scale`` the product
-    of the denominators cleared from the rows (so the determinant of a
-    square input is ``sign * last_pivot / scale``).
-    """
+def _integer_rows(m: QMatrix):
+    """The rows of ``m``, each multiplied by the lcm of its denominators: a
+    fresh integer matrix with the same rank and the same right kernel."""
     work = []
-    scale = 1
     for row in m.data:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        work.append([int(x * mult) for x in row])
-        scale *= mult
-    pivot_cols, sign = _bareiss(work, m.cols, reduce)
-    return work, pivot_cols, sign, scale
+        mult = lcm(*[x.denominator for x in row])
+        work.append(list(map(int, row)) if mult == 1 else [int(x * mult) for x in row])
+    return work
+
+
+def _full_rank_mod_p(work, cols):
+    """Whether the integer matrix ``work`` has rank ``min(rows, cols)``
+    modulo :data:`_P`, by Gaussian elimination on residues.  Gives up as
+    soon as more columns lack a pivot than full rank allows."""
+    rows = [[x % _P for x in row] for row in work]
+    full = min(len(rows), cols)
+    spare = cols - full  # columns that may go without a pivot
+    r = 0
+    for pc in range(cols):
+        for i in range(r, len(rows)):
+            if rows[i][pc]:
+                break
+        else:
+            spare -= 1
+            if spare < 0:
+                return False
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        row_p = rows[r]
+        inv = pow(row_p[pc], -1, _P)
+        tail = [x * inv % _P for x in row_p[pc + 1 :]]
+        for i in range(r + 1, len(rows)):
+            row_i = rows[i]
+            head = row_i[pc]
+            if head:
+                row_i[pc + 1 :] = [(a - head * b) % _P for a, b in zip(row_i[pc + 1 :], tail)]
+        r += 1
+        if r == full:
+            return True
+    return True  # every column got a pivot or was spared, so r == full
 
 
 def rank(m: QMatrix) -> int:
-    """Rank over Q, by fraction-free elimination."""
-    _, pivots, _, _ = _ff_echelon(m)
+    """Rank over Q, exactly.
+
+    The rows are cleared of denominators and each column is divided by its
+    content (the gcd of its entries); neither step changes the rank.  One
+    elimination modulo the prime :data:`_P` then certifies full rank, since
+    a minor that is nonzero modulo ``_P`` is nonzero over Q.  When it does
+    not (the rank is lower, or ``_P`` divides every maximal minor), the
+    fraction-free :func:`_bareiss` on the column-primitive matrix decides;
+    on a rank-deficient input the modular pass is spent for nothing.
+    """
+    work = _integer_rows(m)
+    contents = [gcd(*col) or 1 for col in zip(*work)]
+    work = [[x // g for x, g in zip(row, contents)] for row in work]
+    if _full_rank_mod_p(work, m.cols):
+        return min(m.rows, m.cols)
+    pivots, _ = _bareiss(work, m.cols)
     return len(pivots)
-
-
-def det_rational(m: QMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    work, pivots, sign, scale = _ff_echelon(m)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    last = work[m.rows - 1][pivots[-1]]
-    return Fraction(sign * last, scale)
 
 
 def nullspace_basis(m: QMatrix):
@@ -205,7 +244,8 @@ def nullspace_basis(m: QMatrix):
     of the reduced rows is one integer ``d``; ``d`` times the basis is read
     off them.
     """
-    work, pivots, _, _ = _ff_echelon(m, reduce=True)
+    work = _integer_rows(m)
+    pivots, _ = _bareiss(work, m.cols, reduce=True)
     d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     vectors = []
     for fc in sorted(set(range(m.cols)) - set(pivots)):
