@@ -7,19 +7,16 @@ from .complexes import (
     LinearFormMatrix,
     ProblemInstance,
     StrandAssemblyError,
-    ZComplexStrand,
     cycle_basis,
     homology_dim,
     koszul_differential_strand,
     representation_matrix,
     strand_differentials,
-    z_complex_strand,
 )
 from .implicitize import (
     ImplicitResult,
     PipelineError,
     RankDropReport,
-    det_linear_matrix,
     expected_degree_p1p1,
     generic_rank,
     rank_drop_check,
@@ -34,7 +31,6 @@ from .multipoly import (
     PolyParseError,
     PolyRing,
     RingMismatchError,
-    divides,
     eval_at,
     exact_div,
     monomial_str,
@@ -42,7 +38,6 @@ from .multipoly import (
     normalize_poly,
     parameter_ring,
     parse_poly,
-    substitute_targets,
     target_ring,
     try_exact_div,
 )

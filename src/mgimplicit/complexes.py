@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -149,8 +149,7 @@ class CycleBasis:
     """Deterministic basis of the Koszul q-cycles in internal degree nu + q*gamma.
 
     The basis is ``vectors / den``, integer kernel coordinates over (subset,
-    monomial) pairs, subset-major, and their least common denominator;
-    ``cycles`` materializes it as one polynomial of multidegree nu per subset.
+    monomial) pairs, subset-major, and their least common denominator.
     """
 
     q: int
@@ -159,30 +158,9 @@ class CycleBasis:
     monomials: list
     vectors: list
     den: int
-    ring: PolyRing
-
-    _cycles: list = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.vectors)
-
-    @property
-    def cycles(self):
-        if self._cycles is None:
-            lm = len(self.monomials)
-            out = []
-            for v in self.vectors:
-                polys = []
-                for si in range(len(self.subsets)):
-                    terms = {}
-                    for ui, m in enumerate(self.monomials):
-                        c = v[si * lm + ui]
-                        if c:
-                            terms[m] = _whole(Fraction(c, self.den))
-                    polys.append(MultiPoly(self.ring, terms))
-                out.append(tuple(polys))
-            self._cycles = out
-        return self._cycles
 
 
 def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
@@ -194,13 +172,13 @@ def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
     mons = strand_basis(inst.blocks, nu)
     if q == 0:
         vectors = [[int(i == j) for j in range(len(mons))] for i in range(len(mons))]
-        return CycleBasis(0, nu, [()], mons, vectors, 1, inst.ring)
+        return CycleBasis(0, nu, [()], mons, vectors, 1)
     n1 = len(inst.f)
     if q > n1:
-        return CycleBasis(q, nu, [], mons, [], 1, inst.ring)
+        return CycleBasis(q, nu, [], mons, [], 1)
     d = _vadd(nu, _vscale(q, inst.gamma))
     den, vectors = nullspace_basis(koszul_differential_strand(inst, q, d))
-    return CycleBasis(q, nu, list(combinations(range(n1), q)), mons, vectors, den, inst.ring)
+    return CycleBasis(q, nu, list(combinations(range(n1), q)), mons, vectors, den)
 
 
 @dataclass
@@ -217,7 +195,6 @@ class LinearFormMatrix:
     coeffs: list
     den: int
     row_labels: list = None
-    col_labels: list = None
 
     def __post_init__(self):
         if not isinstance(self.den, int) or self.den < 1:
@@ -255,7 +232,7 @@ class LinearFormMatrix:
             "cols": self.cols,
             "target_vars": list(self.target_names),
             "row_labels": self.row_labels,
-            "col_labels": self.col_labels if self.col_labels is not None else list(range(self.cols)),
+            "col_labels": list(range(self.cols)),
             "entries": [[self.entry_str(i, j) for j in range(self.cols)] for i in range(self.rows)],
         }
         if extra:
@@ -294,42 +271,7 @@ def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> Linear
     if warn_region:
         for note in notes:
             warnings.warn(note, InRegionWarning, stacklevel=2)
-    m = next(strand_differentials(inst, nu))
-    m.col_labels = list(range(m.cols))
-    return m
-
-
-@dataclass
-class ZComplexStrand:
-    """All T-linear differentials of the degree-``nu`` strand of the cycle
-    complex; ``differentials[q-1]`` maps the q-cycles piece to the (q-1)-cycles
-    piece, and consecutive compositions expand to zero."""
-
-    nu: tuple[int, ...]
-    differentials: list
-    dims: list
-
-    def check_zero_compositions(self) -> bool:
-        for a, b in zip(self.differentials, self.differentials[1:]):
-            if not _composition_is_zero(a, b):
-                return False
-        return True
-
-
-def _composition_is_zero(a: LinearFormMatrix, b: LinearFormMatrix) -> bool:
-    """Whether every entry of the product of two linear-form matrices
-    expands to the zero quadratic form."""
-    if a.cols != b.rows:
-        raise ValueError("composition shape mismatch")
-    ring = target_ring(a.target_names)
-    pa = [[a.entry_poly(i, j, ring) for j in range(a.cols)] for i in range(a.rows)]
-    pb = [[b.entry_poly(j, k, ring) for k in range(b.cols)] for j in range(b.rows)]
-    zero = MultiPoly.zero(ring)
-    return not any(
-        sum((pa[i][j] * pb[j][k] for j in range(a.cols)), zero)
-        for i in range(a.rows)
-        for k in range(b.cols)
-    )
+    return next(strand_differentials(inst, nu))
 
 
 def _is_expansion(w, support, den):
@@ -377,10 +319,8 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
                 )
         for t, ft in enumerate(free):
             coeffs[t][c] = [w[ft] for w in images]
-    if tgt.q == 0:
-        row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials]
-    else:
-        row_labels = [f"Z{tgt.q}[{t}]" for t in range(len(tgt))]
+    # only M_nu (q = 1) is ever printed; its rows are the monomials of nu
+    row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials] if tgt.q == 0 else None
     return LinearFormMatrix(
         rows=len(free),
         cols=len(src),
@@ -388,16 +328,7 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
         coeffs=coeffs,
         den=src.den,
         row_labels=row_labels,
-        col_labels=[f"Z{src.q}[{c}]" for c in range(len(src))],
     )
-
-
-def z_complex_strand(inst: ProblemInstance, nu) -> ZComplexStrand:
-    """Every differential of the degree-``nu`` strand (see
-    :func:`strand_differentials`) and the dimension of every term."""
-    nu = tuple(nu)
-    diffs = list(strand_differentials(inst, nu))
-    return ZComplexStrand(nu=nu, differentials=diffs, dims=[diffs[0].rows] + [d.cols for d in diffs])
 
 
 def homology_dim(inst: ProblemInstance, q: int, d) -> int:

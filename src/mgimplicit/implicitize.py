@@ -248,14 +248,6 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
     return MultiPoly(ring, {e: _whole(Fraction(c, scale)) for e, c in terms.items()})
 
 
-def det_linear_matrix(m: LinearFormMatrix) -> MultiPoly:
-    """Normalized exact determinant of a square linear-form matrix, as a
-    target-ring polynomial (integer-primitive, positive leading coefficient)."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    return normalize_poly(_det_on_columns(m, range(m.cols)))
-
-
 def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
     """Normalized determinant of the strand complex whose differentials
     ``d_1, d_2, ..`` are ``diffs`` (any iterable; it is read only as far as

@@ -70,54 +70,6 @@ class QMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self):
-        return QMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = self.data[i]
-            out.append(
-                [
-                    _whole(sum(row[k] * other.data[k][j] for k in range(self.cols)))
-                    for j in range(other.cols)
-                ]
-            )
-        return QMatrix(out, cols=other.cols)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return [_whole(sum(row[k] * v[k] for k in range(self.cols))) for row in self.data]
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
-
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
 

@@ -153,15 +153,6 @@ class MultiPoly:
         return cls(ring, {tuple(exps): coeff})
 
     @classmethod
-    def variable(cls, ring, name):
-        i = ring.index.get(name)
-        if i is None:
-            raise ValueError(f"unknown variable {name!r}")
-        exps = [0] * ring.nvars
-        exps[i] = 1
-        return cls.monomial(ring, exps)
-
-    @classmethod
     def from_terms(cls, ring, items):
         acc = {}
         for exps, c in items:
@@ -260,18 +251,6 @@ class MultiPoly:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = MultiPoly.constant(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ring, other)
@@ -282,6 +261,13 @@ class MultiPoly:
         )
 
     def __hash__(self):
+        # a constant equals its value (see __eq__), so it hashes like it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            ((exps, c),) = self.terms.items()
+            if not any(exps):
+                return hash(c)
         return hash((self.ring, frozenset(self.terms.items())))
 
     # -- printing ----------------------------------------------------------
@@ -441,63 +427,7 @@ def multidegree_of(p: MultiPoly):
 
 
 # --------------------------------------------------------------------------
-# substitution / evaluation
-
-def substitute_targets(p: MultiPoly, images) -> MultiPoly:
-    """Replace each variable of ``p`` by the corresponding image polynomial.
-
-    ``images`` must be one polynomial per variable of ``p``, all in one ring
-    and multihomogeneous of one common multidegree; the result is the exact
-    expansion.  Partial products over the exponent prefixes are cached, so a
-    dense degree-d input costs far less than d-fold naive expansion.
-    """
-    images = list(images)
-    if len(images) != p.ring.nvars:
-        raise ValueError(
-            f"arity mismatch: {p.ring.nvars} target variables, {len(images)} images"
-        )
-    ring = images[0].ring
-    degs = set()
-    for im in images:
-        if im.ring != ring:
-            raise RingMismatchError("images live in different rings")
-        degs.add(multidegree_of(im))
-    if len(degs) > 1:
-        raise ValueError("images do not share one multidegree")
-    if p.is_zero():
-        return MultiPoly.zero(ring)
-
-    one = MultiPoly.constant(ring, 1)
-    nv = p.ring.nvars
-    powers = [[one] for _ in range(nv)]
-
-    def power(j, e):
-        col = powers[j]
-        while len(col) <= e:
-            col.append(col[-1] * images[j])
-        return col[e]
-
-    cache = {(): one}
-    acc = {}
-    for exps in sorted(p.terms):
-        c = p.terms[exps]
-        key = ()
-        cur = one
-        for j in range(nv):
-            key = key + (exps[j],)
-            nxt = cache.get(key)
-            if nxt is None:
-                nxt = cur * power(j, exps[j]) if exps[j] else cur
-                cache[key] = nxt
-            cur = nxt
-        for e, k in cur.terms.items():
-            c0 = acc.get(e, 0) + c * k
-            if c0:
-                acc[e] = c0
-            else:
-                del acc[e]
-    return MultiPoly(ring, {e: _whole(c) for e, c in acc.items()})
-
+# evaluation
 
 def _eval_terms(terms, values):
     """Exact value of a term map ``exponents -> coefficient`` at the point
@@ -570,10 +500,6 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if out is None:
         raise ValueError("inexact polynomial division")
     return out
-
-
-def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    return try_exact_div(p, q) is not None
 
 
 def _primitive_factor(coeffs) -> Rational:

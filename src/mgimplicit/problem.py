@@ -20,7 +20,7 @@ algebra sessions::
     f1 = ...
 
 Text lines may end with ';'; polynomial names are arbitrary and only their
-order matters.  Files ending in ``.json`` (or whose first non-blank byte is
+order matters.  Each header line, like each JSON key, may be given once.  Files ending in ``.json`` (or whose first non-blank byte is
 ``{``) are parsed as JSON.
 """
 
@@ -85,9 +85,20 @@ class ProblemFile:
         return self
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that refuses a key given twice in one object
+    (plain ``json.loads`` keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProblemValidationError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(text) -> ProblemFile:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -129,6 +140,7 @@ def _load_text(text) -> ProblemFile:
     targets = None
     degree = None
     polys = []
+    seen = {}  # header key -> line number
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("--"):
@@ -139,9 +151,12 @@ def _load_text(text) -> ProblemFile:
         if sep and key.strip() in ("blocks", "targets", "degree"):
             key = key.strip()
             rest = rest.strip()
+            if key in seen:
+                raise ProblemValidationError(
+                    f"line {lineno}: duplicate {key!r} (first given on line {seen[key]})"
+                )
+            seen[key] = lineno
             if key == "blocks":
-                if blocks is not None:
-                    raise ProblemValidationError(f"line {lineno}: duplicate 'blocks'")
                 blocks = [group.split() for group in rest.split(";")]
             elif key == "targets":
                 targets = rest.split()

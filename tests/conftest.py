@@ -17,6 +17,6 @@ def golden_matrix(golden):
 
 @pytest.fixture(scope="session")
 def golden_delta(golden_matrix):
-    from mgimplicit import det_linear_matrix
+    from mgimplicit import strand_determinant
 
-    return det_linear_matrix(golden_matrix)
+    return strand_determinant([golden_matrix])

@@ -1,8 +1,9 @@
 """Shared test data and generators."""
 
 from fractions import Fraction
+from operator import mul
 
-from mgimplicit import MultiPoly, ProblemInstance, parameter_ring, parse_poly, strand_basis
+from mgimplicit import MultiPoly, ProblemInstance, QMatrix, parameter_ring, parse_poly, strand_basis
 from mgimplicit.regions import BlockStructure
 
 # the four bidegree-(2, 2) forms of the worked bigraded surface example
@@ -58,6 +59,28 @@ def over(den, vectors):
     """``vectors / den`` entry by entry: the rational vectors that integer
     ``vectors`` over the common denominator ``den`` stand for."""
     return [[Fraction(x, den) for x in v] for v in vectors]
+
+
+def identity(n):
+    return QMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def mat_mul(a, b):
+    """The rows of the product of two ``QMatrix`` values."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    cols = list(zip(*b.data)) if b.rows else [()] * b.cols
+    return [[sum(map(mul, row, col)) for col in cols] for row in a.data]
+
+
+def mat_vec(m, v):
+    return [sum(map(mul, row, v)) for row in m.data]
+
+
+def strand_dims(diffs):
+    """Dimensions of the terms of a strand complex, read off the shapes of
+    its differentials ``d_1, d_2, ..``."""
+    return [diffs[0].rows] + [d.cols for d in diffs]
 
 
 def random_matrix(rows, cols, rng, lo=-9, hi=9, fractions=False):

@@ -1,19 +1,29 @@
 """Independent reference implementations, used only to cross-check the package.
 
-These deliberately avoid the package's fraction-free elimination: rank and
-kernels come from a plain Gauss-Jordan reduction with Fraction arithmetic,
-determinants from cofactor expansion, the generic rank of a matrix of
-linear forms from symbolic cofactor minors, the cycle-complex
-differentials from Koszul matrices built entry by entry and solved by
-Gauss-Jordan, the complement corners by an all-pairs dominance scan, and
-polynomial gcds by the primitive subresultant PRS.
+These deliberately avoid the package's fraction-free elimination and its
+integer evaluation: rank and kernels come from a plain Gauss-Jordan
+reduction with Fraction arithmetic, determinants from cofactor expansion,
+the generic rank of a matrix of linear forms from symbolic cofactor
+minors, the cycle-complex differentials from Koszul matrices built entry
+by entry and solved by Gauss-Jordan, the complement corners by an
+all-pairs dominance scan, and polynomial gcds by the primitive
+subresultant PRS.
+
+The symbolic expansions the package no longer ships live here too:
+
+* :func:`substitute_targets`, ``delta(f_0, .., f_n)`` expanded term by term,
+  against which the grid certificate ``verify_implicit`` is checked;
+* :func:`cycle_polys`, a cycle basis written out as polynomial syzygies;
+* :func:`compositions_vanish`, the products ``d_q d_(q+1)`` of a strand's
+  differentials expanded as matrices of quadratic forms;
+* :func:`divides` and :func:`poly_pow`, which the gcd tests and the PRS use.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly
+from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring, try_exact_div
 from mgimplicit.regions import corner_scan_bound, region_RB, strand_basis
 
 
@@ -188,6 +198,76 @@ def cycle_differentials_oracle(inst, nu):
     return out
 
 
+# --------------------------------------------------------------------------
+# symbolic expansions
+
+def substitute_targets(p, images):
+    """``p`` with its ``k``-th variable replaced by ``images[k]``, expanded
+    term by term (powers of each image are computed once)."""
+    images = list(images)
+    if len(images) != p.ring.nvars:
+        raise ValueError(f"arity mismatch: {p.ring.nvars} target variables, {len(images)} images")
+    ring = images[0].ring
+    powers = [[MultiPoly.constant(ring, 1)] for _ in images]
+    total = MultiPoly.zero(ring)
+    for exps, c in p.terms.items():
+        term = MultiPoly.constant(ring, c)
+        for col, image, e in zip(powers, images, exps):
+            while len(col) <= e:
+                col.append(col[-1] * image)
+            if e:
+                term = term * col[e]
+        total = total + term
+    return total
+
+
+def cycle_polys(cb, ring):
+    """The cycle basis ``cb`` as syzygies: for each basis vector, one
+    polynomial of multidegree ``cb.nu`` in ``ring`` per subset."""
+    lm = len(cb.monomials)
+    return [
+        tuple(
+            MultiPoly.from_terms(
+                ring, ((m, Fraction(v[si * lm + ui], cb.den)) for ui, m in enumerate(cb.monomials))
+            )
+            for si in range(len(cb.subsets))
+        )
+        for v in cb.vectors
+    ]
+
+
+def compositions_vanish(diffs):
+    """Whether every product ``d_q d_(q+1)`` of consecutive linear-form
+    matrices in ``diffs`` expands to the zero matrix of quadratic forms."""
+    for a, b in zip(diffs, diffs[1:]):
+        if a.cols != b.rows:
+            raise ValueError("composition shape mismatch")
+        ring = target_ring(a.target_names)
+        pa = [[a.entry_poly(i, j, ring) for j in range(a.cols)] for i in range(a.rows)]
+        pb = [[b.entry_poly(j, k, ring) for k in range(b.cols)] for j in range(b.rows)]
+        zero = MultiPoly.zero(ring)
+        if any(
+            sum((pa[i][j] * pb[j][k] for j in range(a.cols)), zero)
+            for i in range(a.rows)
+            for k in range(b.cols)
+        ):
+            return False
+    return True
+
+
+def divides(q, p):
+    """Whether ``q`` divides ``p`` exactly."""
+    return try_exact_div(p, q) is not None
+
+
+def poly_pow(p, k):
+    """``p`` to the power ``k >= 0``, by repeated multiplication."""
+    out = MultiPoly.constant(p.ring, 1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def complement_corners_oracle(blocks, gamma):
     """Componentwise-minimal complement points in ``[0, corner_scan_bound]^s``
     in two phases, assuming nothing about the shape of the region: a local
@@ -275,7 +355,7 @@ def _prem(f, g, k):
         r = r * lc2 - _mul_var_pow(lr, k, dr - d2) * g
         n -= 1
     if n > 0:
-        r = r * lc2**n
+        r = r * poly_pow(lc2, n)
     return r
 
 
@@ -320,12 +400,12 @@ def _gcd_z(p, q):
         if _deg_in(rem, k) == 0:
             cand = None
             break
-        f1, f2 = f2, exact_div(rem, g * h**delta)
+        f1, f2 = f2, exact_div(rem, g * poly_pow(h, delta))
         g = _coeff_in(f1, k, _deg_in(f1, k))
         if delta == 1:
             h = g
         elif delta > 1:
-            h = exact_div(g**delta, h ** (delta - 1))
+            h = exact_div(poly_pow(g, delta), poly_pow(h, delta - 1))
     if cand is None:
         return d
     _, pp_cand = _content_primitive(cand, k)

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from helpers import (
     GOLDEN_COEFFS,
     base_locus_probably_empty,
+    golden_instance,
     random_instance,
     random_p1p1_instance,
+    strand_dims,
 )
 from mgimplicit import (
     MultiPoly,
     PipelineError,
     ProblemInstance,
-    det_linear_matrix,
     expected_degree_p1p1,
     generic_rank,
     normalize_poly,
@@ -31,17 +32,15 @@ from mgimplicit import (
     strand_basis,
     strand_determinant,
     strand_differentials,
-    substitute_targets,
     suggest_nu,
     target_ring,
     verify_implicit,
-    z_complex_strand,
 )
 from mgimplicit import complexes, implicitize
 from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
-from oracles import det_cofactor_poly, gcd_poly, rank_oracle, symbolic_rank_oracle
+from oracles import det_cofactor_poly, gcd_poly, rank_oracle, substitute_targets, symbolic_rank_oracle
 
 
 def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
@@ -137,18 +136,18 @@ def test_rank_drop_degenerate_equal_generators():
 def test_det_1x1_normalizes():
     m = linear_matrix([[(2, 0, 0)]])
     ring = target_ring(["T_0", "T_1", "T_2"])
-    assert det_linear_matrix(m) == parse_poly("T_0", ring)
+    assert strand_determinant([m]) == parse_poly("T_0", ring)
 
 
 def test_det_diagonal():
     m = linear_matrix([[(1, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 1, 0)]])
     ring = target_ring(["T_0", "T_1", "T_2"])
-    assert det_linear_matrix(m) == parse_poly("T_0*T_1", ring)
+    assert strand_determinant([m]) == parse_poly("T_0*T_1", ring)
 
 
 def test_det_rejects_non_square():
-    with pytest.raises(ValueError):
-        det_linear_matrix(linear_matrix([[(1, 0, 0), (0, 1, 0)]]))
+    with pytest.raises(ValueError, match="square"):
+        implicitize._det_on_columns(linear_matrix([[(1, 0, 0), (0, 1, 0)]]), range(2))
 
 
 def test_det_golden_equation(golden_delta):
@@ -165,7 +164,9 @@ def test_det_golden_equation(golden_delta):
 def test_det_zero_column_is_zero():
     z = (0, 0, 0)
     m = linear_matrix([[z, (1, 0, 0)], [z, (0, 1, 0)]])
-    assert det_linear_matrix(m).is_zero()
+    assert implicitize._det_on_columns(m, range(2)).is_zero()
+    with pytest.raises(PipelineError, match="not exact"):
+        strand_determinant([m])
 
 
 def test_det_interpolation_is_checked_off_the_grid(golden_matrix, monkeypatch):
@@ -179,7 +180,7 @@ def test_det_interpolation_is_checked_off_the_grid(golden_matrix, monkeypatch):
 
     monkeypatch.setattr(implicitize, "_interpolate_simplex", corrupted)
     with pytest.raises(ArithmeticError):
-        det_linear_matrix(golden_matrix)
+        strand_determinant([golden_matrix])
 
 
 COEFF = st.one_of(
@@ -218,16 +219,19 @@ def test_det_matches_cofactor_oracle(case):
     expected = det_cofactor_poly(entries)
     # the raw determinant, sign included, before normalization hides it
     assert implicitize._det_on_columns(m, range(m.cols)) == expected
-    delta = det_linear_matrix(m)
-    assert delta == normalize_poly(expected)
     if deficient:
-        assert delta.is_zero()
+        assert expected.is_zero()
+    if expected:
+        assert strand_determinant([m]) == normalize_poly(expected)
+    else:
+        with pytest.raises(PipelineError, match="not exact"):
+            strand_determinant([m])
 
 
 # -- strand determinant ---------------------------------------------------------------
 
 def test_strand_determinant_square_equals_det(golden_matrix, golden_delta):
-    assert strand_determinant([golden_matrix]) == golden_delta
+    assert golden_delta == normalize_poly(implicitize._det_on_columns(golden_matrix, range(8)))
 
 
 def test_strand_determinant_other_corner_vanishes(golden):
@@ -263,16 +267,37 @@ def test_strand_determinant_does_not_depend_on_the_choice():
     # a net of plane quadrics: the strand complex at nu = 2 is [6, 9, 4, 1],
     # so the formula divides by a minor of d_2 and multiplies by one of d_3
     inst = random_instance([["x", "y", "z"]], (2,), 4, random.Random(2))
-    z = z_complex_strand(inst, (2,))
-    assert z.dims == [6, 9, 4, 1]
-    delta = strand_determinant(z.differentials)
+    diffs = list(strand_differentials(inst, (2,)))
+    assert strand_dims(diffs) == [6, 9, 4, 1]
+    delta = strand_determinant(diffs)
     assert delta.total_degree() == 6 - 3 + 1
     assert verify_implicit(delta, inst)
     for seed in range(1, 6):
-        assert strand_determinant(z.differentials, seed=seed) == delta
+        assert strand_determinant(diffs, seed=seed) == delta
     # reordering a basis changes which minors are chosen, not the result
     for q in (1, 2, 3):
-        assert strand_determinant(_reversed_basis(z.differentials, q)) == delta
+        assert strand_determinant(_reversed_basis(diffs, q)) == delta
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: golden_instance(),
+        lambda: random_p1p1_instance(1, 2, random.Random(1)),
+        lambda: random_p1p1_instance(2, 2, random.Random(1)),
+        lambda: random_p1p1_instance(3, 1, random.Random(1)),
+        lambda: random_instance([["x", "y", "z"], ["s", "t"]], (1, 1), 5, random.Random(1)),
+        lambda: random_instance([["a", "b"], ["c", "d"], ["e", "f"]], (1, 1, 1), 5, random.Random(1)),
+    ],
+    ids=["golden", "p1p1-1-2", "p1p1-2-2", "p1p1-3-1", "p2p1-1-1", "p1p1p1-1-1-1"],
+)
+def test_square_strands_end_after_the_first_differential(make):
+    # strand_determinant stops after a square d_1 of full rank and never
+    # builds the later terms; at the suggested nu they are all zero
+    inst = make()
+    dims = strand_dims(list(strand_differentials(inst, suggest_nu(inst.blocks, inst.gamma))))
+    n = dims[0]
+    assert n > 0 and dims == [n, n] + [0] * (inst.n - 1)
 
 
 @pytest.mark.parametrize(
@@ -498,7 +523,7 @@ def verification_cases(draw):
             forms[-1] = last
     inst = ProblemInstance.from_polys(forms)
     target = inst.target
-    variables = [MultiPoly.variable(target, name) for name in target.names]
+    variables = [parse_poly(name, target) for name in target.names]
     if kind == "relation":
         relation = variables[-1] - sum(
             (v * w for v, w in zip(variables, weights)), MultiPoly.zero(target)
@@ -621,7 +646,7 @@ def test_pipeline_on_rational_forms(name):
         assert load_problem(PROBLEMS / "bigraded_22_rational.json").instance().f == tuple(scaled)
     result = run_pipeline(ProblemInstance.from_polys(scaled, target_names=inst.target.names))
     assert result.verified
-    t = [MultiPoly.variable(inst.target, v) for v in inst.target.names]
+    t = [parse_poly(v, inst.target) for v in inst.target.names]
     back = [tj * (1 / Fraction(c)) for tj, c in zip(t, RATIONAL_SCALE)]
     assert result.delta == normalize_poly(substitute_targets(run_pipeline(inst).delta, back))
 
@@ -665,3 +690,18 @@ def test_wrong_length_nu_raises(golden, nu):
 def test_pipeline_rejects_empty_strand(golden):
     with pytest.raises(PipelineError):
         run_pipeline(golden, (0, 0), seed=0)
+
+
+# -- the package surface ------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name", ["det_linear_matrix", "z_complex_strand", "ZComplexStrand", "substitute_targets", "divides"]
+)
+def test_test_only_helpers_are_not_exported(name):
+    # the symbolic reference code lives in tests/oracles.py; the package
+    # ships only what the pipeline, the command line and the benchmark call
+    import mgimplicit
+
+    assert not hasattr(mgimplicit, name)
+    for module in (complexes, implicitize, mgimplicit.multipoly, mgimplicit.linalg):
+        assert not hasattr(module, name)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import over, random_matrix
+from helpers import identity, mat_vec, over, random_matrix
 from mgimplicit import QMatrix, nullspace_basis, rank
 from mgimplicit.linalg import _P, _bareiss, _full_rank_mod_p, _integer_rows
 from oracles import det_cofactor, nullspace_oracle, rank_oracle
@@ -23,11 +23,11 @@ def bareiss_det(data):
 
 
 def test_rank_identity():
-    assert rank(QMatrix.identity(3)) == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(QMatrix.zeros(2, 3)) == 0
+    assert rank(QMatrix([[0] * 3] * 2)) == 0
 
 
 def test_rank_proportional_rows():
@@ -101,7 +101,7 @@ def test_rank_matches_oracle_and_plain_bareiss(data):
 
 
 def test_nullspace_injective():
-    assert nullspace_basis(QMatrix.identity(2)) == (1, [])
+    assert nullspace_basis(identity(2)) == (1, [])
 
 
 def test_nullspace_symmetric_difference():
@@ -123,7 +123,7 @@ def test_nullspace_rank24_matrix_against_oracle():
     assert len(basis) == 8
     assert over(den, basis) == nullspace_oracle(data, 32)
     for v in basis:
-        assert all(x == 0 for x in m.mul_vec(v))
+        assert not any(mat_vec(m, v))
 
 
 def test_nullspace_of_zero_row_matrix():
@@ -132,7 +132,7 @@ def test_nullspace_of_zero_row_matrix():
 
 
 def test_det_identity():
-    assert bareiss_det(QMatrix.identity(4).data) == 1
+    assert bareiss_det(identity(4).data) == 1
 
 
 def test_det_transposition_sign():
@@ -151,7 +151,7 @@ def test_rank_equals_rank_of_transpose(size):
     rng = random.Random(size)
     data = random_matrix(size, size - rng.randint(0, 3), rng)
     m = QMatrix(data)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(QMatrix(list(zip(*data))))
 
 
 @pytest.mark.parametrize("rows,cols", [(4, 7), (7, 4), (10, 10), (6, 13)])
@@ -163,7 +163,7 @@ def test_rank_nullity(rows, cols):
         assert cols == rank(m) + len(basis)
         assert den > 0 and gcd(den, *(x for v in basis for x in v)) == 1
         for v in basis:
-            assert all(x == 0 for x in m.mul_vec(v))
+            assert not any(mat_vec(m, v))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -11,19 +11,17 @@ from mgimplicit import (
     MultiPoly,
     NotMultihomogeneousError,
     PolyParseError,
-    divides,
     eval_at,
     exact_div,
     multidegree_of,
     normalize_poly,
     parameter_ring,
     parse_poly,
-    substitute_targets,
     target_ring,
     try_exact_div,
 )
 from mgimplicit.regions import BlockStructure
-from oracles import gcd_poly
+from oracles import divides, gcd_poly, poly_pow, substitute_targets
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +192,8 @@ def test_add_inverse_is_zero(fs):
 
 
 def test_difference_of_squares(pring):
-    s = MultiPoly.variable(pring, "s")
-    u = MultiPoly.variable(pring, "u")
+    s = parse_poly("s", pring)
+    u = parse_poly("u", pring)
     assert (s + u) * (s - u) == s * s - u * u
 
 
@@ -207,10 +205,21 @@ def test_mixed_ring_arithmetic_rejected(pring, tring):
 
 
 def test_pow(pring):
-    s = MultiPoly.variable(pring, "s")
-    u = MultiPoly.variable(pring, "u")
-    p = (s + u) ** 3
+    p = poly_pow(parse_poly("s + u", pring), 3)
     assert p.coeff((2, 1, 0, 0)) == 3
+    assert poly_pow(p, 0) == 1
+
+
+@pytest.mark.parametrize("value", [2, Fraction(-3, 4), 0], ids=["int", "fraction", "zero"])
+def test_constants_hash_like_their_values(pring, value):
+    # a constant polynomial equals its value, so sets and dicts find it by it
+    c = MultiPoly.constant(pring, value)
+    assert c == value and hash(c) == hash(value)
+    assert value in {c} and c in {value}
+    assert {c: 1}[value] == 1
+    # the zero polynomial made by cancellation too
+    if value == 0:
+        assert hash(parse_poly("s", pring) - parse_poly("s", pring)) == hash(0)
 
 
 # -- substitution and evaluation ----------------------------------------------

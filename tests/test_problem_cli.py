@@ -175,6 +175,27 @@ def test_info_rejects_malformed_problems_cleanly(case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "suffix, text, message",
+    [
+        (".txt", "blocks: s u ; t v\ntargets: A B C D\ntargets: W X Y Z\n", "line 3: duplicate 'targets' (first given on line 2)"),
+        (".txt", "blocks: s u ; t v\ndegree: 1 1\nf0 = s*t\ndegree: 2 2\n", "line 4: duplicate 'degree' (first given on line 2)"),
+        (".txt", "blocks: s u ; t v\nblocks: s u ; t v\n", "line 2: duplicate 'blocks' (first given on line 1)"),
+        (".json", '{"blocks": [["s", "u"], ["t", "v"]], "degree": [1, 1], "degree": [2, 2]}', "duplicate key 'degree'"),
+        (".json", '{"blocks": [["s", "u"]], "blocks": [["t", "v"]]}', "duplicate key 'blocks'"),
+    ],
+    ids=["text-targets", "text-degree", "text-blocks", "json-degree", "json-blocks"],
+)
+def test_info_rejects_duplicate_headers(tmp_path, suffix, text, message):
+    # a repeated header used to keep its last value silently; it is refused
+    # as soon as it is read, before the polynomials are looked for
+    path = tmp_path / f"problem{suffix}"
+    path.write_text(text)
+    code, err = _run_captured(["info", str(path)])
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def _run_captured(argv):
     """Exit code and standard error of ``main(argv)``; standard output is dropped."""
     import io
