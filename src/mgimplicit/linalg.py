@@ -4,7 +4,8 @@ Inputs are Python ints or ``fractions.Fraction``; outputs are integers.
 Every elimination starts by clearing each row of its denominators
 (:func:`_integer_rows`), which changes neither the rank nor the kernel.
 One integer fraction-free (Bareiss) routine, :func:`_bareiss`, then
-decides every exact elimination in the package: every intermediate value
+decides every exact elimination in the package that the modular
+certificates of :func:`rank` leave open: every intermediate value
 is an integer (a minor of the scaled input, by Sylvester's identity), so
 each division by the previous pivot is an exact ``//``.  No polynomial
 matrix is ever eliminated.  Pivoting is deterministic -- the first
@@ -13,14 +14,23 @@ kernel bases reproducible from run to run.  Kernel bases are canonical
 and integer over one least common denominator, so coordinates in them
 are read off at the free columns instead of solved for.
 
-:func:`rank` does less integer work before it calls on Bareiss.  It
-divides each column by the gcd of its entries (the column content), which
-keeps the rank but not the kernel; strand matrices specialized over one
-common denominator carry large column contents.  It then eliminates once
-modulo the fixed prime :data:`_P`: a nonzero minor modulo ``_P`` is a
-nonzero integer, so a modular rank of ``min(rows, cols)`` proves full
-rank over Q.  Any other outcome is decided by :func:`_bareiss`, so the
-result is exact whatever the prime.  No floating point, no tolerances.
+:func:`rank` certifies its answer from modular eliminations and calls on
+Bareiss only when a certificate fails.  It divides each column by the gcd
+of its entries (the column content), which keeps the rank but not the
+kernel; strand matrices specialized over one common denominator carry
+large column contents.  It then eliminates once modulo the fixed prime
+:data:`_P`.  The ``r`` pivots select a minor that is nonzero modulo
+``_P``, hence a nonzero integer, so ``rank >= r``; a modular rank of
+``min(rows, cols)`` is therefore the rank.  Otherwise the pivots pick
+``r`` independent rows of the short side of the matrix, and their kernel
+modulo the wide fixed prime :data:`_Q` gives one vector per missing
+pivot.  Each is recovered over Q by rational reconstruction and checked
+exactly against the whole short side, which proves ``rank <= r``.  The
+certificate is short whenever the kernel is small: a strand matrix
+specialized at a point of the hypersurface, ``T = f(p)``, has the strand
+monomials at ``p`` as a left kernel vector.  When a reconstruction or a
+check fails, :func:`_bareiss` decides, so the result is exact whatever the
+primes.  No floating point, no tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -29,16 +39,28 @@ comfortably handled dense; sparse storage is deliberately out of scope.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
 Rational = int | Fraction
 
-# The prime of the full-rank certificate in :func:`rank`: the largest prime
+# The prime of the first elimination in :func:`rank`: the largest prime
 # below 2**30, so a product of two residues fits in two 30-bit CPython
 # digits.  It is fixed, not drawn, so that ranks take the same route (and
-# the same time) on every run; correctness does not depend on it, since
-# only a full modular rank is trusted and that is proof for any prime.
+# the same time) on every run; correctness does not depend on it, since a
+# modular rank is trusted only as a lower bound, which holds for any prime.
 _P = 1073741789
+# The prime of the kernel certificate in :func:`rank`, the Mersenne prime
+# 2**107 - 1.  Rational reconstruction modulo _Q recovers numerators
+# and denominators up to isqrt(_Q // 2), about 2**53, which covers the
+# strand monomials at a parameter point with coordinates up to 99
+# (implicitize.POINT_RANGE): 99**|nu| is about 2**46 at |nu| = 7.  On the
+# 300 on-surface rank queries of the benchmark's represent workload at
+# seeds 1-3, 2**61 - 1 fell back to Bareiss on 115 and 2**89 - 1 on 5;
+# 2**107 - 1 on none.  Fixed for the same reason as _P; correctness does
+# not depend on it either, since every recovered kernel vector is checked
+# over Z.
+_Q = 2**107 - 1
 
 
 def _whole(x):
@@ -130,36 +152,108 @@ def _integer_rows(m: QMatrix):
     return work
 
 
-def _full_rank_mod_p(work, cols):
-    """Whether the integer matrix ``work`` has rank ``min(rows, cols)``
-    modulo :data:`_P`, by Gaussian elimination on residues.  Gives up as
-    soon as more columns lack a pivot than full rank allows."""
-    rows = [[x % _P for x in row] for row in work]
-    full = min(len(rows), cols)
-    spare = cols - full  # columns that may go without a pivot
+def _echelon_mod(rows, cols, p):
+    """Fraction-free row echelon form modulo the prime ``p`` of the residue
+    rows ``rows``, in place: each row below a pivot ``piv`` becomes ``piv``
+    times itself minus its head times the pivot row, so no pivot is
+    inverted.  Returns the pivot columns and the input indices of the rows
+    that supplied them; those rows are independent modulo ``p``."""
+    order = list(range(len(rows)))
+    pivots = []
     r = 0
     for pc in range(cols):
         for i in range(r, len(rows)):
             if rows[i][pc]:
                 break
         else:
-            spare -= 1
-            if spare < 0:
-                return False
             continue
         rows[r], rows[i] = rows[i], rows[r]
+        order[r], order[i] = order[i], order[r]
         row_p = rows[r]
-        inv = pow(row_p[pc], -1, _P)
-        tail = [x * inv % _P for x in row_p[pc + 1 :]]
+        piv = row_p[pc]
+        tail = row_p[pc + 1 :]
         for i in range(r + 1, len(rows)):
             row_i = rows[i]
             head = row_i[pc]
             if head:
-                row_i[pc + 1 :] = [(a - head * b) % _P for a, b in zip(row_i[pc + 1 :], tail)]
+                row_i[pc + 1 :] = [(piv * a - head * b) % p for a, b in zip(row_i[pc + 1 :], tail)]
+        pivots.append(pc)
         r += 1
-        if r == full:
-            return True
-    return True  # every column got a pivot or was spared, so r == full
+        if r == len(rows):
+            break
+    return pivots, order[:r]
+
+
+def _reconstruct(x, bound):
+    """The fraction ``n / d`` with ``|n|, d <= bound`` and ``n == d * x``
+    modulo :data:`_Q`, as ``(n, d)``, or ``None`` when there is none
+    (rational reconstruction: the extended Euclidean algorithm on ``_Q`` and
+    ``x``, stopped at the first remainder within the bound; Wang, Guy &
+    Davenport, SIGSAM Bull. 16(2), 1982)."""
+    r0, r1, t0, t1 = _Q, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_certified(b, independent, s):
+    """Whether the integer rows ``b``, of length ``s``, have no more rank
+    than the number of rows in ``independent``, a selection of them.
+
+    The kernel of ``independent`` modulo :data:`_Q` has one vector per free
+    column of its echelon form.  Each is lifted to Q by rational
+    reconstruction and must annihilate every row of ``b`` over Z.  The
+    vectors are independent (each is nonzero at its own free column and
+    zero at the others), so together they prove the bound.  ``False``
+    means that a reconstruction or a check failed, which proves nothing.
+    """
+    rows = [[x % _Q for x in row] for row in independent]
+    pivots, _ = _echelon_mod(rows, s, _Q)
+    # the pivots' inverses from one modular inversion (Montgomery's trick)
+    prefix = []
+    acc = 1
+    for i, pc in enumerate(pivots):
+        prefix.append(acc)
+        acc = acc * rows[i][pc] % _Q
+    inv = pow(acc, -1, _Q)
+    inverses = [0] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        inverses[i] = inv * prefix[i] % _Q
+        inv = inv * rows[i][pivots[i]] % _Q
+    bound = isqrt(_Q // 2)
+    for fc in sorted(set(range(s)) - set(pivots)):
+        # back substitution modulo _Q: 1 at fc, 0 at the other free columns
+        v = [0] * s
+        v[fc] = 1
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            if pc < fc:
+                v[pc] = -sum(map(mul, rows[i][pc + 1 : fc + 1], v[pc + 1 : fc + 1])) * inverses[i] % _Q
+        # lift to integers over one common denominator, reconstructing
+        # only the entries that it does not already make small
+        den = 1
+        for j in range(fc + 1):
+            y = v[j] * den % _Q
+            if y >= _Q - bound:
+                v[j] = y - _Q
+            elif y > bound:
+                frac = _reconstruct(y, bound)
+                if frac is None:
+                    return False
+                n, d = frac
+                den *= d
+                for k in range(j):
+                    v[k] *= d
+                v[j] = n
+            else:
+                v[j] = y
+        if any(sum(map(mul, row, v)) for row in b):
+            return False
+    return True
 
 
 def rank(m: QMatrix) -> int:
@@ -167,17 +261,35 @@ def rank(m: QMatrix) -> int:
 
     The rows are cleared of denominators and each column is divided by its
     content (the gcd of its entries); neither step changes the rank.  One
-    elimination modulo the prime :data:`_P` then certifies full rank, since
-    a minor that is nonzero modulo ``_P`` is nonzero over Q.  When it does
-    not (the rank is lower, or ``_P`` divides every maximal minor), the
-    fraction-free :func:`_bareiss` on the column-primitive matrix decides;
-    on a rank-deficient input the modular pass is spent for nothing.
+    elimination modulo the prime :data:`_P` then finds ``r`` pivots, which
+    select a minor that is nonzero modulo ``_P``, hence nonzero over Q:
+    ``rank >= r``.  When ``r = min(rows, cols)`` that is the rank.
+    Otherwise the pivots also pick ``r`` independent rows of the short side
+    ``B`` of the matrix (its transpose unless it is tall, so that ``B`` has
+    ``min(rows, cols)`` columns), and :func:`_kernel_certified` proves
+    ``rank <= r`` with exactly checked kernel vectors.  That succeeds when
+    the kernel of ``B`` has a basis of small vectors; at a point of the
+    hypersurface, ``T = f(p)``, the strand monomials at ``p`` are such a
+    kernel vector of the short side of ``M_nu``.  Only when it fails does
+    the fraction-free :func:`_bareiss` on the column-primitive matrix
+    decide.
     """
     work = _integer_rows(m)
     contents = [gcd(*col) or 1 for col in zip(*work)]
     work = [[x // g for x, g in zip(row, contents)] for row in work]
-    if _full_rank_mod_p(work, m.cols):
-        return min(m.rows, m.cols)
+    pivots, pivot_rows = _echelon_mod([[x % _P for x in row] for row in work], m.cols, _P)
+    r = len(pivots)
+    s = min(m.rows, m.cols)
+    if r == s:
+        return r
+    if m.rows <= m.cols:
+        b = list(zip(*work))
+        independent = [b[c] for c in pivots]
+    else:
+        b = work
+        independent = [work[i] for i in pivot_rows]
+    if _kernel_certified(b, independent, s):
+        return r
     pivots, _ = _bareiss(work, m.cols)
     return len(pivots)
 

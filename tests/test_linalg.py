@@ -1,16 +1,28 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity, mat_vec, over, random_matrix
-from mgimplicit import QMatrix, nullspace_basis, rank
-from mgimplicit.linalg import _P, _bareiss, _full_rank_mod_p, _integer_rows
+from helpers import golden_instance, identity, mat_vec, over, random_matrix, random_p1p1_instance
+from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
+from mgimplicit import linalg
+from mgimplicit.implicitize import sample_parameter_point
+from mgimplicit.linalg import _P, _Q, _bareiss, _echelon_mod, _integer_rows, _kernel_certified
 from oracles import det_cofactor, nullspace_oracle, rank_oracle
+
+# the largest numerator and denominator that rational reconstruction
+# modulo _Q recovers
+BOUND = isqrt(_Q // 2)
+
+
+def modular_rank(data, p):
+    """Rank of the integer matrix ``data`` modulo the prime ``p``."""
+    return len(_echelon_mod([[x % p for x in row] for row in data], len(data[0]), p)[0])
 
 
 def bareiss_det(data):
@@ -53,20 +65,71 @@ def test_rank_strips_a_column_factor_of_the_prime():
     ],
 )
 def test_rank_full_over_q_but_not_modulo_the_prime(data):
-    # column-primitive and singular modulo _P, so Bareiss decides
-    assert not _full_rank_mod_p(data, len(data[0]))
+    # column-primitive and singular modulo _P, so the pass modulo _P does
+    # not decide
+    assert modular_rank(data, _P) < 2
     assert rank(QMatrix(data)) == 2
+
+
+def test_rank_singular_modulo_both_primes_fails_the_exact_check():
+    # column-primitive with determinant _P * _Q, and symmetric, so its own
+    # short side: the kernel vector (-1, 1) of its first row modulo _Q
+    # reconstructs, but it does not annihilate that row over Z
+    data = [[_P * _Q + 1, 1], [1, 1]]
+    assert modular_rank(data, _P) == modular_rank(data, _Q) == 1
+    assert not _kernel_certified(data, data[:1], 2)
+    assert rank(QMatrix(data)) == 2
+
+
+@pytest.mark.parametrize("k,certified", [(BOUND, True), (BOUND + 1, False)])
+def test_rank_kernel_entry_at_the_reconstruction_bound(k, certified):
+    # the third row is k times the first plus the second, so the left
+    # kernel is spanned by (-k, -1, 1)
+    data = [[1, 0, 1], [0, 1, 1], [k, 1, k + 1]]
+    assert modular_rank(data, _P) == 2
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert rank(QMatrix(data)) == 2
+    assert spy.called is not certified
+
+
+def _short_side_kernel_matrix(draw, big):
+    """A square, wide or tall integer matrix of rank ``short - 1`` whose
+    short side ``B`` (the transpose unless the matrix is tall) has the
+    kernel ``x + [1]``: small entries, or with ``big`` a first entry beyond
+    the reconstruction bound.  ``B`` holds the rows ``[e_j, -x_j]`` and
+    random rows, shuffled; with ``big`` one ``x_j`` is ``1``, so that every
+    column of ``B`` stays primitive and no content divides the big entry
+    away."""
+    shape = draw(st.sampled_from(["square", "wide", "tall"]))
+    short = draw(st.integers(3 if big else 2, 5))
+    long = short if shape == "square" else draw(st.integers(short + 1, 7))
+    small = st.integers(-9, 9)
+    x = draw(st.lists(small, min_size=short - 1, max_size=short - 1))
+    if big:
+        x[0] = draw(st.sampled_from([-1, 1])) * (BOUND + draw(st.integers(1, 2**60)))
+        x[1] = 1
+    rows = [[int(i == j) for i in range(short - 1)] for j in range(short - 1)]
+    extra = long - short + 1
+    rows += draw(st.lists(st.lists(small, min_size=short - 1, max_size=short - 1), min_size=extra, max_size=extra))
+    b = draw(st.permutations([row + [-sum(map(mul, x, row))] for row in rows]))
+    return b if shape == "tall" else [list(col) for col in zip(*b)]
 
 
 @st.composite
 def rank_inputs(draw):
-    """Matrices of five kinds: big integers, columns with large common
-    factors, fractions, rank-deficient products of thin matrices, and
-    those products plus ``_P`` times a matrix (deficient modulo ``_P``,
-    usually not over Q)."""
+    """Matrices of seven kinds: big integers, columns with large common
+    factors, fractions, rank-deficient products of thin matrices, those
+    products plus ``_P`` times a matrix (deficient modulo ``_P``, usually
+    not over Q), and rank-deficient square, wide and tall matrices whose
+    short-side kernel is a small integer vector (the kernel certificate
+    decides) or has an entry beyond its reconstruction bound (it falls
+    back to Bareiss)."""
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["big", "content", "fraction", "thin", "thin_plus_p"]))
+    kinds = ["big", "content", "fraction", "thin", "thin_plus_p", "small_kernel", "big_kernel"]
+    kind = draw(st.sampled_from(kinds))
+    if kind.endswith("_kernel"):
+        return _short_side_kernel_matrix(draw, kind == "big_kernel")
 
     def matrix(r, c, entries):
         return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
@@ -98,6 +161,47 @@ def test_rank_matches_oracle_and_plain_bareiss(data):
     m = QMatrix(data)
     cleared = _integer_rows(m)
     assert rank(m) == rank_oracle(data) == len(_bareiss(cleared, cols)[0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.booleans())
+def test_kernel_certificate_decides_exactly_the_small_kernels(data, big):
+    m = QMatrix(_short_side_kernel_matrix(data.draw, big))
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert rank(m) == rank_oracle(m.data) == min(m.rows, m.cols) - 1
+    assert spy.called is big
+
+
+def _on_surface_matrices(inst, nu, count, seed):
+    """``M_nu`` specialized at ``T = f(p)`` for ``count`` seeded points ``p``."""
+    m = representation_matrix(inst, nu)
+    rng = random.Random(seed)
+    points = [sample_parameter_point(inst.ring, rng) for _ in range(count)]
+    return [m.specialize([eval_at(f, p) for f in inst.f]) for p in points]
+
+
+@pytest.mark.parametrize(
+    "make,nu,shape",
+    [
+        (golden_instance, (3, 1), (8, 8)),
+        (lambda: random_p1p1_instance(3, 3, random.Random(33)), None, (18, 18)),
+    ],
+    ids=["golden_3_1", "p1p1_3_3"],
+)
+def test_on_surface_ranks_never_reach_bareiss(make, nu, shape, monkeypatch):
+    # the strand monomials at p are a small left-kernel vector of M_nu(f(p)),
+    # so the kernel certificate decides these ranks
+    inst = make()
+    nu = nu or suggest_nu(inst.blocks, inst.gamma)
+    mats = _on_surface_matrices(inst, nu, 3, seed=1)
+    expected = [rank_oracle(m.data) for m in mats]
+    assert (mats[0].rows, mats[0].cols) == shape and all(r < shape[0] for r in expected)
+
+    def no_bareiss(*args, **kwargs):
+        raise AssertionError("fell back to Bareiss")
+
+    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    assert [rank(m) for m in mats] == expected
 
 
 def test_nullspace_injective():
