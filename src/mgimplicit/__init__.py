@@ -48,7 +48,6 @@ from .regions import (
     RegionUnion,
     ascii_region_plot,
     complement_corners,
-    corners_closed_form_2blocks,
     describe_region,
     q_alpha,
     region_RB,

@@ -5,7 +5,7 @@ Subcommands::
     implicit info FILE
     implicit region (FILE | --blocks R1,R2,.. --gamma A,B,..) [--plot PATH]
     implicit matrix FILE --nu A,B,.. [--out PATH]
-    implicit implicitize FILE [--nu A,B,..] [--trials N] [--points N] [--seed S] [--out PATH]
+    implicit implicitize FILE [--nu A,B,..] [--points N] [--seed S] [--out PATH]
     implicit verify FILE --poly PATH
 
 Vector options (``--nu``, ``--blocks``, ``--gamma``) accept a leading minus
@@ -180,7 +180,7 @@ def cmd_implicitize(args):
     hypersurface_check(inst)
     nu = _parse_vector(args.nu, "--nu") if args.nu else None
     try:
-        result = run_pipeline(inst, nu, trials=args.trials, points=args.points, seed=args.seed)
+        result = run_pipeline(inst, nu, points=args.points, seed=args.seed)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNVERIFIED
@@ -236,7 +236,6 @@ def build_parser():
     p = sub.add_parser("implicitize", help="run the full pipeline and emit the result as JSON")
     p.add_argument("file")
     p.add_argument("--nu", help="strand degree (defaults to the suggested corner)")
-    p.add_argument("--trials", type=int, default=4, help="random specializations for the generic rank")
     p.add_argument("--points", type=int, default=20, help="random points for the rank-drop check")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     p.add_argument("--out", help="write JSON here instead of stdout")

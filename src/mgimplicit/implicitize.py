@@ -18,9 +18,10 @@ specializations on a simplex grid, and ``delta(f) = 0`` is decided by
 evaluating ``delta`` at the image of a tensor grid of parameter points.
 The degrees are known up front, so both grids are exact, not probabilistic.
 
-Randomized steps (generic rank, rank-drop sampling, the point that chooses
-the minors) take explicit seeds and documented ranges, so results are
-reproducible.
+Randomized steps take explicit seeds and documented ranges, so results are
+reproducible.  There are two: one integer point, at which an exact
+elimination proves that ``M_nu`` has full row rank and picks the minors of
+the strand determinant, and the parameter points of the rank-drop check.
 """
 
 from __future__ import annotations
@@ -272,7 +273,9 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
 
     Raises :class:`PipelineError` when a rank falls short at the point or
     rows remain after the last differential: the strand complex is not
-    exact (at this point, or at all).
+    exact (at this point, or at all).  A shortfall in ``d_1 = M_nu`` is
+    reported as its generic rank: then no maximal minor of ``M_nu`` can
+    carry the implicit equation.
     """
     rng = random.Random(seed)
     minors = []
@@ -285,10 +288,17 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
         spec = d.specialize(values).data
         pivots, _ = _bareiss([spec[i] for i in rows], d.cols)
         if len(pivots) < len(rows):
-            raise PipelineError(
-                f"the strand complex is not exact: differential {q} has rank "
-                f"{len(pivots)} < {len(rows)} on the rows left by the previous one"
-            )
+            if q == 1:
+                short = (
+                    f"matrix has generic rank {len(pivots)} < {len(rows)} rows; "
+                    "no maximal minor can carry the implicit equation, re-check nu"
+                )
+            else:
+                short = (
+                    f"differential {q} has rank {len(pivots)} < {len(rows)} "
+                    "on the rows left by the previous one"
+                )
+            raise PipelineError(f"the strand complex is not exact: {short}")
         minors.append(_det_on_columns(d, pivots, rows))
         degree += len(pivots) if q % 2 else -len(pivots)
         chosen = set(pivots)
@@ -450,19 +460,20 @@ def run_pipeline(
     *,
     # accepted and ignored, because perfbench/workloads.py passes samples=
     samples=None,
-    trials: int = 4,
     points: int = 20,
     seed: int = 0,
 ) -> ImplicitResult:
-    """Matrix -> ranks -> strand determinant -> exact verification.
+    """Matrix -> strand determinant -> rank drop -> exact verification.
 
     ``nu`` defaults to the suggested complement corner; a ``nu`` with the
     wrong number of components raises ``ValueError``.  The determinant is
     that of the whole strand complex (:func:`strand_determinant`); for a
-    square ``M_nu`` of full rank it is ``det(M_nu)``.  Raises
-    :class:`PipelineError` when the matrix shape/rank rules out extraction
-    or the strand complex is not exact at ``nu``; an inconclusive rank-drop
-    check only warns (verification is the gate).
+    square ``M_nu`` of full rank it is ``det(M_nu)``.  Its one seeded point
+    both proves that ``M_nu`` has full row rank, by an exact elimination,
+    and chooses the minors; the reported ``generic_rank`` is that row
+    count.  Raises :class:`PipelineError` when the matrix shape/rank rules
+    out extraction or the strand complex is not exact at ``nu``; an
+    inconclusive rank-drop check only warns (verification is the gate).
     """
     warnings_list = []
     if nu is None:
@@ -474,26 +485,22 @@ def run_pipeline(
     m = next(diffs)
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
-    grank = generic_rank(m, trials=trials, seed=seed)
-    drop = rank_drop_check(m, inst, points=points, seed=seed, generic=grank)
+    try:
+        delta = strand_determinant(chain([m], diffs), seed=seed)
+    except PipelineError as exc:
+        raise PipelineError(f"at nu {nu}: {exc}") from exc
+    # the determinant found m.rows pivots of M_nu at its seeded point, so
+    # M_nu has full row rank over the function field of the targets
+    drop = rank_drop_check(m, inst, points=points, seed=seed, generic=m.rows)
     if drop.inconclusive:
         warnings_list.append("rank-drop check inconclusive: every sampled point was on the base locus")
     elif not drop.passed:
         warnings_list.append("rank-drop check FAILED: some specialized rank equals the generic rank")
     square = m.rows == m.cols
-    if grank < m.rows:
-        raise PipelineError(
-            f"matrix has generic rank {grank} < {m.rows} rows; no maximal minor can "
-            "carry the implicit equation, re-check nu"
-        )
     if not square:
         warnings_list.append(
             f"matrix is {m.rows}x{m.cols}: delta is the determinant of the whole strand complex"
         )
-    try:
-        delta = strand_determinant(chain([m], diffs), seed=seed)
-    except PipelineError as exc:
-        raise PipelineError(f"at nu {nu}: {exc}") from exc
     expected = None
     try:
         expected = expected_degree_p1p1(inst, nu)
@@ -509,7 +516,7 @@ def run_pipeline(
         nu=nu,
         matrix_rows=m.rows,
         matrix_cols=m.cols,
-        generic_rank=grank,
+        generic_rank=m.rows,
         square=square,
         verified=verified,
         rank_drop=drop,

@@ -18,14 +18,15 @@ are read off at the free columns instead of solved for.
 Bareiss only when a certificate fails.  It divides each column by the gcd
 of its entries (the column content), which keeps the rank but not the
 kernel; strand matrices specialized over one common denominator carry
-large column contents.  It then eliminates once modulo the fixed prime
-:data:`_P`.  The ``r`` pivots select a minor that is nonzero modulo
-``_P``, hence a nonzero integer, so ``rank >= r``; a modular rank of
-``min(rows, cols)`` is therefore the rank.  Otherwise the pivots pick
-``r`` independent rows of the short side of the matrix, and their kernel
-modulo the wide fixed prime :data:`_Q` gives one vector per missing
-pivot.  Each is recovered over Q by rational reconstruction and checked
-exactly against the whole short side, which proves ``rank <= r``.  The
+large column contents.  A tall matrix is transposed, so every rank
+eliminates the wide orientation, once modulo the fixed prime :data:`_P`.
+The ``r`` pivots select a minor that is nonzero modulo ``_P``, hence a
+nonzero integer, so ``rank >= r``; a modular rank of ``min(rows, cols)``
+is therefore the rank.  Otherwise the pivot columns are ``r`` independent
+rows of the short side of the matrix, and their kernel modulo the wide
+fixed prime :data:`_Q` gives one vector per missing pivot.  Each is
+recovered over Q by rational reconstruction and checked exactly against
+the whole short side, which proves ``rank <= r``.  The
 certificate is short whenever the kernel is small: a strand matrix
 specialized at a point of the hypersurface, ``T = f(p)``, has the strand
 monomials at ``p`` as a left kernel vector.  When a reconstruction or a
@@ -156,9 +157,7 @@ def _echelon_mod(rows, cols, p):
     """Fraction-free row echelon form modulo the prime ``p`` of the residue
     rows ``rows``, in place: each row below a pivot ``piv`` becomes ``piv``
     times itself minus its head times the pivot row, so no pivot is
-    inverted.  Returns the pivot columns and the input indices of the rows
-    that supplied them; those rows are independent modulo ``p``."""
-    order = list(range(len(rows)))
+    inverted.  Returns the pivot columns."""
     pivots = []
     r = 0
     for pc in range(cols):
@@ -168,7 +167,6 @@ def _echelon_mod(rows, cols, p):
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        order[r], order[i] = order[i], order[r]
         row_p = rows[r]
         piv = row_p[pc]
         tail = row_p[pc + 1 :]
@@ -181,7 +179,7 @@ def _echelon_mod(rows, cols, p):
         r += 1
         if r == len(rows):
             break
-    return pivots, order[:r]
+    return pivots
 
 
 def _reconstruct(x, bound):
@@ -212,7 +210,7 @@ def _kernel_certified(b, independent, s):
     means that a reconstruction or a check failed, which proves nothing.
     """
     rows = [[x % _Q for x in row] for row in independent]
-    pivots, _ = _echelon_mod(rows, s, _Q)
+    pivots = _echelon_mod(rows, s, _Q)
     # the pivots' inverses from one modular inversion (Montgomery's trick)
     prefix = []
     acc = 1
@@ -260,38 +258,34 @@ def rank(m: QMatrix) -> int:
     """Rank over Q, exactly.
 
     The rows are cleared of denominators and each column is divided by its
-    content (the gcd of its entries); neither step changes the rank.  One
-    elimination modulo the prime :data:`_P` then finds ``r`` pivots, which
+    content (the gcd of its entries); neither step changes the rank.  A
+    tall matrix is then transposed, so that the elimination always runs on
+    the wide orientation ``W``, with ``s = min(rows, cols)`` rows.  One
+    elimination modulo the prime :data:`_P` finds ``r`` pivots, which
     select a minor that is nonzero modulo ``_P``, hence nonzero over Q:
-    ``rank >= r``.  When ``r = min(rows, cols)`` that is the rank.
-    Otherwise the pivots also pick ``r`` independent rows of the short side
-    ``B`` of the matrix (its transpose unless it is tall, so that ``B`` has
-    ``min(rows, cols)`` columns), and :func:`_kernel_certified` proves
-    ``rank <= r`` with exactly checked kernel vectors.  That succeeds when
-    the kernel of ``B`` has a basis of small vectors; at a point of the
-    hypersurface, ``T = f(p)``, the strand monomials at ``p`` are such a
-    kernel vector of the short side of ``M_nu``.  Only when it fails does
-    the fraction-free :func:`_bareiss` on the column-primitive matrix
-    decide.
+    ``rank >= r``.  When ``r = s`` that is the rank.  Otherwise the pivot
+    columns of ``W`` are ``r`` independent rows of its transpose ``B``, and
+    :func:`_kernel_certified` proves ``rank <= r`` with exactly checked
+    kernel vectors of ``B``.  That succeeds when the kernel of ``B`` has a
+    basis of small vectors; at a point of the hypersurface, ``T = f(p)``,
+    the strand monomials at ``p`` are such a kernel vector of ``M_nu``'s
+    transpose.  Only when it fails does the fraction-free :func:`_bareiss`
+    on ``W`` decide.
     """
     work = _integer_rows(m)
     contents = [gcd(*col) or 1 for col in zip(*work)]
     work = [[x // g for x, g in zip(row, contents)] for row in work]
-    pivots, pivot_rows = _echelon_mod([[x % _P for x in row] for row in work], m.cols, _P)
+    if m.rows > m.cols:
+        work = [list(col) for col in zip(*work)]
+    s, cols = len(work), max(m.rows, m.cols)
+    pivots = _echelon_mod([[x % _P for x in row] for row in work], cols, _P)
     r = len(pivots)
-    s = min(m.rows, m.cols)
     if r == s:
         return r
-    if m.rows <= m.cols:
-        b = list(zip(*work))
-        independent = [b[c] for c in pivots]
-    else:
-        b = work
-        independent = [work[i] for i in pivot_rows]
-    if _kernel_certified(b, independent, s):
+    b = list(zip(*work))
+    if _kernel_certified(b, [b[c] for c in pivots], s):
         return r
-    pivots, _ = _bareiss(work, m.cols)
-    return len(pivots)
+    return len(_bareiss(work, cols)[0])
 
 
 def nullspace_basis(m: QMatrix):

@@ -255,19 +255,6 @@ def complement_corners(blocks: BlockStructure, gamma):
     )
 
 
-def corners_closed_form_2blocks(blocks: BlockStructure, gamma):
-    """Closed form of the complement corners for two blocks P^r x P^s with
-    r, s >= 1 and degree (a, b): ``{(ra - r, rb + sb - s), (ra + sa - r, sb - s)}``."""
-    if blocks.s != 2:
-        raise ValueError("closed form only applies to two blocks")
-    r, s = blocks.r
-    if r < 1 or s < 1:
-        raise ValueError("closed form needs positive block dimensions")
-    _check_gamma(blocks, gamma)
-    a, b = gamma
-    return sorted([(r * a - r, r * b + s * b - s), (r * a + s * a - r, s * b - s)])
-
-
 def _smallest_strand_corner(blocks: BlockStructure, corners):
     """The corner of ``corners`` with minimal strand dimension; ties break
     to the lexicographically smallest corner."""

@@ -6,8 +6,8 @@ reduction with Fraction arithmetic, determinants from cofactor expansion,
 the generic rank of a matrix of linear forms from symbolic cofactor
 minors, the cycle-complex differentials from Koszul matrices built entry
 by entry and solved by Gauss-Jordan, the complement corners by an
-all-pairs dominance scan, and polynomial gcds by the primitive
-subresultant PRS.
+all-pairs dominance scan and by the two-block closed form, and
+polynomial gcds by the primitive subresultant PRS.
 
 The symbolic expansions the package no longer ships live here too:
 
@@ -24,7 +24,7 @@ from itertools import combinations, product
 from math import gcd
 
 from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring, try_exact_div
-from mgimplicit.regions import corner_scan_bound, region_RB, strand_basis
+from mgimplicit.regions import _check_gamma, corner_scan_bound, region_RB, strand_basis
 
 
 def rref(rows):
@@ -293,6 +293,19 @@ def complement_corners_oracle(blocks, gamma):
         if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in outside)
     ]
     return sorted(corners)
+
+
+def corners_closed_form_2blocks(blocks, gamma):
+    """Closed form of the complement corners for two blocks P^r x P^s with
+    r, s >= 1 and degree (a, b): ``{(ra - r, rb + sb - s), (ra + sa - r, sb - s)}``."""
+    if blocks.s != 2:
+        raise ValueError("closed form only applies to two blocks")
+    r, s = blocks.r
+    if r < 1 or s < 1:
+        raise ValueError("closed form needs positive block dimensions")
+    _check_gamma(blocks, gamma)
+    a, b = gamma
+    return sorted([(r * a - r, r * b + s * b - s), (r * a + s * a - r, s * b - s)])
 
 
 # --------------------------------------------------------------------------

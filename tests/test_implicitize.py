@@ -608,6 +608,22 @@ def test_pipeline_golden(golden, golden_delta):
     assert payload["verified"] is True
 
 
+def test_pipeline_takes_one_rank_per_rank_drop_point(golden, monkeypatch):
+    # full row rank is proved by the determinant's own elimination, so the
+    # only ranks the pipeline takes are the rank-drop check's, one per point
+    intact = implicitize.rank
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return intact(m)
+
+    monkeypatch.setattr(implicitize, "rank", counting)
+    result = run_pipeline(golden, (3, 1), points=20, seed=0)
+    assert result.verified and result.generic_rank == 8
+    assert len(calls) == 20
+
+
 def test_pipeline_auto_nu(golden):
     result = run_pipeline(golden, seed=0)
     assert result.nu == (1, 3)
@@ -695,7 +711,15 @@ def test_pipeline_rejects_empty_strand(golden):
 # -- the package surface ------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "name", ["det_linear_matrix", "z_complex_strand", "ZComplexStrand", "substitute_targets", "divides"]
+    "name",
+    [
+        "det_linear_matrix",
+        "z_complex_strand",
+        "ZComplexStrand",
+        "substitute_targets",
+        "divides",
+        "corners_closed_form_2blocks",
+    ],
 )
 def test_test_only_helpers_are_not_exported(name):
     # the symbolic reference code lives in tests/oracles.py; the package
@@ -703,5 +727,5 @@ def test_test_only_helpers_are_not_exported(name):
     import mgimplicit
 
     assert not hasattr(mgimplicit, name)
-    for module in (complexes, implicitize, mgimplicit.multipoly, mgimplicit.linalg):
+    for module in (complexes, implicitize, mgimplicit.multipoly, mgimplicit.linalg, mgimplicit.regions):
         assert not hasattr(module, name)

@@ -22,7 +22,7 @@ BOUND = isqrt(_Q // 2)
 
 def modular_rank(data, p):
     """Rank of the integer matrix ``data`` modulo the prime ``p``."""
-    return len(_echelon_mod([[x % p for x in row] for row in data], len(data[0]), p)[0])
+    return len(_echelon_mod([[x % p for x in row] for row in data], len(data[0]), p))
 
 
 def bareiss_det(data):

@@ -162,14 +162,24 @@ def malformed_problems(draw):
     return suffix, json.dumps(problem) if suffix == ".json" else _problem_text(problem)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["info"], ["matrix", "--nu", "1,1"], ["implicitize"], ["verify", "--poly", "{poly}"]],
+    ids=["info", "matrix", "implicitize", "verify"],
+)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(malformed_problems())
-def test_info_rejects_malformed_problems_cleanly(case):
+def test_info_rejects_malformed_problems_cleanly(command, case):
+    # every command that loads a problem file refuses the same defects
+    # with the same clean validation error
     suffix, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"problem{suffix}"
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
-        code, err = _run_captured(["info", str(path)])
+        poly = Path(tmp) / "delta.txt"
+        poly.write_text("X_0*X_3 - X_1*X_2\n")
+        argv = [command[0], str(path)] + [arg.format(poly=poly) for arg in command[1:]]
+        code, err = _run_captured(argv)
     assert code == 1, text
     assert err.startswith("error:"), err
     assert "Traceback" not in err
@@ -516,6 +526,12 @@ def test_cmd_implicitize_wide_example(capsys):
 
 def test_cmd_implicitize_has_no_samples_option(capsys):
     assert main(["implicitize", GOLDEN_JSON, "--samples", "6"]) == 1
+
+
+def test_cmd_implicitize_has_no_trials_option(capsys):
+    # full row rank is proved at the determinant's seeded point; there are
+    # no generic-rank trials left to count
+    assert main(["implicitize", GOLDEN_JSON, "--trials", "4"]) == 1
 
 
 def test_cmd_implicitize_in_region_fails_cleanly(capsys):

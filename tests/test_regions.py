@@ -6,7 +6,6 @@ import pytest
 from mgimplicit import (
     BlockStructure,
     complement_corners,
-    corners_closed_form_2blocks,
     q_alpha,
     region_RB,
     region_RB_via_sigma,
@@ -16,7 +15,7 @@ from mgimplicit import (
     supp_local_cohomology,
 )
 from mgimplicit.regions import ascii_region_plot, describe_region, svg_region_plot
-from oracles import complement_corners_oracle
+from oracles import complement_corners_oracle, corners_closed_form_2blocks
 
 P11 = BlockStructure((1, 1))
 
