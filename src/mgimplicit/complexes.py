@@ -205,11 +205,8 @@ class LinearFormMatrix:
                     if not isinstance(c, int):
                         raise TypeError(f"coefficient {t} of entry ({i}, {j}) is {c!r}, not an int")
 
-    def entry_str(self, i, j) -> str:
-        return str(self.entry_poly(i, j))
-
-    def entry_poly(self, i, j, ring=None) -> MultiPoly:
-        ring = ring or target_ring(self.target_names)
+    def entry_poly(self, i, j, ring) -> MultiPoly:
+        """Entry ``(i, j)`` as a polynomial of ``ring``, the target ring."""
         terms = {}
         for t, c in enumerate(self.coeffs[i][j]):
             if c:
@@ -226,6 +223,7 @@ class LinearFormMatrix:
         return QMatrix(data, cols=self.cols)
 
     def to_json_dict(self, extra=None) -> dict:
+        ring = target_ring(self.target_names)
         out = {
             "schema": "linear-form-matrix/1",
             "rows": self.rows,
@@ -233,7 +231,9 @@ class LinearFormMatrix:
             "target_vars": list(self.target_names),
             "row_labels": self.row_labels,
             "col_labels": list(range(self.cols)),
-            "entries": [[self.entry_str(i, j) for j in range(self.cols)] for i in range(self.rows)],
+            "entries": [
+                [str(self.entry_poly(i, j, ring)) for j in range(self.cols)] for i in range(self.rows)
+            ],
         }
         if extra:
             out.update(extra)

@@ -13,10 +13,12 @@ the normalized strand determinant together with an exact vanishing
 certificate.
 
 Both are computed by integer evaluation, never by eliminating polynomial
-matrices: each minor is interpolated from the integer determinants of its
-specializations on a simplex grid, and ``delta(f) = 0`` is decided by
-evaluating ``delta`` at the image of a tensor grid of parameter points.
-The degrees are known up front, so both grids are exact, not probabilistic.
+matrices, and both on the monomial basis of a strand, each monomial
+evaluated at its own exponents: a minor of degree ``N`` is interpolated
+from integer determinants at the degree-``N`` monomials of the target ring,
+and ``delta_k(f) = 0`` is decided at the monomials of multidegree
+``k*gamma`` of the parameter ring.  The degrees are known up front, so both
+grids are exact, not probabilistic.
 
 Randomized steps take explicit seeds and documented ranges, so results are
 reproducible.  There are two: one integer point, at which an exact
@@ -30,8 +32,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from math import comb, factorial, lcm, prod
+from itertools import chain
+from math import factorial, lcm, prod
 from operator import mul
 
 from .complexes import (
@@ -49,7 +51,7 @@ from .multipoly import (
     normalize_poly,
     target_ring,
 )
-from .regions import check_strand_degree, strand_dim, suggest_nu
+from .regions import check_strand_degree, strand_basis, strand_dim, suggest_nu
 
 # numerators of random target specializations are drawn uniformly from
 # [-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE] (denominator 1)
@@ -153,22 +155,6 @@ def rank_drop_check(
 # --------------------------------------------------------------------------
 # determinants of linear-form matrices, by interpolation
 
-def _simplex(n, top):
-    """Every ``a`` in ``N^n`` with ``|a| <= top``, in lexicographic order."""
-    if n == 0:
-        return [()]
-    return [(k,) + rest for k in range(top + 1) for rest in _simplex(n - 1, top - k)]
-
-
-def _simplex_lines(n, top, axis):
-    """The lines of the simplex ``|a| <= top`` parallel to ``axis``, each as
-    its points in increasing ``a[axis]``."""
-    return [
-        [a[:axis] + (k,) + a[axis:] for k in range(top - sum(a) + 1)]
-        for a in _simplex(n - 1, top)
-    ]
-
-
 def _stirling_first(top):
     """Signed Stirling numbers of the first kind ``s[k][j]``, ``k <= top``:
     ``x (x-1) ... (x-k+1) = sum_j s[k][j] x^j``."""
@@ -179,58 +165,70 @@ def _stirling_first(top):
     return s
 
 
-def _interpolate_simplex(values, n, top):
-    """Integer monomial coefficients ``{a: c}`` of the polynomial of total
-    degree ``<= top`` with integer coefficients that takes ``values[a]`` at
-    every ``a`` of the simplex ``|a| <= top``.
+def _interpolate_simplex(values, top):
+    """Integer coefficients ``{e: c}`` of the form of degree ``top`` with
+    integer coefficients that takes ``values[e]`` at every monomial ``e`` of
+    degree ``top`` (the strand basis), each monomial evaluated at its own
+    exponents with ``T_0 = 1``.
 
-    Forward differences along each axis give the Newton coefficients
-    ``Delta^b p(0)``, each divisible by ``b!``; dividing and expanding each
-    ``binom(x, k) = x (x-1) ... (x-k+1) / k!`` by Stirling numbers of the
-    first kind gives the monomial coefficients.  Every step is an integer
-    pass along the lines of one axis, so it never leaves the simplex.
+    That grid is the simplex ``|a| <= top`` of ``(T_1..T_n)``, which is
+    unisolvent for polynomials of total degree ``<= top``: one that vanishes
+    there is zero (restrict to ``a_1 = 0``, divide by ``x_1``, shift ``a_1``
+    down by one, and induct).  A product of unisolvent sets is unisolvent
+    for the tensor product, so the monomials of a multidegree ``d``, each
+    evaluated at its own exponents with the first variable of every block
+    set to 1, fix every form of multidegree ``d``.  Both exact grids of this
+    module rest on this fact.
+
+    Forward differences along the lines that trade ``T_0`` for one ``T_t``
+    give the Newton coefficients ``Delta^b p(0)``, each divisible by ``b!``;
+    dividing and expanding each ``binom(x, k) = x (x-1) ... (x-k+1) / k!``
+    by Stirling numbers of the first kind gives the monomial coefficients.
+    Every step is an integer pass along the lines of one variable, so it
+    never leaves the grid.
     """
     vals = dict(values)
-    lines = [_simplex_lines(n, top, axis) for axis in range(n)]
+    # per t >= 1, each line from a monomial free of T_t, in increasing T_t
+    lines = [
+        [[(e[0] - k,) + e[1:t] + (k,) + e[t + 1:] for k in range(e[0] + 1)] for e in vals if not e[t]]
+        for t in range(1, len(next(iter(vals))))
+    ]
     for axis_lines in lines:
         for line in axis_lines:
-            v = [vals[a] for a in line]
+            v = [vals[e] for e in line]
             for t in range(1, len(v)):
                 for k in range(len(v) - 1, t - 1, -1):
                     v[k] -= v[k - 1]
-            for k, a in enumerate(line):
-                vals[a] = v[k] // factorial(k)
+            for k, e in enumerate(line):
+                vals[e] = v[k] // factorial(k)
     stirling = _stirling_first(top)
     for axis_lines in lines:
         for line in axis_lines:
-            v = [vals[a] for a in line]
-            for j, a in enumerate(line):
-                vals[a] = sum(stirling[k][j] * v[k] for k in range(j, len(v)))
-    return {a: c for a, c in vals.items() if c}
+            v = [vals[e] for e in line]
+            for j, e in enumerate(line):
+                vals[e] = sum(stirling[k][j] * v[k] for k in range(j, len(v)))
+    return {e: c for e, c in vals.items() if c}
 
 
-def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
+def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     """Exact signed determinant of the square submatrix of ``m`` on the
-    columns ``cols`` and the rows ``rows`` (all rows by default), as a
-    target-ring polynomial.
+    columns ``cols`` and the rows ``rows``, as a target-ring polynomial.
 
     The determinant is zero or a form of degree ``N = len(rows)``, so it is
-    fixed by its values at ``T_0 = 1, (T_1..T_n) = a`` for the ``C(N+n, n)``
-    points ``|a| <= N``.  On the integer ``coeffs`` every value is an
-    integer determinant, ``den^N`` times that of ``m``;
-    :func:`_interpolate_simplex` recovers the coefficients and ``T_0^(N-|a|)``
-    rehomogenizes them.  The result is checked against one more integer
-    determinant at a fixed point off the grid, then divided by ``den^N``.
+    fixed by its values on the ``C(N+n, n)`` monomials of degree ``N``
+    (see :func:`_interpolate_simplex`).  On the integer ``coeffs`` every
+    value is an integer determinant, ``den^N`` times that of ``m``.  The
+    result is checked against one more integer determinant at a fixed point
+    off the grid, then divided by ``den^N``.
     """
     cols = list(cols)
-    rows = list(range(m.rows) if rows is None else rows)
+    rows = list(rows)
     size = len(rows)
     if len(cols) != size:
         raise ValueError(f"{len(cols)} columns do not make a square {size}-row submatrix")
     ring = target_ring(m.target_names)
     if size == 0:
         return MultiPoly.constant(ring, 1)
-    nvars = ring.nvars
     entries = [[m.coeffs[r][j] for j in cols] for r in rows]
     scale = m.den**size
 
@@ -239,11 +237,9 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows=None) -> MultiPoly:
         pivots, sign = _bareiss(work, size)
         return sign * work[-1][-1] if len(pivots) == size else 0
 
-    n = nvars - 1
-    values = {a: det_at((1,) + a) for a in _simplex(n, size)}
-    coeffs = _interpolate_simplex(values, n, size)
-    terms = {(size - sum(a),) + a: c for a, c in coeffs.items()}
-    check = [2] + [2 * (size + t) + 1 for t in range(1, nvars)]
+    values = {e: det_at((1,) + e[1:]) for e in strand_basis(ring.blocks, (size,))}
+    terms = _interpolate_simplex(values, size)
+    check = [2] + [2 * (size + t) + 1 for t in range(1, ring.nvars)]
     if _eval_terms(terms, check) != det_at(check):
         raise ArithmeticError("interpolated determinant disagrees with a direct evaluation")
     return MultiPoly(ring, {e: _whole(Fraction(c, scale)) for e, c in terms.items()})
@@ -319,26 +315,21 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
 
 def _vanishes_on_grid(terms, k, images, inst) -> bool:
     """Whether the degree-``k`` form ``terms`` vanishes at the integer
-    parameter forms ``images``: ``delta_k(f)`` has multidegree ``k*gamma``,
-    so with the first variable of block ``i`` set to 1 every other one has
-    degree ``<= k*gamma_i``, and a polynomial of those degrees that vanishes
-    on the grid ``{0..k*gamma_i}`` of each variable is zero (Alon,
-    Combinatorial Nullstellensatz, Lemma 2.1).  Stops at the first nonzero
-    value."""
+    parameter forms ``images``.  ``delta_k(f)`` has multidegree ``k*gamma``,
+    so it is zero when it vanishes at every monomial of that strand, each
+    evaluated at its own exponents with the first variable of every block
+    set to 1 (see :func:`_interpolate_simplex`).  Stops at the first
+    nonzero value."""
     mult = lcm(*(c.denominator for c in terms.values()))
     # each term as its integer coefficient and its (variable, exponent) factors
     terms = [
         (int(c * mult), [(j, e) for j, e in enumerate(exps) if e]) for exps, c in terms.items()
     ]
-    ring = inst.ring
-    point = [0] * ring.nvars
-    free = []
-    for (start, stop), g in zip(ring.block_slices, inst.gamma):
-        point[start] = 1
-        free.extend((v, k * g) for v in range(start + 1, stop))
-    for coords in product(*(range(top + 1) for _, top in free)):
-        for (v, _), x in zip(free, coords):
-            point[v] = x
+    firsts = [start for start, _ in inst.ring.block_slices]
+    for mon in strand_basis(inst.blocks, tuple(k * g for g in inst.gamma)):
+        point = list(mon)
+        for v in firsts:
+            point[v] = 1
         powers = []
         for f in images:
             y = _eval_terms(f, point)
@@ -362,8 +353,9 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
 
     The homogeneous components ``delta_k`` of ``delta`` map to the distinct
     multidegrees ``k*gamma``, so ``delta(f) = 0`` exactly when every
-    ``delta_k(f) = 0``; each component is tested on its own grid (see
-    :func:`_vanishes_on_grid`) after clearing denominators, one integer
+    ``delta_k(f) = 0``; each component is tested on the monomials of the
+    strand ``k*gamma`` (:func:`_vanishes_on_grid`; why they suffice is in
+    :func:`_interpolate_simplex`) after clearing denominators, one integer
     multiplier for ``delta_k`` and one common multiplier ``L`` for all
     ``f_j`` (``delta_k(L f) = L^k delta_k(f)``).
     """
@@ -383,14 +375,15 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
 
 def evaluation_points(inst: ProblemInstance, nu) -> dict:
     """Integer evaluations the pipeline needs at strand degree ``nu``, known
-    from ``D = strand_dim(nu)`` before any elimination: ``C(D+n, n)``
-    determinants per maximal minor, and at most ``prod_i (D*gamma_i +
-    1)^r_i`` grid points to verify an equation of degree ``<= D``."""
-    blocks = inst.blocks
-    size = strand_dim(blocks, nu)
+    from ``D = strand_dim(nu)`` before any elimination.  Both grids are
+    monomial bases of strands (see :func:`_interpolate_simplex`): the
+    degree-``D`` strand of the target ring for each maximal minor, and at
+    most the strand ``D*gamma`` of the parameter ring to verify an equation
+    of degree ``<= D``."""
+    size = strand_dim(inst.blocks, nu)
     return {
-        "determinant": comb(size + inst.n, inst.n),
-        "verification": prod((size * g + 1) ** ri for ri, g in zip(blocks.r, inst.gamma)),
+        "determinant": strand_dim(inst.target.blocks, (size,)),
+        "verification": strand_dim(inst.blocks, tuple(size * g for g in inst.gamma)),
     }
 
 

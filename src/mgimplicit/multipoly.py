@@ -123,6 +123,11 @@ def _term_key(exps):
     return (sum(exps), exps)
 
 
+def _monomial_str(names, exps):
+    """``name^e`` factors joined by ``*``; empty for the constant monomial."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
+
+
 class MultiPoly:
     """Immutable-by-convention exact polynomial attached to a :class:`PolyRing`."""
 
@@ -272,21 +277,12 @@ class MultiPoly:
 
     # -- printing ----------------------------------------------------------
 
-    def _monomial_str(self, exps):
-        parts = []
-        for name, e in zip(self.ring.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
         for exps, c in self.sorted_terms():
-            mono = self._monomial_str(exps)
+            mono = _monomial_str(self.ring.names, exps)
             neg = c < 0
             a = -c if neg else c
             if mono:
@@ -306,8 +302,7 @@ class MultiPoly:
 
 def monomial_str(ring, exps):
     """Canonical rendering of a single monomial (``1`` for the constant one)."""
-    s = MultiPoly.monomial(ring, exps, 1)._monomial_str(tuple(exps))
-    return s if s else "1"
+    return _monomial_str(ring.names, exps) or "1"
 
 
 # --------------------------------------------------------------------------

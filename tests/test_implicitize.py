@@ -42,6 +42,8 @@ from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
 from oracles import det_cofactor_poly, gcd_poly, rank_oracle, substitute_targets, symbolic_rank_oracle
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
 
 def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
     """Helper: build a LinearFormMatrix from per-entry rational coefficient
@@ -147,7 +149,7 @@ def test_det_diagonal():
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        implicitize._det_on_columns(linear_matrix([[(1, 0, 0), (0, 1, 0)]]), range(2))
+        implicitize._det_on_columns(linear_matrix([[(1, 0, 0), (0, 1, 0)]]), range(2), range(1))
 
 
 def test_det_golden_equation(golden_delta):
@@ -164,7 +166,7 @@ def test_det_golden_equation(golden_delta):
 def test_det_zero_column_is_zero():
     z = (0, 0, 0)
     m = linear_matrix([[z, (1, 0, 0)], [z, (0, 1, 0)]])
-    assert implicitize._det_on_columns(m, range(2)).is_zero()
+    assert implicitize._det_on_columns(m, range(2), range(2)).is_zero()
     with pytest.raises(PipelineError, match="not exact"):
         strand_determinant([m])
 
@@ -172,9 +174,9 @@ def test_det_zero_column_is_zero():
 def test_det_interpolation_is_checked_off_the_grid(golden_matrix, monkeypatch):
     interpolate = implicitize._interpolate_simplex
 
-    def corrupted(values, n, top):
-        coeffs = interpolate(values, n, top)
-        corner = (top,) + (0,) * (n - 1)
+    def corrupted(values, top):
+        coeffs = interpolate(values, top)
+        corner = max(values)  # T_0^top
         coeffs[corner] = coeffs.get(corner, 0) + 1
         return coeffs
 
@@ -218,7 +220,7 @@ def test_det_matches_cofactor_oracle(case):
     entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
     expected = det_cofactor_poly(entries)
     # the raw determinant, sign included, before normalization hides it
-    assert implicitize._det_on_columns(m, range(m.cols)) == expected
+    assert implicitize._det_on_columns(m, range(m.cols), range(m.rows)) == expected
     if deficient:
         assert expected.is_zero()
     if expected:
@@ -231,7 +233,7 @@ def test_det_matches_cofactor_oracle(case):
 # -- strand determinant ---------------------------------------------------------------
 
 def test_strand_determinant_square_equals_det(golden_matrix, golden_delta):
-    assert golden_delta == normalize_poly(implicitize._det_on_columns(golden_matrix, range(8)))
+    assert golden_delta == normalize_poly(implicitize._det_on_columns(golden_matrix, range(8), range(8)))
 
 
 def test_strand_determinant_other_corner_vanishes(golden):
@@ -408,7 +410,7 @@ def test_strand_determinant_is_the_gcd_of_all_maximal_minors(inst):
     m = representation_matrix(inst, nu, warn_region=False)
     expected = MultiPoly.zero(inst.target)
     for cols in combinations(range(m.cols), m.rows):
-        expected = gcd_poly(expected, implicitize._det_on_columns(m, cols))
+        expected = gcd_poly(expected, implicitize._det_on_columns(m, cols, range(m.rows)))
     assert strand_determinant(strand_differentials(inst, nu)) == expected
 
 
@@ -433,7 +435,7 @@ def test_verify_zero_rejected(golden):
 
 
 # block dimensions r of the parameter spaces the verification property draws from
-VERIFY_BLOCKS = [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
+VERIFY_BLOCKS = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (1, 1, 1)]
 # small instances whose pipeline delta the property multiplies: (blocks, degree, forms, seed)
 CERTIFIED = [
     ([["s", "u"]], (2,), 3, 1),
@@ -553,6 +555,28 @@ def test_verify_matches_substitution_oracle(case):
     assert verify_implicit(delta, inst) == substitute_targets(delta, inst.f).is_zero()
 
 
+def test_verification_grid_is_the_strand_basis(monkeypatch):
+    # P^2 x P^1 at gamma (1, 2): the degree-6 delta is tested at the
+    # 28 * 13 monomials of multidegree (6, 12), where a box of side 7 in
+    # each P^2 coordinate would take 7^2 * 13 = 637 points
+    inst = load_problem(PROBLEMS / "p2p1_12.json").instance()
+    result = run_pipeline(inst)
+    assert result.square and result.degree == 6
+    points = []
+    evaluate = implicitize._eval_terms
+
+    def counted(terms, values):
+        points.append(tuple(values))
+        return evaluate(terms, values)
+
+    monkeypatch.setattr(implicitize, "_eval_terms", counted)
+    assert verify_implicit(result.delta, inst)
+    expected = implicitize.evaluation_points(inst, result.nu)["verification"]
+    assert expected == 364
+    assert len(points) == len(inst.f) * expected
+    assert len(set(points)) == expected
+
+
 def test_pipeline_p1p1_2_3_12x12():
     # a 12x12 strand matrix: the determinant and the grid certificate at a
     # size where symbolic elimination took about a minute
@@ -646,7 +670,6 @@ def test_pipeline_base_point_instance_non_square():
     assert result.degree == 8 - h2 == result.expected_degree
 
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 # the scale of f_j in problems/bigraded_22_rational.json
 RATIONAL_SCALE = (Fraction(1, 2), Fraction(2, 3), 5, Fraction(-3, 7))
 

@@ -283,10 +283,10 @@ def test_cmd_info_evaluation_points(tmp_path, capsys):
     )
     assert main(["info", str(p2p1), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["evaluation_points"] == {"determinant": 84, "verification": 637}
+    assert payload["evaluation_points"] == {"determinant": 84, "verification": 364}
     assert main(["info", str(p2p1)]) == 0
     assert (
-        "evaluation points at the suggestion: 84 per maximal minor, at most 637 for verification"
+        "evaluation points at the suggestion: 84 per maximal minor, at most 364 for verification"
         in capsys.readouterr().out
     )
 
