@@ -39,7 +39,6 @@ from .multipoly import (
     parameter_ring,
     parse_poly,
     target_ring,
-    try_exact_div,
 )
 from .problem import ProblemFile, ProblemValidationError, hypersurface_check, load_problem
 from .regions import (

@@ -140,7 +140,7 @@ def cmd_region(args):
             "gamma": list(gamma),
             "parts": [
                 {"alpha": [j + 1 for j in sorted(part.alpha)], "shift": list(part.shift)}
-                for part in region.nonempty_parts()
+                for part in region.parts
             ],
             "complement_corners": [list(c) for c in corners],
             "suggested_nu": list(nu),

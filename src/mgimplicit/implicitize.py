@@ -60,21 +60,20 @@ SPECIALIZATION_RANGE = 10**6
 # the range is wide so that proper subvarieties (base points, singular loci of
 # the image, where the specialized rank drops further) are rarely hit
 POINT_RANGE = 99
+# random specializations taken by generic_rank
+GENERIC_RANK_TRIALS = 4
 
 
-def generic_rank(m: LinearFormMatrix, trials: int = 4, seed: int = 0) -> int:
+def generic_rank(m: LinearFormMatrix, seed: int = 0) -> int:
     """Rank over the function field of the target variables, estimated as the
-    maximum rank over ``trials`` random integer specializations.
-
-    Monotone non-decreasing in ``trials``; equals the true generic rank with
-    probability overwhelming in the specialization range.
+    maximum rank over ``GENERIC_RANK_TRIALS`` random integer specializations;
+    equals the true generic rank with probability overwhelming in the
+    specialization range.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
     best = 0
     limit = min(m.rows, m.cols)
-    for _ in range(trials):
+    for _ in range(GENERIC_RANK_TRIALS):
         values = [rng.randint(-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE) for _ in m.target_names]
         best = max(best, rank(m.specialize(values)))
         if best == limit:
@@ -128,17 +127,17 @@ def rank_drop_check(
     inst: ProblemInstance,
     points: int = 20,
     seed: int = 0,
-    generic: int | None = None,
+    *,
+    generic: int,
 ) -> RankDropReport:
     """Specialize ``T_j = f_j(p)`` at ``points`` random parameter points and
     record the matrix rank at each; the check passes when every recorded
-    rank is below the generic rank.  Points on the base locus (all f zero)
-    are skipped; if every point lands there the report is inconclusive.
+    rank is below ``generic``, the generic rank of ``m``.  Points on the
+    base locus (all f zero) are skipped; if every point lands there the
+    report is inconclusive.
     """
     if points < 1:
         raise ValueError("points must be at least 1")
-    if generic is None:
-        generic = generic_rank(m, trials=4, seed=seed)
     rng = random.Random(seed)
     ranks = []
     skipped = 0
@@ -259,13 +258,15 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
     nonzero at the point, so none vanishes identically, and the determinant
     of an exact complex does not depend on the choice up to sign: the
     normalized result does not depend on ``seed``.  Each minor is
-    interpolated by :func:`_det_on_columns`; the product of the odd ones is
-    divided exactly by the product of the even ones.  The chain stops at the
-    first empty row set, so for a square ``d_1`` of full rank no later
-    differential is built.  The later terms are zero when the strand is
-    acyclic, as it is outside the unreliable region: ``d_(q+1)`` has rank 0,
-    and a map with linear entries is never onto a nonzero free module
-    (graded Nakayama), so exactness at the next term makes it zero too.
+    interpolated by :func:`_det_on_columns`.  The chain stops at the first
+    empty row set, so for a square ``d_1`` of full rank no later
+    differential is built and the result is the one minor ``det(d_1)``.
+    The later terms are zero when the strand is acyclic, as it is outside
+    the unreliable region: ``d_(q+1)`` has rank 0, and a map with linear
+    entries is never onto a nonzero free module (graded Nakayama), so
+    exactness at the next term makes it zero too.  Only a chain that
+    reaches ``d_2`` has even minors, and only then is the product of the
+    odd ones divided, exactly, by the product of the even ones.
 
     Raises :class:`PipelineError` when a rank falls short at the point or
     rows remain after the last differential: the strand complex is not
@@ -307,7 +308,10 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
             "differential are left over"
         )
     one = MultiPoly.constant(minors[0].ring, 1)
-    delta = normalize_poly(exact_div(prod(minors[0::2], start=one), prod(minors[1::2], start=one)))
+    delta = prod(minors[0::2], start=one)
+    if len(minors) > 1:
+        delta = exact_div(delta, prod(minors[1::2], start=one))
+    delta = normalize_poly(delta)
     if delta.total_degree() != degree:
         raise ArithmeticError(f"strand determinant has degree {delta.total_degree()}, not {degree}")
     return delta

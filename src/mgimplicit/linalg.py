@@ -25,13 +25,17 @@ nonzero integer, so ``rank >= r``; a modular rank of ``min(rows, cols)``
 is therefore the rank.  Otherwise the pivot columns are ``r`` independent
 rows of the short side of the matrix, and their kernel modulo the wide
 fixed prime :data:`_Q` gives one vector per missing pivot.  Each is
-recovered over Q by rational reconstruction and checked exactly against
-the whole short side, which proves ``rank <= r``.  The
-certificate is short whenever the kernel is small: a strand matrix
-specialized at a point of the hypersurface, ``T = f(p)``, has the strand
-monomials at ``p`` as a left kernel vector.  When a reconstruction or a
-check fails, :func:`_bareiss` decides, so the result is exact whatever the
-primes.  No floating point, no tolerances.
+recovered over Q by rational reconstruction (Wang, Guy & Davenport,
+SIGSAM Bull. 16, 1982) and checked exactly against the whole short side;
+these independent vectors prove ``rank <= r``.  The certificate is short
+whenever the kernel is small: a strand matrix specialized at a point of
+the hypersurface, ``T = f(p)``, has the strand monomials at ``p`` as a
+left kernel vector, and when they span the kernel and lie within the
+reconstruction bound of ``_Q`` the rank is certified without Bareiss.
+When a reconstruction or a check fails, :func:`_bareiss` decides, so the
+result is exact whatever the primes.  Both primes are fixed, not drawn,
+so every rank takes the same route on every run.  No floating point, no
+tolerances.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -255,22 +259,14 @@ def _kernel_certified(b, independent, s):
 
 
 def rank(m: QMatrix) -> int:
-    """Rank over Q, exactly.
+    """Rank over Q, exactly, and deterministic.
 
-    The rows are cleared of denominators and each column is divided by its
-    content (the gcd of its entries); neither step changes the rank.  A
-    tall matrix is then transposed, so that the elimination always runs on
-    the wide orientation ``W``, with ``s = min(rows, cols)`` rows.  One
-    elimination modulo the prime :data:`_P` finds ``r`` pivots, which
-    select a minor that is nonzero modulo ``_P``, hence nonzero over Q:
-    ``rank >= r``.  When ``r = s`` that is the rank.  Otherwise the pivot
-    columns of ``W`` are ``r`` independent rows of its transpose ``B``, and
-    :func:`_kernel_certified` proves ``rank <= r`` with exactly checked
-    kernel vectors of ``B``.  That succeeds when the kernel of ``B`` has a
-    basis of small vectors; at a point of the hypersurface, ``T = f(p)``,
-    the strand monomials at ``p`` are such a kernel vector of ``M_nu``'s
-    transpose.  Only when it fails does the fraction-free :func:`_bareiss`
-    on ``W`` decide.
+    ``rank >= r`` from one elimination modulo :data:`_P` of the wide
+    orientation, after each column is divided by its content; when ``r`` is
+    short of ``min(rows, cols)``, ``rank <= r`` from kernel vectors checked
+    over Z (:func:`_kernel_certified`).  Only when that check fails does
+    the fraction-free :func:`_bareiss` decide.  The certificate is set out
+    in the module docstring.
     """
     work = _integer_rows(m)
     contents = [gcd(*col) or 1 for col in zip(*work)]

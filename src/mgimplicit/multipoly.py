@@ -458,43 +458,30 @@ def eval_at(p: MultiPoly, assignment) -> Rational:
 # --------------------------------------------------------------------------
 # exact division, normalization
 
-def try_exact_div(p: MultiPoly, q: MultiPoly):
-    """Quotient ``p / q`` when the division is exact, else ``None``."""
+def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Quotient ``p / q`` by long division on leading terms; raises
+    ``ValueError`` when ``q`` does not divide ``p``.
+
+    The term order is a monomial order, so the leading term of a multiple
+    of ``q`` is a multiple of that of ``q``: a remainder whose leading term
+    is not proves that ``q`` does not divide ``p``.  The pipeline divides
+    only where Cayley's formula has a denominator, the even minors of a
+    wide strand (:func:`~mgimplicit.implicitize.strand_determinant`)."""
     p._check_ring(q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return MultiPoly.zero(p.ring)
-    if len(q.terms) == 1:
-        # a one-term divisor: shift every exponent, divide every coefficient
-        ((lq_e, lq_c),) = q.terms.items()
-        quot = {}
-        for e, c in p.terms.items():
-            diff = tuple(a - b for a, b in zip(e, lq_e))
-            if min(diff) < 0:
-                return None
-            quot[diff] = c if lq_c == 1 else _whole(Fraction(c) / lq_c)
-        return MultiPoly(p.ring, quot)
     lq_e, lq_c = q.leading()
     quot = {}
     r = p
     while r.terms:
         lr_e, lr_c = r.leading()
         diff = tuple(a - b for a, b in zip(lr_e, lq_e))
-        if any(d < 0 for d in diff):
-            return None
+        if min(diff) < 0:
+            raise ValueError("inexact polynomial division")
         c = _whole(Fraction(lr_c) / Fraction(lq_c))
-        quot[diff] = quot.get(diff, 0) + c
+        quot[diff] = c
         r = r - q * MultiPoly.monomial(p.ring, diff, c)
-    return MultiPoly(p.ring, {e: c for e, c in quot.items() if c})
-
-
-def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Quotient of an exact polynomial division; raises if ``q`` does not divide ``p``."""
-    out = try_exact_div(p, q)
-    if out is None:
-        raise ValueError("inexact polynomial division")
-    return out
+    return MultiPoly(p.ring, quot)
 
 
 def _primitive_factor(coeffs) -> Rational:

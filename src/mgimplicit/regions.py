@@ -53,29 +53,21 @@ class BlockStructure:
 @dataclass(frozen=True)
 class OrthantRegion:
     """A shifted orthant of Z^s: ``mu_j <= shift_j`` for blocks in ``alpha``
-    and ``mu_j >= shift_j`` otherwise.  ``empty`` marks the empty region
-    (the alpha = {} case), for which the predicate is never satisfied."""
+    and ``mu_j >= shift_j`` otherwise."""
 
     alpha: frozenset[int]
     shift: tuple[int, ...]
-    empty: bool = False
 
     def contains(self, mu) -> bool:
-        if self.empty:
-            return False
         return all(
             (mu[j] <= self.shift[j]) if j in self.alpha else (mu[j] >= self.shift[j])
             for j in range(len(self.shift))
         )
 
     def translated(self, v) -> "OrthantRegion":
-        if self.empty:
-            return self
-        return OrthantRegion(self.alpha, tuple(a + b for a, b in zip(self.shift, v)), False)
+        return OrthantRegion(self.alpha, tuple(a + b for a, b in zip(self.shift, v)))
 
     def __str__(self):
-        if self.empty:
-            return "(empty)"
         pattern = " x ".join("-N" if j in self.alpha else "N" for j in range(len(self.shift)))
         shift = ", ".join(str(x) for x in self.shift)
         return f"({pattern}) + ({shift})"
@@ -93,14 +85,10 @@ class RegionUnion:
     def translated(self, v) -> "RegionUnion":
         return RegionUnion(tuple(part.translated(v) for part in self.parts))
 
-    def nonempty_parts(self):
-        return [part for part in self.parts if not part.empty]
-
     def __str__(self):
-        parts = self.nonempty_parts()
-        if not parts:
+        if not self.parts:
             return "(empty)"
-        return " U ".join(str(part) for part in parts)
+        return " U ".join(str(part) for part in self.parts)
 
 
 # --------------------------------------------------------------------------
@@ -143,12 +131,12 @@ def strand_basis(blocks: BlockStructure, d):
 def q_alpha(blocks: BlockStructure, alpha) -> OrthantRegion:
     """Support orthant of the Cech module attached to the block subset
     ``alpha`` (0-based): ``mu_j <= -(r_j + 1)`` on blocks in alpha and
-    ``mu_j >= 0`` elsewhere.  The empty subset gives the empty region."""
+    ``mu_j >= 0`` elsewhere.  Raises ``ValueError`` unless ``alpha`` is a
+    nonempty subset of the block indices: the region and the local
+    cohomology supports are unions over nonempty subsets only."""
     alpha = frozenset(alpha)
-    if not alpha <= set(range(blocks.s)):
-        raise ValueError(f"alpha {sorted(alpha)} is not a subset of the block indices")
-    if not alpha:
-        return OrthantRegion(alpha, (0,) * blocks.s, empty=True)
+    if not alpha or not alpha <= set(range(blocks.s)):
+        raise ValueError(f"alpha {sorted(alpha)} is not a nonempty subset of the block indices")
     shift = tuple(-(blocks.r[j] + 1) if j in alpha else 0 for j in range(blocks.s))
     return OrthantRegion(alpha, shift)
 
@@ -275,7 +263,7 @@ def describe_region(blocks: BlockStructure, gamma, corners=None) -> str:
     suggestion; ``corners`` saves the corner scan when the caller has them."""
     region = region_RB(blocks, gamma)
     lines = [f"unreliable region for gamma = {tuple(gamma)}:"]
-    for part in region.nonempty_parts():
+    for part in region.parts:
         alpha_txt = "{" + ",".join(str(j + 1) for j in sorted(part.alpha)) + "}"
         lines.append(f"  Q{alpha_txt} part: {part}")
     if corners is None:
@@ -294,7 +282,7 @@ def _plot_window(blocks, gamma, corners):
     region = region_RB(blocks, gamma)
     if corners is None:
         corners = complement_corners(blocks, gamma)
-    shifts = [p.shift for p in region.nonempty_parts()]
+    shifts = [p.shift for p in region.parts]
     lo = min(min(s[j] for s in shifts) for j in range(2))
     lo = min(lo, 0) - 2
     hi = max(max(c) for c in corners) + 3

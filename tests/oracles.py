@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring, try_exact_div
+from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring
 from mgimplicit.regions import _check_gamma, corner_scan_bound, region_RB, strand_basis
 
 
@@ -257,7 +257,11 @@ def compositions_vanish(diffs):
 
 def divides(q, p):
     """Whether ``q`` divides ``p`` exactly."""
-    return try_exact_div(p, q) is not None
+    try:
+        exact_div(p, q)
+    except ValueError:
+        return False
+    return True
 
 
 def poly_pow(p, k):

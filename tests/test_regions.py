@@ -66,19 +66,18 @@ def test_q_alpha_both_blocks():
 
 
 def test_q_alpha_empty_subset():
-    q = q_alpha(P11, set())
-    assert q.empty
-    assert not q.contains((0, 0))
+    with pytest.raises(ValueError, match="nonempty"):
+        q_alpha(P11, set())
 
 
 def test_supp_local_cohomology_p1p1():
     supp2 = supp_local_cohomology(P11, 2)
-    assert len(supp2.nonempty_parts()) == 2
+    assert len(supp2.parts) == 2
     assert supp2.contains((-2, 5)) and supp2.contains((5, -2))
     assert not supp2.contains((-2, -2))
     supp3 = supp_local_cohomology(P11, 3)
-    assert [p.shift for p in supp3.nonempty_parts()] == [(-2, -2)]
-    assert not supp_local_cohomology(P11, 5).nonempty_parts()
+    assert [p.shift for p in supp3.parts] == [(-2, -2)]
+    assert not supp_local_cohomology(P11, 5).parts
 
 
 def test_q_alpha_pairwise_disjoint():
@@ -98,7 +97,7 @@ def test_q_alpha_pairwise_disjoint():
 
 def test_region_golden_shifts():
     region = region_RB(P11, (2, 2))
-    shifts = sorted(p.shift for p in region.nonempty_parts())
+    shifts = sorted(p.shift for p in region.parts)
     assert shifts == [(0, 2), (2, 0), (2, 2)]
 
 
