@@ -24,12 +24,13 @@ from .implicitize import (
     strand_determinant,
     verify_implicit,
 )
-from .linalg import QMatrix, Rational, nullspace_basis, rank
+from .linalg import QMatrix, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,
     PolyParseError,
     PolyRing,
+    Rational,
     RingMismatchError,
     eval_at,
     exact_div,

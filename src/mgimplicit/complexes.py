@@ -17,19 +17,20 @@ degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import mul
 
-from .linalg import QMatrix, _whole, nullspace_basis, rank
+from .linalg import QMatrix, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,
     PolyRing,
+    _whole,
     monomial_str,
     multidegree_of,
     target_ring,
@@ -92,6 +93,17 @@ class ProblemInstance:
         """The target-space dimension index: f has n+1 entries."""
         return len(self.f) - 1
 
+    @cached_property
+    def integer_forms(self) -> tuple[MultiPoly, ...]:
+        """The forms ``L * f_j``, with ``L`` the lcm of all denominators in f,
+        which the strands and checks read: one common factor changes no
+        kernel, no rank and no vanishing."""
+        mult = lcm(*(c.denominator for f in self.f for c in f.terms.values()))
+        return tuple(
+            MultiPoly(self.ring, {e: c.numerator * (mult // c.denominator) for e, c in f.terms.items()})
+            for f in self.f
+        )
+
 
 def _vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -118,7 +130,8 @@ def _faces(n1, q):
 
 
 def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
-    """Matrix of the q-th Koszul differential on the degree-``d`` strand.
+    """Matrix of the q-th Koszul differential on the degree-``d`` strand,
+    on :attr:`ProblemInstance.integer_forms` (the same kernel and rank).
 
     Maps the (S, u)-indexed strand of ``K_q`` to the (T, w)-indexed strand
     of ``K_{q-1}``; an empty strand on either side yields a matrix with
@@ -138,9 +151,9 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
     for si, j, ti, sign in _faces(n1, q):
         for ui, u in enumerate(src_mons):
             col = si * lm + ui
-            for w_f, c in inst.f[j].terms.items():
-                row = ti * lt + tgt_mon_pos[_vadd(u, w_f)]
-                data[row][col] = _whole(data[row][col] + sign * c)
+            # the faces of one column have distinct ti: each entry is written once
+            for w_f, c in inst.integer_forms[j].terms.items():
+                data[ti * lt + tgt_mon_pos[_vadd(u, w_f)]][col] = sign * c
     return QMatrix(data, cols=cols)
 
 
@@ -216,7 +229,7 @@ class LinearFormMatrix:
         return MultiPoly(ring, terms)
 
     def specialize(self, values) -> QMatrix:
-        """``den`` times the numeric matrix at ``T_t = values[t]`` (same rank)."""
+        """``den`` times the numeric matrix at integer ``T_t = values[t]`` (same rank)."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
         data = [[sum(map(mul, cell, values)) for cell in row] for row in self.coeffs]
@@ -238,9 +251,6 @@ class LinearFormMatrix:
         if extra:
             out.update(extra)
         return out
-
-    def to_json(self, extra=None) -> str:
-        return json.dumps(self.to_json_dict(extra), indent=2)
 
 
 def strand_differentials(inst: ProblemInstance, nu):

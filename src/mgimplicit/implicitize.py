@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from math import factorial, lcm, prod
 from operator import mul
@@ -42,7 +41,7 @@ from .complexes import (
     homology_dim,
     strand_differentials,
 )
-from .linalg import _bareiss, _whole, rank
+from .linalg import _bareiss, rank
 from .multipoly import (
     MultiPoly,
     _eval_terms,
@@ -134,7 +133,7 @@ def rank_drop_check(
     record the matrix rank at each; the check passes when every recorded
     rank is below ``generic``, the generic rank of ``m``.  Points on the
     base locus (all f zero) are skipped; if every point lands there the
-    report is inconclusive.
+    report is inconclusive.  ``m`` is linear, so the integer forms serve.
     """
     if points < 1:
         raise ValueError("points must be at least 1")
@@ -143,7 +142,7 @@ def rank_drop_check(
     skipped = 0
     for _ in range(points):
         point = sample_parameter_point(inst.ring, rng)
-        values = [eval_at(fj, point) for fj in inst.f]
+        values = [eval_at(fj, point) for fj in inst.integer_forms]
         if all(v == 0 for v in values):
             skipped += 1
             continue
@@ -210,15 +209,16 @@ def _interpolate_simplex(values, top):
 
 
 def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
-    """Exact signed determinant of the square submatrix of ``m`` on the
-    columns ``cols`` and the rows ``rows``, as a target-ring polynomial.
+    """Exact signed determinant of the square submatrix of ``den * m`` on
+    the columns ``cols`` and the rows ``rows``, as a target-ring polynomial
+    with integer coefficients: ``den^N`` times the minor of ``m``, a scale
+    that :func:`normalize_poly` removes.
 
     The determinant is zero or a form of degree ``N = len(rows)``, so it is
     fixed by its values on the ``C(N+n, n)`` monomials of degree ``N``
-    (see :func:`_interpolate_simplex`).  On the integer ``coeffs`` every
-    value is an integer determinant, ``den^N`` times that of ``m``.  The
-    result is checked against one more integer determinant at a fixed point
-    off the grid, then divided by ``den^N``.
+    (see :func:`_interpolate_simplex`), each an integer determinant on the
+    integer ``coeffs``.  The result is checked against one more integer
+    determinant at a fixed point off the grid.
     """
     cols = list(cols)
     rows = list(rows)
@@ -229,7 +229,6 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     if size == 0:
         return MultiPoly.constant(ring, 1)
     entries = [[m.coeffs[r][j] for j in cols] for r in rows]
-    scale = m.den**size
 
     def det_at(point):
         work = [[sum(map(mul, point, e)) for e in row] for row in entries]
@@ -241,7 +240,7 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     check = [2] + [2 * (size + t) + 1 for t in range(1, ring.nvars)]
     if _eval_terms(terms, check) != det_at(check):
         raise ArithmeticError("interpolated determinant disagrees with a direct evaluation")
-    return MultiPoly(ring, {e: _whole(Fraction(c, scale)) for e, c in terms.items()})
+    return MultiPoly(ring, terms)
 
 
 def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
@@ -257,16 +256,16 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
     Multidimensional Determinants*, Appendix A).  Every chosen minor is
     nonzero at the point, so none vanishes identically, and the determinant
     of an exact complex does not depend on the choice up to sign: the
-    normalized result does not depend on ``seed``.  Each minor is
-    interpolated by :func:`_det_on_columns`.  The chain stops at the first
-    empty row set, so for a square ``d_1`` of full rank no later
-    differential is built and the result is the one minor ``det(d_1)``.
-    The later terms are zero when the strand is acyclic, as it is outside
-    the unreliable region: ``d_(q+1)`` has rank 0, and a map with linear
-    entries is never onto a nonzero free module (graded Nakayama), so
-    exactness at the next term makes it zero too.  Only a chain that
-    reaches ``d_2`` has even minors, and only then is the product of the
-    odd ones divided, exactly, by the product of the even ones.
+    normalized result does not depend on ``seed``.  :func:`_det_on_columns`
+    interpolates each minor at an integer scale that the normalization
+    removes.  The chain stops at the first empty row set, so for a square
+    ``d_1`` of full rank no later differential is built and the result is
+    the one minor ``det(d_1)``.  The later terms are zero when the strand is
+    acyclic, as it is outside the unreliable region: ``d_(q+1)`` has rank 0,
+    and a map with linear entries is never onto a nonzero free module
+    (graded Nakayama), so exactness at the next term makes it zero too.
+    Only a chain that reaches ``d_2`` has even minors, and only then is the
+    product of the odd ones divided, exactly, by the product of the even ones.
 
     Raises :class:`PipelineError` when a rank falls short at the point or
     rows remain after the last differential: the strand complex is not
@@ -317,9 +316,9 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
     return delta
 
 
-def _vanishes_on_grid(terms, k, images, inst) -> bool:
-    """Whether the degree-``k`` form ``terms`` vanishes at the integer
-    parameter forms ``images``.  ``delta_k(f)`` has multidegree ``k*gamma``,
+def _vanishes_on_grid(terms, k, inst) -> bool:
+    """Whether the degree-``k`` form ``terms`` vanishes at the integer forms
+    of ``inst``.  ``delta_k(f)`` has multidegree ``k*gamma``,
     so it is zero when it vanishes at every monomial of that strand, each
     evaluated at its own exponents with the first variable of every block
     set to 1 (see :func:`_interpolate_simplex`).  Stops at the first
@@ -327,7 +326,8 @@ def _vanishes_on_grid(terms, k, images, inst) -> bool:
     mult = lcm(*(c.denominator for c in terms.values()))
     # each term as its integer coefficient and its (variable, exponent) factors
     terms = [
-        (int(c * mult), [(j, e) for j, e in enumerate(exps) if e]) for exps, c in terms.items()
+        (c.numerator * (mult // c.denominator), [(j, e) for j, e in enumerate(exps) if e])
+        for exps, c in terms.items()
     ]
     firsts = [start for start, _ in inst.ring.block_slices]
     for mon in strand_basis(inst.blocks, tuple(k * g for g in inst.gamma)):
@@ -335,8 +335,8 @@ def _vanishes_on_grid(terms, k, images, inst) -> bool:
         for v in firsts:
             point[v] = 1
         powers = []
-        for f in images:
-            y = _eval_terms(f, point)
+        for f in inst.integer_forms:
+            y = _eval_terms(f.terms, point)
             col = [1]
             for _ in range(k):
                 col.append(col[-1] * y)
@@ -359,9 +359,10 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
     multidegrees ``k*gamma``, so ``delta(f) = 0`` exactly when every
     ``delta_k(f) = 0``; each component is tested on the monomials of the
     strand ``k*gamma`` (:func:`_vanishes_on_grid`; why they suffice is in
-    :func:`_interpolate_simplex`) after clearing denominators, one integer
-    multiplier for ``delta_k`` and one common multiplier ``L`` for all
-    ``f_j`` (``delta_k(L f) = L^k delta_k(f)``).
+    :func:`_interpolate_simplex`) after one integer multiplier clears the
+    denominators of ``delta_k``.  The images are the integer forms ``L * f``
+    (:attr:`ProblemInstance.integer_forms`): ``delta_k(L f) = L^k
+    delta_k(f)``.
     """
     if delta.is_zero():
         raise ValueError("cannot verify the zero polynomial")
@@ -369,12 +370,10 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
         raise ValueError(
             f"arity mismatch: {delta.ring.nvars} target variables, {len(inst.f)} images"
         )
-    den = lcm(*(c.denominator for f in inst.f for c in f.terms.values()))
-    images = [{exps: int(c * den) for exps, c in f.terms.items()} for f in inst.f]
     components = {}
     for exps, c in delta.terms.items():
         components.setdefault(sum(exps), {})[exps] = c
-    return all(_vanishes_on_grid(components[k], k, images, inst) for k in sorted(components))
+    return all(_vanishes_on_grid(components[k], k, inst) for k in sorted(components))
 
 
 def evaluation_points(inst: ProblemInstance, nu) -> dict:

@@ -1,18 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra on integer matrices.
 
-Inputs are Python ints or ``fractions.Fraction``; outputs are integers.
-Every elimination starts by clearing each row of its denominators
-(:func:`_integer_rows`), which changes neither the rank nor the kernel.
-One integer fraction-free (Bareiss) routine, :func:`_bareiss`, then
-decides every exact elimination in the package that the modular
-certificates of :func:`rank` leave open: every intermediate value
-is an integer (a minor of the scaled input, by Sylvester's identity), so
-each division by the previous pivot is an exact ``//``.  No polynomial
-matrix is ever eliminated.  Pivoting is deterministic -- the first
-nonzero entry in column order -- which makes ranks, determinants and
-kernel bases reproducible from run to run.  Kernel bases are canonical
-and integer over one least common denominator, so coordinates in them
-are read off at the free columns instead of solved for.
+Inputs and outputs are Python ints: callers clear denominators before they
+build a matrix, and :class:`QMatrix` refuses any other entry.  One integer
+fraction-free (Bareiss) routine, :func:`_bareiss`, decides every exact
+elimination in the package that the modular certificates of :func:`rank`
+leave open: every intermediate value is an integer (a minor of the input,
+by Sylvester's identity), so each division by the previous pivot is an
+exact ``//``.  No polynomial matrix is ever eliminated.  Pivoting is
+deterministic -- the first nonzero entry in column order -- which makes
+ranks, determinants and kernel bases reproducible from run to run.
+Kernel bases are canonical and integer over one least common denominator,
+so coordinates in them are read off at the free columns instead of solved
+for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
 Bareiss only when a certificate fails.  It divides each column by the gcd
@@ -43,11 +42,9 @@ comfortably handled dense; sparse storage is deliberately out of scope.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import chain, repeat
+from math import gcd, isqrt
 from operator import mul
-
-Rational = int | Fraction
 
 # The prime of the first elimination in :func:`rank`: the largest prime
 # below 2**30, so a product of two residues fits in two 30-bit CPython
@@ -68,19 +65,15 @@ _P = 1073741789
 _Q = 2**107 - 1
 
 
-def _whole(x):
-    """Collapse integral Fractions to int (cheaper arithmetic, same value)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 class QMatrix:
-    """Dense rows x cols matrix with exact rational entries.
+    """Dense rows x cols matrix of ``int`` entries.
 
     ``data`` is a list of row lists.  Zero-row or zero-column matrices are
     legal (empty graded strands produce them); pass ``cols`` explicitly when
-    constructing a matrix with no rows.
+    constructing a matrix with no rows.  A rational matrix enters as an
+    integer multiple of itself, which has the same rank and kernel; any
+    other entry, a ``Fraction`` included, raises ``TypeError``, since the
+    eliminations divide with an exact ``//``.
     """
 
     __slots__ = ("data", "rows", "cols")
@@ -96,6 +89,9 @@ class QMatrix:
                 raise ValueError("explicit cols does not match row length")
         else:
             self.cols = 0 if cols is None else cols
+        if not all(map(isinstance, chain.from_iterable(self.data), repeat(int))):
+            k, x = next((k, x) for k, x in enumerate(chain.from_iterable(self.data)) if not isinstance(x, int))
+            raise TypeError(f"entry {divmod(k, self.cols)} is {x!r}, not an int")
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
@@ -145,16 +141,6 @@ def _bareiss(work, cols, reduce=False):
         if pr == rows:
             break
     return pivot_cols, sign
-
-
-def _integer_rows(m: QMatrix):
-    """The rows of ``m``, each multiplied by the lcm of its denominators: a
-    fresh integer matrix with the same rank and the same right kernel."""
-    work = []
-    for row in m.data:
-        mult = lcm(*[x.denominator for x in row])
-        work.append(list(map(int, row)) if mult == 1 else [int(x * mult) for x in row])
-    return work
 
 
 def _echelon_mod(rows, cols, p):
@@ -268,9 +254,8 @@ def rank(m: QMatrix) -> int:
     the fraction-free :func:`_bareiss` decide.  The certificate is set out
     in the module docstring.
     """
-    work = _integer_rows(m)
-    contents = [gcd(*col) or 1 for col in zip(*work)]
-    work = [[x // g for x, g in zip(row, contents)] for row in work]
+    contents = [gcd(*col) or 1 for col in zip(*m.data)]
+    work = [[x // g for x, g in zip(row, contents)] for row in m.data]
     if m.rows > m.cols:
         work = [list(col) for col in zip(*work)]
     s, cols = len(work), max(m.rows, m.cols)
@@ -298,7 +283,7 @@ def nullspace_basis(m: QMatrix):
     of the reduced rows is one integer ``d``; ``d`` times the basis is read
     off them.
     """
-    work = _integer_rows(m)
+    work = [row[:] for row in m.data]
     pivots, _ = _bareiss(work, m.cols, reduce=True)
     d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     vectors = []

@@ -37,9 +37,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .linalg import Rational, _whole
 from .regions import BlockStructure
 
+Rational = int | Fraction
 
 # a variable name, as the tokenizer reads one back
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -117,6 +117,13 @@ def target_ring(names_or_count) -> PolyRing:
     if isinstance(names_or_count, int):
         names_or_count = [f"T_{i}" for i in range(names_or_count)]
     return parameter_ring([names_or_count])
+
+
+def _whole(x):
+    """Collapse integral Fractions to int (cheaper arithmetic, same value)."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def _term_key(exps):

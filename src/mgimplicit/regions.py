@@ -258,16 +258,14 @@ def suggest_nu(blocks: BlockStructure, gamma):
 # --------------------------------------------------------------------------
 # pretty-printing and plots
 
-def describe_region(blocks: BlockStructure, gamma, corners=None) -> str:
-    """Multi-line human-readable listing of the region, corners and
-    suggestion; ``corners`` saves the corner scan when the caller has them."""
+def describe_region(blocks: BlockStructure, gamma, corners) -> str:
+    """Multi-line human-readable listing of the region, its complement
+    corners ``corners`` and the suggestion among them."""
     region = region_RB(blocks, gamma)
     lines = [f"unreliable region for gamma = {tuple(gamma)}:"]
     for part in region.parts:
         alpha_txt = "{" + ",".join(str(j + 1) for j in sorted(part.alpha)) + "}"
         lines.append(f"  Q{alpha_txt} part: {part}")
-    if corners is None:
-        corners = complement_corners(blocks, gamma)
     lines.append("complement corners: " + ", ".join(str(c) for c in corners))
     nu = _smallest_strand_corner(blocks, corners)
     lines.append(f"suggested nu: {nu}  (strand dimension {strand_dim(blocks, nu)})")
@@ -275,24 +273,22 @@ def describe_region(blocks: BlockStructure, gamma, corners=None) -> str:
 
 
 def _plot_window(blocks, gamma, corners):
-    """``(lo, hi, region, corners, nu)`` of an s = 2 plot, scanning for the
-    corners only when ``corners`` is None."""
+    """``(lo, hi, region, nu)`` of an s = 2 plot of the region with the
+    complement corners ``corners``."""
     if blocks.s != 2:
         raise ValueError("plotting needs exactly two blocks")
     region = region_RB(blocks, gamma)
-    if corners is None:
-        corners = complement_corners(blocks, gamma)
     shifts = [p.shift for p in region.parts]
     lo = min(min(s[j] for s in shifts) for j in range(2))
     lo = min(lo, 0) - 2
     hi = max(max(c) for c in corners) + 3
-    return lo, hi, region, corners, _smallest_strand_corner(blocks, corners)
+    return lo, hi, region, _smallest_strand_corner(blocks, corners)
 
 
-def ascii_region_plot(blocks: BlockStructure, gamma, corners=None) -> str:
+def ascii_region_plot(blocks: BlockStructure, gamma, corners) -> str:
     """Character plot of the s = 2 region: '#' inside, '.' outside,
-    'C' complement corners, 'n' the suggested strand degree."""
-    lo, hi, region, corners, nu = _plot_window(blocks, gamma, corners)
+    'C' the complement corners ``corners``, 'n' the suggested strand degree."""
+    lo, hi, region, nu = _plot_window(blocks, gamma, corners)
     marks = {c: "C" for c in corners}
     marks[nu] = "n"
     lines = [f"mu_2 from {lo} (bottom) to {hi} (top), mu_1 from {lo} to {hi}"]
@@ -305,9 +301,10 @@ def ascii_region_plot(blocks: BlockStructure, gamma, corners=None) -> str:
     return "\n".join(lines)
 
 
-def svg_region_plot(blocks: BlockStructure, gamma, corners=None) -> str:
-    """Small standalone SVG of the s = 2 region (one cell per lattice point)."""
-    lo, hi, region, corners, nu = _plot_window(blocks, gamma, corners)
+def svg_region_plot(blocks: BlockStructure, gamma, corners) -> str:
+    """Small standalone SVG of the s = 2 region (one cell per lattice point)
+    with the complement corners ``corners``."""
+    lo, hi, region, nu = _plot_window(blocks, gamma, corners)
     cell = 18
     n = hi - lo + 1
     width = n * cell + 40

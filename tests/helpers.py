@@ -83,16 +83,8 @@ def strand_dims(diffs):
     return [diffs[0].rows] + [d.cols for d in diffs]
 
 
-def random_matrix(rows, cols, rng, lo=-9, hi=9, fractions=False):
-    data = []
-    for _ in range(rows):
-        if fractions:
-            data.append(
-                [Fraction(rng.randint(lo, hi), rng.randint(1, 7)) for _ in range(cols)]
-            )
-        else:
-            data.append([rng.randint(lo, hi) for _ in range(cols)])
-    return data
+def random_matrix(rows, cols, rng, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def base_locus_probably_empty(inst, rng, samples=500):

@@ -219,8 +219,8 @@ def test_det_matches_cofactor_oracle(case):
     ring = target_ring(m.target_names)
     entries = [[m.entry_poly(i, j, ring) for j in range(m.cols)] for i in range(m.rows)]
     expected = det_cofactor_poly(entries)
-    # the raw determinant, sign included, before normalization hides it
-    assert implicitize._det_on_columns(m, range(m.cols), range(m.rows)) == expected
+    # the raw determinant of den * m, sign included, before normalization hides it
+    assert implicitize._det_on_columns(m, range(m.cols), range(m.rows)) == expected.scale(m.den**m.rows)
     if deficient:
         assert expected.is_zero()
     if expected:
@@ -697,9 +697,9 @@ RATIONAL_SCALE = (Fraction(1, 2), Fraction(2, 3), 5, Fraction(-3, 7))
 
 @pytest.mark.parametrize("name", ["bigraded_22.json", "p1p1_22_basepoint.json"], ids=["square", "wide"])
 def test_pipeline_on_rational_forms(name):
-    # Fraction coefficients in f reach the Koszul matrices, whose rows are
-    # cleared of denominators before elimination; scaling f_j by c_j
-    # substitutes T_j / c_j into the strand determinant
+    # the Fraction coefficients of f are cleared once, in integer_forms,
+    # before any matrix is built; scaling f_j by c_j substitutes T_j / c_j
+    # into the strand determinant
     inst = load_problem(PROBLEMS / name).instance()
     scaled = [f * c for f, c in zip(inst.f, RATIONAL_SCALE)]
     if name == "bigraded_22.json":
@@ -709,6 +709,15 @@ def test_pipeline_on_rational_forms(name):
     t = [parse_poly(v, inst.target) for v in inst.target.names]
     back = [tj * (1 / Fraction(c)) for tj, c in zip(t, RATIONAL_SCALE)]
     assert result.delta == normalize_poly(substitute_targets(run_pipeline(inst).delta, back))
+
+
+def test_integer_forms_clear_the_denominators_once():
+    inst = load_problem(PROBLEMS / "bigraded_22_rational.json").instance()
+    mult = lcm(*(c.denominator for f in inst.f for c in f.terms.values()))
+    assert mult > 1
+    for f, g in zip(inst.f, inst.integer_forms, strict=True):
+        assert all(type(c) is int for c in g.terms.values())
+        assert g == f.scale(mult)
 
 
 def test_matrix_square_iff_h2_vanishes():

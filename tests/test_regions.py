@@ -204,25 +204,27 @@ def test_suggested_nu_never_in_region():
 # -- presentation ----------------------------------------------------------------
 
 def test_describe_region_mentions_corners():
-    text = describe_region(P11, (2, 2))
+    text = describe_region(P11, (2, 2), complement_corners(P11, (2, 2)))
     assert "$" not in text
     assert "(1, 3)" in text and "(3, 1)" in text
     assert "suggested nu" in text
 
 
 def test_ascii_plot_marks_region_and_corners():
-    art = ascii_region_plot(P11, (2, 2))
+    art = ascii_region_plot(P11, (2, 2), complement_corners(P11, (2, 2)))
     assert "#" in art and "C" in art and "n" in art
 
 
 def test_svg_plot_is_wellformed():
-    svg = svg_region_plot(P11, (2, 2))
+    svg = svg_region_plot(P11, (2, 2), complement_corners(P11, (2, 2)))
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<rect") > 50
 
 
 def test_plots_require_two_blocks():
+    p111 = BlockStructure((1, 1, 1))
     with pytest.raises(ValueError):
-        ascii_region_plot(BlockStructure((1, 1, 1)), (1, 1, 1))
+        ascii_region_plot(p111, (1, 1, 1), complement_corners(p111, (1, 1, 1)))
+    p1 = BlockStructure((1,))
     with pytest.raises(ValueError):
-        svg_region_plot(BlockStructure((1,)), (2,))
+        svg_region_plot(p1, (2,), complement_corners(p1, (2,)))
