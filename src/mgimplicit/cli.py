@@ -241,7 +241,9 @@ def build_parser():
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_implicitize)
 
-    p = sub.add_parser("verify", help="test a candidate implicit equation by exact substitution")
+    p = sub.add_parser(
+        "verify", help="test a candidate implicit equation by exact evaluation on the strand grid"
+    )
     p.add_argument("file")
     p.add_argument("--poly", required=True, help="file containing one target-ring polynomial")
     p.set_defaults(func=cmd_verify)

@@ -12,18 +12,21 @@ Factorization into those pieces is out of scope: the certified output is
 the normalized strand determinant together with an exact vanishing
 certificate.
 
-Both are computed by integer evaluation, never by eliminating polynomial
-matrices, and both on the monomial basis of a strand, each monomial
-evaluated at its own exponents: a minor of degree ``N`` is interpolated
-from integer determinants at the degree-``N`` monomials of the target ring,
-and ``delta_k(f) = 0`` is decided at the monomials of multidegree
-``k*gamma`` of the parameter ring.  The degrees are known up front, so both
-grids are exact, not probabilistic.
+Determinants are computed by integer evaluation, never by eliminating
+polynomial matrices: a minor of degree ``N`` is interpolated from integer
+determinants at the degree-``N`` monomials of the target ring, each
+monomial evaluated at its own exponents.  The pipeline's certificate is
+structural (:func:`_certify`): the columns of ``M_nu`` are syzygies of f.
+:func:`verify_implicit` certifies an equation with no matrix behind it
+(``implicit verify``): it decides ``delta_k(f) = 0`` at the monomials of
+multidegree ``k*gamma`` of the parameter ring.  The degrees are known up
+front, so both grids are exact, not probabilistic.
 
 Randomized steps take explicit seeds and documented ranges, so results are
 reproducible.  There are two: one integer point, at which an exact
 elimination proves that ``M_nu`` has full row rank and picks the minors of
-the strand determinant, and the parameter points of the rank-drop check.
+the strand determinant, and the parameter points of the rank-drop check,
+whose first point off the base locus the certificate evaluates at too.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from math import factorial, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .complexes import (
     LinearFormMatrix,
     ProblemInstance,
     homology_dim,
+    koszul_differential_strand,
     strand_differentials,
 )
 from .linalg import _bareiss, rank
@@ -137,17 +141,25 @@ def rank_drop_check(
     """
     if points < 1:
         raise ValueError("points must be at least 1")
-    rng = random.Random(seed)
     ranks = []
     skipped = 0
-    for _ in range(points):
+    for values in islice(_image_points(inst, seed), points):
+        if values is None:
+            skipped += 1
+        else:
+            ranks.append(rank(m.specialize(values)))
+    return RankDropReport(generic_rank=generic, point_ranks=ranks, skipped_base_locus=skipped)
+
+
+def _image_points(inst: ProblemInstance, seed: int):
+    """The values of the integer forms at the parameter points drawn from
+    ``random.Random(seed)``, without end; ``None`` for a point on the base
+    locus, where every value is zero."""
+    rng = random.Random(seed)
+    while True:
         point = sample_parameter_point(inst.ring, rng)
         values = [eval_at(fj, point) for fj in inst.integer_forms]
-        if all(v == 0 for v in values):
-            skipped += 1
-            continue
-        ranks.append(rank(m.specialize(values)))
-    return RankDropReport(generic_rank=generic, point_ranks=ranks, skipped_base_locus=skipped)
+        yield values if any(values) else None
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +285,12 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
     reported as its generic rank: then no maximal minor of ``M_nu`` can
     carry the implicit equation.
     """
+    return _strand_determinant(diffs, seed)[0]
+
+
+def _strand_determinant(diffs, seed):
+    """:func:`strand_determinant` and the even minors it divided by, which
+    :func:`_certify` reads: ``delta * prod(even) = prod(odd)`` exactly."""
     rng = random.Random(seed)
     minors = []
     degree = 0
@@ -307,13 +325,14 @@ def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
             "differential are left over"
         )
     one = MultiPoly.constant(minors[0].ring, 1)
+    even = minors[1::2]
     delta = prod(minors[0::2], start=one)
-    if len(minors) > 1:
-        delta = exact_div(delta, prod(minors[1::2], start=one))
+    if even:
+        delta = exact_div(delta, prod(even, start=one))
     delta = normalize_poly(delta)
     if delta.total_degree() != degree:
         raise ArithmeticError(f"strand determinant has degree {delta.total_degree()}, not {degree}")
-    return delta
+    return delta, even
 
 
 def _vanishes_on_grid(terms, k, inst) -> bool:
@@ -363,6 +382,10 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
     denominators of ``delta_k``.  The images are the integer forms ``L * f``
     (:attr:`ProblemInstance.integer_forms`): ``delta_k(L f) = L^k
     delta_k(f)``.
+
+    This is the certificate of ``implicit verify``, for a candidate with no
+    strand matrix behind it; the pipeline proves its own ``delta`` from
+    ``M_nu`` (:func:`_certify`).
     """
     if delta.is_zero():
         raise ValueError("cannot verify the zero polynomial")
@@ -377,12 +400,13 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
 
 
 def evaluation_points(inst: ProblemInstance, nu) -> dict:
-    """Integer evaluations the pipeline needs at strand degree ``nu``, known
-    from ``D = strand_dim(nu)`` before any elimination.  Both grids are
-    monomial bases of strands (see :func:`_interpolate_simplex`): the
-    degree-``D`` strand of the target ring for each maximal minor, and at
-    most the strand ``D*gamma`` of the parameter ring to verify an equation
-    of degree ``<= D``."""
+    """Integer evaluations at strand degree ``nu``, known from ``D =
+    strand_dim(nu)`` before any elimination.  Both grids are monomial bases
+    of strands (see :func:`_interpolate_simplex`): ``determinant`` is the
+    degree-``D`` strand of the target ring, which the pipeline evaluates
+    for each maximal minor, and ``verification`` is at most the strand
+    ``D*gamma`` of the parameter ring, on which ``implicit verify``
+    (:func:`verify_implicit`) tests an equation of degree ``<= D``."""
     size = strand_dim(inst.blocks, nu)
     return {
         "determinant": strand_dim(inst.target.blocks, (size,)),
@@ -403,6 +427,54 @@ def expected_degree_p1p1(inst: ProblemInstance, nu) -> int:
     if nu not in {(2 * a - 1, b - 1), (a - 1, 2 * b - 1)}:
         raise ValueError(f"nu {nu} is not one of the formula corners for gamma {(a, b)}")
     return 2 * a * b - homology_dim(inst, 2, (4 * a - 1, 3 * b - 1))
+
+
+# --------------------------------------------------------------------------
+# the structural certificate
+
+def _columns_are_syzygies(m: LinearFormMatrix, inst: ProblemInstance, nu) -> bool:
+    """Whether every column ``(g_0..g_n)`` of ``m = M_nu`` is a syzygy of the
+    integer forms, ``sum_j g_j f_j = 0`` exactly: the Koszul differential
+    at ``nu + gamma`` (:func:`koszul_differential_strand`) sends it to zero.
+    There ``g_j = sum_u m[u][c][j] x^u`` over the monomials ``u`` of
+    multidegree ``nu`` that index the rows, and the coordinates are
+    ``(j, u)`` pairs, form-major."""
+    n1 = len(inst.f)
+    koszul = koszul_differential_strand(inst, 1, tuple(map(add, nu, inst.gamma)))
+    if koszul.cols != n1 * m.rows:
+        return False
+    for c in range(m.cols):
+        g = [row[c][j] for j in range(n1) for row in m.coeffs]
+        if any(sum(map(mul, k, g)) for k in koszul.data):
+            return False
+    return True
+
+
+def _certify(m: LinearFormMatrix, nu, inst: ProblemInstance, delta: MultiPoly, even, seed: int) -> bool:
+    """Exact proof that ``delta(f) = 0``, read off how ``m = M_nu`` is built.
+
+    When every column of ``m`` is a syzygy (:func:`_columns_are_syzygies`),
+    the row of strand monomials ``(x^u)_u``, nonzero over ``Q(x)``, is a
+    left kernel vector of ``m(f(x))``; so every minor on all the rows of
+    ``m`` vanishes at ``f``, the first minor of Cayley's formula among
+    them.  As ``delta * prod(even) = prod(odd)`` holds exactly
+    (:func:`strand_determinant`), ``delta(f) = 0`` follows once
+    ``prod(even)(f)`` is a nonzero polynomial, which one nonzero value at
+    ``f(p0)`` proves; a square strand has no even minors.  ``p0`` is the
+    first point of :func:`rank_drop_check` off the base locus, and
+    ``delta`` must vanish at ``f(p0)`` as well, a check of ``delta``
+    against the minors it came from.  A failed check returns ``False``;
+    only an even minor that vanishes at ``f(p0)`` leaves the decision to
+    the grid of :func:`verify_implicit`.
+    """
+    if not _columns_are_syzygies(m, inst, nu):
+        return False
+    values = next(v for v in _image_points(inst, seed) if v is not None)
+    if _eval_terms(delta.terms, values):
+        return False
+    if all(_eval_terms(minor.terms, values) for minor in even):
+        return True
+    return verify_implicit(delta, inst)
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +539,8 @@ def run_pipeline(
     square ``M_nu`` of full rank it is ``det(M_nu)``.  Its one seeded point
     both proves that ``M_nu`` has full row rank, by an exact elimination,
     and chooses the minors; the reported ``generic_rank`` is that row
-    count.  Raises :class:`PipelineError` when the matrix shape/rank rules
+    count.  ``verified`` is the structural certificate of :func:`_certify`.
+    Raises :class:`PipelineError` when the matrix shape/rank rules
     out extraction or the strand complex is not exact at ``nu``; an
     inconclusive rank-drop check only warns (verification is the gate).
     """
@@ -482,7 +555,7 @@ def run_pipeline(
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
     try:
-        delta = strand_determinant(chain([m], diffs), seed=seed)
+        delta, even = _strand_determinant(chain([m], diffs), seed)
     except PipelineError as exc:
         raise PipelineError(f"at nu {nu}: {exc}") from exc
     # the determinant found m.rows pivots of M_nu at its seeded point, so
@@ -506,7 +579,7 @@ def run_pipeline(
         warnings_list.append(
             f"determinant degree {delta.total_degree()} differs from the predicted {expected}"
         )
-    verified = verify_implicit(delta, inst)
+    verified = _certify(m, nu, inst, delta, even, seed)
     return ImplicitResult(
         delta=delta,
         nu=nu,

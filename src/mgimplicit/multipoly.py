@@ -246,6 +246,13 @@ class MultiPoly:
         self._check_ring(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.ring)
+        # a constant factor is a scale, which keeps the other's exponent
+        # tuples instead of building equal new ones
+        for p, q in ((self, other), (other, self)):
+            if len(q.terms) == 1:
+                ((exps, c),) = q.terms.items()
+                if not any(exps):
+                    return p.scale(c)
         acc = {}
         get = acc.get
         for ea, ca in self.terms.items():

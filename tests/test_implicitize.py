@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,7 @@ from mgimplicit import (
     verify_implicit,
 )
 from mgimplicit import complexes, implicitize
+from mgimplicit.cli import main
 from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.multipoly import exact_div
 from mgimplicit.problem import load_problem
@@ -606,6 +608,117 @@ def test_pipeline_p1p1_2_3_12x12():
     assert (result.matrix_rows, result.matrix_cols) == (12, 12)
     assert result.verified
     assert result.degree == 12
+
+
+# -- the pipeline's structural certificate ------------------------------------------
+
+# P^2 x P^1 forms, which CAYLEY_SPACES leaves out only for the sake of its gcd oracle
+P2P1_INSTANCES = st.builds(
+    lambda gamma, seed: random_instance([["x", "y", "z"], ["s", "t"]], gamma, 5, random.Random(seed)),
+    st.sampled_from([(1, 1), (1, 2)]),
+    st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(cayley_instances(), P2P1_INSTANCES))
+def test_structural_certificate_agrees_with_the_grid(inst):
+    # the pipeline proves delta(f) = 0 from the syzygy columns of M_nu (and,
+    # for a wide M_nu, one nonzero value of the even minors); the grid of
+    # verify_implicit decides the same question by evaluation.  Equal forms
+    # map onto a point, not a hypersurface: their delta is the constant 1,
+    # which vanishes nowhere, and both routes must say so
+    result = run_pipeline(inst)
+    assert result.verified == verify_implicit(result.delta, inst)
+    assert result.verified == (result.degree > 0)
+
+
+def _counting_verify(monkeypatch):
+    calls = []
+    intact = implicitize.verify_implicit
+
+    def counting(delta, inst):
+        calls.append(delta)
+        return intact(delta, inst)
+
+    monkeypatch.setattr(implicitize, "verify_implicit", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["bigraded_22.json", "p1p1_22_basepoint.json"], ids=["golden-square", "basepoint-wide"]
+)
+def test_pipeline_certifies_without_the_grid(monkeypatch, name):
+    inst = load_problem(PROBLEMS / name).instance()
+    calls = _counting_verify(monkeypatch)
+    assert run_pipeline(inst).verified
+    assert calls == []
+
+
+def _with_first_matrix(diffs, m):
+    yield m
+    next(diffs)
+    yield from diffs
+
+
+def test_certificate_rejects_a_column_that_is_not_a_syzygy(golden, golden_delta, monkeypatch):
+    nu = (3, 1)
+    intact = representation_matrix(golden, nu)
+    coeffs = [[list(cell) for cell in row] for row in intact.coeffs]
+    coeffs[2][5][1] += 1
+    corrupted = LinearFormMatrix(intact.rows, intact.cols, intact.target_names, coeffs, intact.den)
+    assert implicitize._columns_are_syzygies(intact, golden, nu)
+    assert not implicitize._columns_are_syzygies(corrupted, golden, nu)
+    # with the true delta every other check passes, so only the columns reject
+    assert implicitize._certify(intact, nu, golden, golden_delta, [], 0)
+    assert not implicitize._certify(corrupted, nu, golden, golden_delta, [], 0)
+    strands = implicitize.strand_differentials
+    monkeypatch.setattr(
+        implicitize, "strand_differentials", lambda inst, nu: _with_first_matrix(strands(inst, nu), corrupted)
+    )
+    calls = _counting_verify(monkeypatch)
+    assert not run_pipeline(golden, nu).verified
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name", ["bigraded_22.json", "p1p1_22_basepoint.json"], ids=["golden-square", "basepoint-wide"]
+)
+def test_certificate_rejects_a_corrupted_delta(monkeypatch, capsys, name):
+    # one coefficient of delta changed: the syzygy columns still hold, but
+    # delta no longer vanishes at f(p0), and the CLI exits 2
+    intact = implicitize._strand_determinant
+
+    def corrupted(diffs, seed):
+        delta, even = intact(diffs, seed)
+        return delta + MultiPoly.monomial(delta.ring, delta.leading()[0]), even
+
+    monkeypatch.setattr(implicitize, "_strand_determinant", corrupted)
+    calls = _counting_verify(monkeypatch)
+    assert not run_pipeline(load_problem(PROBLEMS / name).instance()).verified
+    assert main(["implicitize", str(PROBLEMS / name)]) == 2
+    assert json.loads(capsys.readouterr().out)["verified"] is False
+    assert calls == []
+
+
+def test_vanishing_even_minor_falls_back_to_the_grid(monkeypatch):
+    # an even minor that vanishes at f(p0) proves nothing, so the grid decides
+    inst = load_problem(PROBLEMS / "p1p1_22_basepoint.json").instance()
+    values = next(v for v in implicitize._image_points(inst, 0) if v is not None)
+    line = MultiPoly.from_terms(inst.target, [((1, 0, 0, 0), values[1]), ((0, 1, 0, 0), -values[0])])
+    assert line and implicitize._eval_terms(line.terms, values) == 0
+    intact = implicitize._strand_determinant
+
+    def vanishing_at_p0(diffs, seed):
+        delta, even = intact(diffs, seed)
+        assert even
+        return delta, [even[0] * line] + even[1:]
+
+    monkeypatch.setattr(implicitize, "_strand_determinant", vanishing_at_p0)
+    calls = _counting_verify(monkeypatch)
+    result = run_pipeline(inst)
+    assert result.verified
+    assert calls == [result.delta]
 
 
 # -- degree accounting ----------------------------------------------------------------

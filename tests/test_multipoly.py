@@ -196,6 +196,19 @@ def test_difference_of_squares(pring):
     assert (s + u) * (s - u) == s * s - u * u
 
 
+@pytest.mark.parametrize("value", [1, -2, Fraction(3, 4)], ids=["one", "int", "fraction"])
+def test_product_with_a_constant_keeps_the_exponent_tuples(fs, pring, value):
+    # the same terms, in the same order, as term-by-term multiplication,
+    # keyed by the factor's own exponent tuples: a result kept in memory
+    # holds no second copy of them
+    p = fs[0]
+    c = MultiPoly.constant(pring, value)
+    expected = {e: k * value for e, k in p.terms.items()}
+    for product in (c * p, p * c):
+        assert list(product.terms.items()) == list(expected.items())
+        assert all(a is b for a, b in zip(product.terms, p.terms))
+
+
 def test_mixed_ring_arithmetic_rejected(pring, tring):
     from mgimplicit import RingMismatchError
 
