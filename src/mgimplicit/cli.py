@@ -122,6 +122,8 @@ def cmd_info(args):
 
 
 def cmd_region(args):
+    if args.plot != "-":
+        _check_out_path(args.plot)
     if args.file:
         inst = load_problem(args.file).instance()
         blocks, gamma = inst.blocks, inst.gamma

@@ -139,8 +139,7 @@ def rank_drop_check(
     base locus (all f zero) are skipped; if every point lands there the
     report is inconclusive.  ``m`` is linear, so the integer forms serve.
     """
-    if points < 1:
-        raise ValueError("points must be at least 1")
+    _check_points(points)
     ranks = []
     skipped = 0
     for values in islice(_image_points(inst, seed), points):
@@ -149,6 +148,11 @@ def rank_drop_check(
         else:
             ranks.append(rank(m.specialize(values)))
     return RankDropReport(generic_rank=generic, point_ranks=ranks, skipped_base_locus=skipped)
+
+
+def _check_points(points):
+    if points < 1:
+        raise ValueError("points must be at least 1")
 
 
 def _image_points(inst: ProblemInstance, seed: int):
@@ -544,6 +548,7 @@ def run_pipeline(
     out extraction or the strand complex is not exact at ``nu``; an
     inconclusive rank-drop check only warns (verification is the gate).
     """
+    _check_points(points)
     warnings_list = []
     if nu is None:
         nu = suggest_nu(inst.blocks, inst.gamma)

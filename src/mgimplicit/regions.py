@@ -6,9 +6,9 @@ target ring ``k[T_0..T_n]`` is the one-block case).  This module computes
 strand dimensions and monomial bases, the shifted orthants ``Q_alpha``
 supporting the local cohomology of the ring with respect to the irrelevant
 ideal, the unreliable region ``R_B(gamma)`` of strand degrees (a down-set),
-its complement corners, a suggested strand degree ``nu`` (the corner with
-the smallest strand), and :func:`check_strand_degree`, the one check of a
-requested ``nu``.
+its complement corners (read off the coordinates of its parts), a suggested
+strand degree ``nu`` (the corner with the smallest strand), and
+:func:`check_strand_degree`, the one check of a requested ``nu``.
 
 Index conventions: blocks are 0-based in code; human-readable output
 prints them 1-based.  Degree vectors are plain int tuples of length s.
@@ -84,11 +84,6 @@ class RegionUnion:
 
     def translated(self, v) -> "RegionUnion":
         return RegionUnion(tuple(part.translated(v) for part in self.parts))
-
-    def __str__(self):
-        if not self.parts:
-            return "(empty)"
-        return " U ".join(str(part) for part in self.parts)
 
 
 # --------------------------------------------------------------------------
@@ -217,27 +212,24 @@ def check_strand_degree(blocks: BlockStructure, gamma, nu) -> list:
 # --------------------------------------------------------------------------
 # complement corners and suggestion
 
-def corner_scan_bound(blocks: BlockStructure, gamma) -> int:
-    """Side of the scan box for the complement corners (generous on purpose)."""
-    return sum(ri + 1 for ri in blocks.r) * max(gamma)
-
-
 def complement_corners(blocks: BlockStructure, gamma):
     """Componentwise-minimal points of the complement of the unreliable
-    region within ``[0, corner_scan_bound]^s``, sorted lexicographically.
-
-    The complement is an up-set, so a complement point is minimal exactly
-    when none of its lower neighbours is a complement point."""
+    region in ``N^s``, sorted lexicographically.  Each has ``mu_j = 0`` or
+    ``mu_j = shift_j + 1`` for a part with ``j`` in its ``alpha``, because
+    ``mu - e_j`` lies in a part, which would contain ``mu`` too if ``j``
+    were not in its ``alpha``.  So they are the points of that grid (at most
+    ``(1 + 2^(s-1))^s``) whose every step down lies in the region."""
     region = region_RB(blocks, gamma)
-    bound = corner_scan_bound(blocks, gamma)
-    outside = {
-        mu for mu in product(range(bound + 1), repeat=blocks.s) if not region.contains(mu)
-    }
+    coords = [
+        {0} | {p.shift[j] + 1 for p in region.parts if j in p.alpha and p.shift[j] >= 0}
+        for j in range(blocks.s)
+    ]
     return sorted(
-        p
-        for p in outside
-        if all(
-            p[j] == 0 or p[:j] + (p[j] - 1,) + p[j + 1 :] not in outside
+        mu
+        for mu in product(*coords)
+        if not region.contains(mu)
+        and all(
+            mu[j] == 0 or region.contains(mu[:j] + (mu[j] - 1,) + mu[j + 1 :])
             for j in range(blocks.s)
         )
     )

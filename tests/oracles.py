@@ -6,7 +6,9 @@ reduction with Fraction arithmetic, determinants from cofactor expansion,
 the generic rank of a matrix of linear forms from symbolic cofactor
 minors, the cycle-complex differentials from Koszul matrices built entry
 by entry and solved by Gauss-Jordan, the complement corners by an
-all-pairs dominance scan and by the two-block closed form, and
+all-pairs dominance scan of a box (the package reads them off the
+coordinates of the region's parts instead) and by the two-block closed
+form, and
 polynomial gcds by the primitive subresultant PRS.
 
 The symbolic expansions the package no longer ships live here too:
@@ -24,7 +26,7 @@ from itertools import combinations, product
 from math import gcd
 
 from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring
-from mgimplicit.regions import _check_gamma, corner_scan_bound, region_RB, strand_basis
+from mgimplicit.regions import _check_gamma, region_RB, strand_basis
 
 
 def rref(rows):
@@ -273,12 +275,14 @@ def poly_pow(p, k):
 
 
 def complement_corners_oracle(blocks, gamma):
-    """Componentwise-minimal complement points in ``[0, corner_scan_bound]^s``
-    in two phases, assuming nothing about the shape of the region: a local
-    prefilter (no complement point one step down), then a full dominance
-    check of each survivor against every complement point."""
+    """Componentwise-minimal complement points in the box ``[0, bound]^s``,
+    ``bound = sum(r_i + 1) * max(gamma)`` (generous on purpose: no corner
+    coordinate exceeds ``sum(r_i) * max(gamma)``), in two phases,
+    assuming nothing about the shape of the region: a local prefilter (no
+    complement point one step down), then a full dominance check of each
+    survivor against every complement point."""
     region = region_RB(blocks, gamma)
-    bound = corner_scan_bound(blocks, gamma)
+    bound = sum(ri + 1 for ri in blocks.r) * max(gamma)
     outside = [
         mu for mu in product(range(bound + 1), repeat=blocks.s) if not region.contains(mu)
     ]

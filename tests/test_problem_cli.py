@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mgimplicit.cli as cli
-from mgimplicit import regions
+from mgimplicit import implicitize, regions
 from mgimplicit.cli import main
 from mgimplicit.multipoly import _NAME
 from mgimplicit.problem import ProblemValidationError, load_problem
@@ -468,6 +468,20 @@ def test_out_path_rejected_before_the_work(tmp_path, monkeypatch, capsys, comman
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("plot", ["{tmp}", "{tmp}/missing/r.svg"], ids=["directory", "missing-parent"])
+def test_plot_path_rejected_before_the_work(tmp_path, monkeypatch, capsys, plot):
+    def fail(*args, **kwargs):
+        raise AssertionError("the region was computed before the plot path was checked")
+
+    monkeypatch.setattr(cli, "complement_corners", fail)
+    plot = plot.format(tmp=tmp_path)
+    assert main(["region", "--blocks", "1,1", "--gamma", "2,2", "--plot", plot]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {plot}: [Errno ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_matrix_out_file(tmp_path):
     out_path = tmp_path / "m.json"
     assert main(["matrix", GOLDEN_JSON, "--nu", "3,1", "--out", str(out_path)]) == 0
@@ -484,6 +498,20 @@ def test_cmd_implicitize_golden(capsys):
     assert payload["degree"] == 8
     assert payload["generic_rank"] == 8
     assert payload["delta"].startswith("63569053*X_0^8")
+
+
+def test_cmd_implicitize_rejects_zero_points_before_the_determinant(monkeypatch, capsys):
+    calls = []
+    det_on_columns = implicitize._det_on_columns
+
+    def counting(*args):
+        calls.append(args)
+        return det_on_columns(*args)
+
+    monkeypatch.setattr(implicitize, "_det_on_columns", counting)
+    assert main(["implicitize", GOLDEN_JSON, "--points", "0"]) == 1
+    assert capsys.readouterr().err == "error: points must be at least 1\n"
+    assert calls == []
 
 
 def test_cmd_implicitize_rejects_non_hypersurface(tmp_path, capsys):

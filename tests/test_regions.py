@@ -148,7 +148,7 @@ def test_corners_match_closed_form_on_grid():
 
 
 def test_corners_match_dominance_oracle():
-    # every (r, gamma) with s <= 2, r_i <= 3, gamma_i <= 3, and a sample of s = 3
+    # every (r, gamma) with s <= 2, r_i <= 3, gamma_i <= 3, and samples of s = 3, 4
     cases = [
         (r, gamma)
         for s in (1, 2)
@@ -157,6 +157,7 @@ def test_corners_match_dominance_oracle():
     ]
     cases += [(r, (1, 1, 1)) for r in product(range(3), repeat=3)]
     cases += [((1, 2, 1), (2, 1, 3)), ((0, 3, 1), (3, 2, 1)), ((2, 2, 2), (2, 2, 2))]
+    cases += [((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 0, 1, 0), (1, 2, 1, 2))]
     for r, gamma in cases:
         blocks = BlockStructure(r)
         expected = complement_corners_oracle(blocks, gamma)
