@@ -9,9 +9,9 @@ by Sylvester's identity), so each division by the previous pivot is an
 exact ``//``.  No polynomial matrix is ever eliminated.  Pivoting is
 deterministic -- the first nonzero entry in column order -- which makes
 ranks, determinants and kernel bases reproducible from run to run.
-Kernel bases are canonical and integer over one least common denominator,
-so coordinates in them are read off at the free columns instead of solved
-for.
+Kernel bases are back-substituted in the same echelon form, and are
+canonical and integer over one least common denominator, so coordinates
+in them are read off at the free columns instead of solved for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
 Bareiss only when a certificate fails.  It divides each column by the gcd
@@ -97,16 +97,17 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-def _bareiss(work, cols, reduce=False):
+def _bareiss(work, cols):
     """Fraction-free row echelon form of the integer matrix ``work``, in place.
 
     Each update divides by the previous pivot with an exact ``//``
     (Sylvester's identity guarantees exactness).  Returns ``(pivot_cols,
     sign)``: the pivot column indices in order and the row-swap permutation
-    sign.  For a square input of full rank the last pivot is the
-    determinant times ``sign``.  With ``reduce`` the rows above each pivot
-    are cleared too, and every pivot ends up equal to the last one
-    (fraction-free Gauss-Jordan; Nakos, Turner & Williams, 1997).
+    sign.  Row ``i`` is zero left of its pivot, and its entry in column
+    ``j`` is the minor on the first ``i + 1`` permuted rows and the columns
+    ``pivot_cols[:i] + [j]``, so the last pivot is the minor on the pivot
+    columns; for a square input of full rank it is the determinant times
+    ``sign``.
     """
     rows = len(work)
     pivot_cols = []
@@ -126,13 +127,10 @@ def _bareiss(work, cols, reduce=False):
             sign = -sign
         row_p = work[pr]
         piv = row_p[pc]
-        for i in range(rows) if reduce else range(pr + 1, rows):
-            if i == pr:
-                continue
+        for i in range(pr + 1, rows):
             row_i = work[i]
             head = row_i[pc]
-            # left of pc a row below is zero; a row above is not
-            for j in range(0 if i < pr else pc + 1, cols):
+            for j in range(pc + 1, cols):
                 row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
             row_i[pc] = 0
         prev = piv
@@ -279,21 +277,26 @@ def nullspace_basis(m: QMatrix):
     the unique pivot-column entries making ``m @ v = 0`` (all before ``j``,
     so ``j`` is the vector's last nonzero entry).  This basis is canonical:
     it does not depend on elimination details, and the coordinates of a
-    kernel vector in it are its entries at the free columns.  Every pivot
-    of the reduced rows is one integer ``d``; ``d`` times the basis is read
-    off them.
+    kernel vector in it are its entries at the free columns.  ``d`` times
+    the basis, ``d`` the last pivot of the :func:`_bareiss` echelon form
+    (the minor ``A_J`` on its pivot columns), is back-substituted in that
+    form with exact divisions: by Cramer's rule its entry at pivot column
+    ``J_k`` is minus ``A_J`` with column ``J_k`` replaced by column ``j``
+    (Bareiss, Math. Comp. 22, 1968).
     """
     work = [row[:] for row in m.data]
-    pivots, _ = _bareiss(work, m.cols, reduce=True)
+    pivots, _ = _bareiss(work, m.cols)
     d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     vectors = []
     for fc in sorted(set(range(m.cols)) - set(pivots)):
         v = [0] * m.cols
         v[fc] = d
-        for i, pc in enumerate(pivots):
-            if pc > fc:
-                break
-            v[pc] = -work[i][fc]
+        for i in range(len(pivots) - 1, -1, -1):
+            row_i, pc = work[i], pivots[i]
+            if pc < fc:
+                v[pc], rem = divmod(-sum(map(mul, row_i[pc + 1 : fc + 1], v[pc + 1 : fc + 1])), row_i[pc])
+                if rem:
+                    raise ArithmeticError("kernel back-substitution left a remainder")
         vectors.append(v)
     g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
     return d // g, [[x // g for x in v] for v in vectors]

@@ -1,8 +1,10 @@
 """Independent reference implementations, used only to cross-check the package.
 
-These deliberately avoid the package's fraction-free elimination and its
-integer evaluation: rank and kernels come from a plain Gauss-Jordan
-reduction with Fraction arithmetic, determinants from cofactor expansion,
+These deliberately avoid the package's own eliminations and its integer
+evaluation: rank and kernels come from a plain Gauss-Jordan reduction with
+Fraction arithmetic, integer kernel bases also from the fraction-free
+Gauss-Jordan pass that the package's back-substitution replaced,
+determinants from cofactor expansion,
 the generic rank of a matrix of linear forms from symbolic cofactor
 minors, the cycle-complex differentials from Koszul matrices built entry
 by entry and solved by Gauss-Jordan, the complement corners by an
@@ -81,6 +83,65 @@ def nullspace_oracle(rows, ncols):
             v[pc] = -m[i][fc]
         basis.append([int(x) if x.denominator == 1 else x for x in v])
     return basis
+
+
+def bareiss_gauss_jordan(work, cols):
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``work``,
+    in place (Nakos, Turner & Williams, SIGSAM Bull. 31, 1997): the
+    package's forward Bareiss pass that also clears the rows above each
+    pivot, after which every pivot equals the last one.  Returns the pivot
+    columns and the row-swap sign, which must be the forward pass's."""
+    rows = len(work)
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    pr = 0
+    for pc in range(cols):
+        pivot_at = next((i for i in range(pr, rows) if work[i][pc]), None)
+        if pivot_at is None:
+            continue
+        if pivot_at != pr:
+            work[pr], work[pivot_at] = work[pivot_at], work[pr]
+            sign = -sign
+        row_p = work[pr]
+        piv = row_p[pc]
+        for i in range(rows):
+            if i == pr:
+                continue
+            row_i = work[i]
+            head = row_i[pc]
+            # left of pc a row below is zero; a row above is not
+            for j in range(0 if i < pr else pc + 1, cols):
+                row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
+            row_i[pc] = 0
+        prev = piv
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return pivot_cols, sign
+
+
+def nullspace_gauss_jordan(m):
+    """The kernel basis of the ``QMatrix`` ``m`` as ``(den, vectors)``, the
+    way the package read it off before it back-substituted: every pivot of
+    the :func:`bareiss_gauss_jordan` rows is one integer ``d``, and ``d``
+    times the canonical vector for free column ``fc`` is ``d`` at ``fc`` and
+    minus the reduced rows' column ``fc`` at the pivot columns."""
+    work = [row[:] for row in m.data]
+    pivots, _ = bareiss_gauss_jordan(work, m.cols)
+    d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    vectors = []
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
+        v[fc] = d
+        for i, pc in enumerate(pivots):
+            if pc > fc:
+                break
+            v[pc] = -work[i][fc]
+        vectors.append(v)
+    g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
+    return d // g, [[x // g for x in v] for v in vectors]
 
 
 def det_cofactor(rows):

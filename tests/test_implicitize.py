@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     GOLDEN_COEFFS,
     base_locus_probably_empty,
+    cayley_instances,
     golden_instance,
     random_instance,
     random_p1p1_instance,
@@ -43,7 +44,7 @@ from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.multipoly import exact_div
 from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
-from oracles import det_cofactor_poly, gcd_poly, rank_oracle, substitute_targets, symbolic_rank_oracle
+from oracles import det_cofactor_poly, gcd_poly, substitute_targets, symbolic_rank_oracle
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -361,66 +362,6 @@ def _forced_base_point_instance(rng):
         terms.pop((0, 2, 0, 2), None)
         polys.append(MultiPoly(ring, terms))
     return ProblemInstance.from_polys(polys)
-
-
-# parameter spaces of the Cayley-formula property: (variable blocks, the
-# multidegrees drawn from).  The gcd oracle bounds the sizes: the gcd of the
-# seven 6x6 minors of a P^1 x P^1 x P^1 strand with a base point takes about
-# 25 s and the 84 minors of a plane quadric net are too many, so three blocks
-# come without base points and P^2 only in degree 1.
-CAYLEY_SPACES = [
-    ([["s", "u"]], [(1,), (2,), (3,)]),
-    ([["x", "y", "z"]], [(1,)]),
-    ([["s", "u"], ["t", "v"]], [(1, 1), (1, 2), (2, 1)]),
-    ([["a", "b"], ["c", "d"], ["e", "f"]], [(1, 1, 1)]),
-]
-
-
-@st.composite
-def cayley_instances(draw):
-    """A hypersurface instance with nonzero coefficients in [-9, 9] on one to
-    three blocks; on one or two blocks the forms may omit the pure powers of
-    the last variables (one per block), which forces a base point there, kept
-    only when it is simple: in the chart of those variables the forms'
-    linear parts have full rank, as for the benchmark's instances."""
-    blocks, degrees = draw(st.sampled_from(CAYLEY_SPACES))
-    gamma = draw(st.sampled_from(degrees))
-    ring = parameter_ring(blocks)
-    structure = BlockStructure(tuple(len(b) - 1 for b in blocks))
-    mons = strand_basis(structure, gamma)
-    dropped = []
-    if len(blocks) < 3:
-        # the pure power of the last variable of every block, or of the first
-        for end in draw(st.sets(st.sampled_from([-1, 0]), max_size=2)):
-            exps = []
-            for names, g in zip(blocks, gamma):
-                block = [0] * len(names)
-                block[end] = g
-                exps += block
-            dropped.append(tuple(exps))
-    nonzero = st.integers(-9, 9).filter(bool)
-    coeffs = [
-        {e: draw(nonzero) for e in mons if e not in dropped} for _ in range(sum(structure.r) + 2)
-    ]
-    for exps in dropped:
-        assume(_linear_parts_rank(ring, exps, coeffs) == sum(structure.r))
-    return ProblemInstance.from_polys([MultiPoly(ring, c) for c in coeffs])
-
-
-def _linear_parts_rank(ring, exps, coeffs):
-    """Rank of the forms' linear parts at the base point forced by dropping
-    the monomial ``exps``: moving one degree from each block's power
-    variable to another variable of the block gives the linear monomials."""
-    shifted = []
-    for start, stop in ring.block_slices:
-        chart = next(k for k in range(start, stop) if exps[k])
-        for j in range(start, stop):
-            if j != chart:
-                m = list(exps)
-                m[j] += 1
-                m[chart] -= 1
-                shifted.append(tuple(m))
-    return rank_oracle([[c.get(m, 0) for m in shifted] for c in coeffs])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

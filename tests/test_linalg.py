@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import golden_instance, identity, mat_vec, over, random_matrix, random_p1p1_instance
+from helpers import cayley_instances, golden_instance, identity, mat_vec, over, random_matrix, random_p1p1_instance
 from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
 from mgimplicit import linalg
+from mgimplicit.complexes import koszul_differential_strand
 from mgimplicit.implicitize import sample_parameter_point
 from mgimplicit.linalg import _P, _Q, _bareiss, _echelon_mod, _kernel_certified
-from oracles import det_cofactor, nullspace_oracle, rank_oracle
+from oracles import bareiss_gauss_jordan, det_cofactor, nullspace_gauss_jordan, nullspace_oracle, rank_oracle
 
 # the largest numerator and denominator that rational reconstruction
 # modulo _Q recovers
@@ -305,4 +306,58 @@ def test_nullspace_matches_oracle_on_random_matrices():
         # clearing above the pivots changes neither the pivots nor the sign
         echelon = [row[:] for row in data]
         reduced = [row[:] for row in data]
-        assert _bareiss(reduced, cols, reduce=True) == _bareiss(echelon, cols)
+        assert bareiss_gauss_jordan(reduced, cols) == _bareiss(echelon, cols)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Square, wide, tall or rank-deficient (a product through a thinner
+    inner dimension) integer matrices with entries up to 2**64, or a matrix
+    with no rows or no columns."""
+    kind = draw(st.sampled_from(["square", "wide", "tall", "deficient", "empty"]))
+    short = draw(st.integers(1, 8))
+    long = draw(st.integers(short + 1, 10))
+    rows, cols = {"square": (short, short), "wide": (short, long), "tall": (long, short)}.get(kind, (short, long - 1))
+    entries = st.integers(-(2**64), 2**64) | st.integers(-9, 9)
+
+    def matrix(r, c):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if kind == "empty":
+        return draw(st.sampled_from([QMatrix([], cols=cols), QMatrix([[]] * rows)]))
+    if kind != "deficient":
+        return QMatrix(matrix(rows, cols))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    left = matrix(rows, inner)
+    columns = list(zip(*matrix(inner, cols))) if inner else [()] * cols
+    return QMatrix([[sum(map(mul, row, col)) for col in columns] for row in left])
+
+
+@st.composite
+def koszul_strands(draw):
+    """``koszul_differential_strand(inst, q, nu + q * gamma)``, q = 1 or 2,
+    at the suggested ``nu`` of a Cayley-property instance: the kernels whose
+    bases are the sources of ``d_1 = M_nu`` and of ``d_2``."""
+    inst = draw(cayley_instances())
+    q = draw(st.sampled_from([1, 2]))
+    nu = suggest_nu(inst.blocks, inst.gamma)
+    return koszul_differential_strand(inst, q, [a + q * g for a, g in zip(nu, inst.gamma)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(kernel_matrices(), koszul_strands()))
+def test_nullspace_back_substitution_matches_gauss_jordan(m):
+    assert nullspace_basis(m) == nullspace_gauss_jordan(m)
+
+
+def test_nullspace_back_substitution_refuses_an_inexact_division(monkeypatch):
+    # a correct echelon form divides exactly; one with a pivot tripled
+    # behind the elimination's back does not, and must not pass silently
+    def broken(work, cols):
+        found = _bareiss(work, cols)
+        work[0][0] *= 3
+        return found
+
+    monkeypatch.setattr(linalg, "_bareiss", broken)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        nullspace_basis(QMatrix([[1, 0, 1], [0, 1, 1]]))
