@@ -36,22 +36,44 @@ result is exact whatever the primes.  Both primes are fixed, not drawn,
 so every rank takes the same route on every run.  No floating point, no
 tolerances.
 
+Both modular eliminations are one routine, :func:`_echelon_mod`, on packed
+rows (Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011): modulo a
+Mersenne prime ``p = 2**k - 1`` a row is one int of ``W = 2k + 3``-bit
+slots, one residue per slot, kept below ``2**(k + 1)``.  A row update is
+two big-int products and a sum for the whole row: each slot of it stays
+below ``2**(2k + 2)``, one bit short of ``2**W``, so no carry crosses into
+the next slot, and since ``2**k == 1`` modulo ``p``, two shift-and-mask
+folds bring every slot back below ``2**(k + 1)`` without a division.  Its
+pivot columns are the column rank profile modulo ``p``, whatever rows it
+swaps.
+
+:func:`nullspace_basis` eliminates a tall matrix on ``r`` of its rows
+only: those whose columns are pivots of the transpose modulo ``_P``, which
+are independent over Q.  Their kernel contains the whole kernel, and the
+two are equal exactly when every dropped row annihilates it; that is
+checked over Z on the basis.  A check fails only when the modular rank
+fell short of the rank, and then all rows are eliminated.  Either way the
+canonical basis is the same.
+
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, isqrt
 from operator import mul
 
-# The prime of the first elimination in :func:`rank`: the largest prime
-# below 2**30, so a product of two residues fits in two 30-bit CPython
-# digits.  It is fixed, not drawn, so that ranks take the same route (and
-# the same time) on every run; correctness does not depend on it, since a
-# modular rank is trusted only as a lower bound, which holds for any prime.
-_P = 1073741789
+# The prime of the first elimination in :func:`rank`, the Mersenne prime
+# 2**31 - 1: :func:`_echelon_mod` reduces whole packed rows with shifts and
+# masks, which is exact only modulo a Mersenne prime, and at k = 31 a slot
+# is 2k + 3 = 65 bits.  It is fixed, not drawn, so that ranks take the same
+# route (and the same time) on every run; correctness does not depend on
+# it, since a modular rank is trusted only as a lower bound, which holds
+# for any prime.
+_P = 2**31 - 1
 # The prime of the kernel certificate in :func:`rank`, the Mersenne prime
 # 2**107 - 1.  Rational reconstruction modulo _Q recovers numerators
 # and denominators up to isqrt(_Q // 2), about 2**53, which covers the
@@ -142,32 +164,88 @@ def _bareiss(work, cols):
 
 
 def _echelon_mod(rows, cols, p):
-    """Fraction-free row echelon form modulo the prime ``p`` of the residue
-    rows ``rows``, in place: each row below a pivot ``piv`` becomes ``piv``
-    times itself minus its head times the pivot row, so no pivot is
-    inverted.  Returns the pivot columns."""
-    pivots = []
-    r = 0
+    """Fraction-free row echelon form modulo ``p = 2**k - 1``, a Mersenne
+    prime, of the integer rows ``rows``, each of length ``cols``; the input
+    is left as it is.  Returns ``(pivot_cols, echelon)``: the pivot columns
+    and, for each, its pivot row packed, whose slot ``j`` holds column
+    ``pivot_cols[i] + j`` (read them with :func:`_unpack`).  A caller that
+    needs only the pivots unpacks nothing.
+
+    Each row is one int of ``W = 2k + 3``-bit slots, column ``j`` in slot
+    ``j``, and every slot holds a residue below ``2**(k + 1)``, not
+    necessarily reduced (a slot that is 0 modulo ``p`` may hold ``p`` or
+    ``2p``).  At a pivot ``piv``, every row below becomes ``piv`` times
+    itself plus ``p - head`` times the pivot row: two big-int products and
+    one sum for the whole row, and no pivot is inverted.  Its first slot,
+    now 0 modulo ``p``, is shifted off.  With ``piv`` and ``head`` reduced,
+    both factors are below ``2**k``, so each slot of the sum is below
+    ``2 * 2**k * 2**(k + 1) = 2**(2k + 2)``, a bit short of ``2**W``: no
+    carry crosses into the next slot.  Since ``2**k == 1`` modulo ``p``,
+    the fold ``(x & LO) + ((x >> k) & HI)`` adds each slot's bits from
+    ``k`` up to its low ``k`` bits without changing its residue, taking a
+    slot below ``2**(2k + 2)`` to one below ``5 * 2**k``, and a second fold
+    takes that below ``2**k + 4 <= 2**(k + 1)``.
+
+    The pivot columns are the column rank profile modulo ``p`` (each column
+    that is independent of the columns before it), so they do not depend
+    on the order of the rows or on which row is swapped up; the echelon
+    rows span the input's rows, so the kernel modulo ``p`` does not either.
+    """
+    k = p.bit_length()
+    if p < 3 or p & (p + 1):
+        raise ValueError(f"modulus {p} is not a Mersenne prime 2**k - 1")
+    w = 2 * k + 3
+    slot = (1 << w) - 1
+    lo, hi = _fold_masks(k, cols)
+    below = []
+    for row in rows:
+        x = 0
+        for a in reversed(row):
+            x = x << w | a % p
+        below.append(x)
+    pivots, echelon = [], []
     for pc in range(cols):
-        for i in range(r, len(rows)):
-            if rows[i][pc]:
+        for i, x in enumerate(below):
+            if (x & slot) % p:
                 break
         else:
+            below = [x >> w for x in below]
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        row_p = rows[r]
-        piv = row_p[pc]
-        tail = row_p[pc + 1 :]
-        for i in range(r + 1, len(rows)):
-            row_i = rows[i]
-            head = row_i[pc]
-            if head:
-                row_i[pc + 1 :] = [(piv * a - head * b) % p for a, b in zip(row_i[pc + 1 :], tail)]
+        row_p = below.pop(i)
         pivots.append(pc)
-        r += 1
-        if r == len(rows):
+        echelon.append(row_p)
+        if not below:
             break
-    return pivots
+        piv = (row_p & slot) % p
+        tail = row_p >> w
+        for j, x in enumerate(below):
+            head = (x & slot) % p
+            x >>= w
+            if head:
+                x = piv * x + (p - head) * tail
+                x = (x & lo) + ((x >> k) & hi)
+                x = (x & lo) + ((x >> k) & hi)
+            below[j] = x
+    return pivots, echelon
+
+
+@lru_cache(maxsize=32)
+def _fold_masks(k, cols):
+    """The masks ``LO`` and ``HI`` of :func:`_echelon_mod`: the low ``k``
+    and the low ``k + 3`` bits of each of ``cols`` slots of ``2k + 3``
+    bits."""
+    w = 2 * k + 3
+    ones = ((1 << (w * cols)) - 1) // ((1 << w) - 1)
+    return ((1 << k) - 1) * ones, ((1 << (k + 3)) - 1) * ones
+
+
+def _unpack(pivots, echelon, cols, p):
+    """The packed pivot rows ``echelon`` of :func:`_echelon_mod` as lists:
+    row ``i`` holds columns ``pivots[i]`` to ``cols - 1``, residues modulo
+    ``p`` below ``2**(k + 1)``, not reduced."""
+    w = 2 * p.bit_length() + 3
+    slot = (1 << w) - 1
+    return [[x >> s & slot for s in range(0, w * (cols - pc), w)] for x, pc in zip(echelon, pivots)]
 
 
 def _reconstruct(x, bound):
@@ -197,19 +275,20 @@ def _kernel_certified(b, independent, s):
     zero at the others), so together they prove the bound.  ``False``
     means that a reconstruction or a check failed, which proves nothing.
     """
-    rows = [[x % _Q for x in row] for row in independent]
-    pivots = _echelon_mod(rows, s, _Q)
+    pivots, echelon = _echelon_mod(independent, s, _Q)
+    # row i holds the columns from pivots[i] on
+    rows = _unpack(pivots, echelon, s, _Q)
     # the pivots' inverses from one modular inversion (Montgomery's trick)
     prefix = []
     acc = 1
-    for i, pc in enumerate(pivots):
+    for row in rows:
         prefix.append(acc)
-        acc = acc * rows[i][pc] % _Q
+        acc = acc * row[0] % _Q
     inv = pow(acc, -1, _Q)
     inverses = [0] * len(pivots)
     for i in range(len(pivots) - 1, -1, -1):
         inverses[i] = inv * prefix[i] % _Q
-        inv = inv * rows[i][pivots[i]] % _Q
+        inv = inv * rows[i][0] % _Q
     bound = isqrt(_Q // 2)
     for fc in sorted(set(range(s)) - set(pivots)):
         # back substitution modulo _Q: 1 at fc, 0 at the other free columns
@@ -218,7 +297,7 @@ def _kernel_certified(b, independent, s):
         for i in range(len(pivots) - 1, -1, -1):
             pc = pivots[i]
             if pc < fc:
-                v[pc] = -sum(map(mul, rows[i][pc + 1 : fc + 1], v[pc + 1 : fc + 1])) * inverses[i] % _Q
+                v[pc] = -sum(map(mul, rows[i][1 : fc - pc + 1], v[pc + 1 : fc + 1])) * inverses[i] % _Q
         # lift to integers over one common denominator, reconstructing
         # only the entries that it does not already make small
         den = 1
@@ -245,19 +324,20 @@ def _kernel_certified(b, independent, s):
 def rank(m: QMatrix) -> int:
     """Rank over Q, exactly, and deterministic.
 
-    ``rank >= r`` from one elimination modulo :data:`_P` of the wide
-    orientation, after each column is divided by its content; when ``r`` is
-    short of ``min(rows, cols)``, ``rank <= r`` from kernel vectors checked
-    over Z (:func:`_kernel_certified`).  Only when that check fails does
-    the fraction-free :func:`_bareiss` decide.  The certificate is set out
-    in the module docstring.
+    ``rank >= r`` from one packed elimination modulo :data:`_P` of the wide
+    orientation (:func:`_echelon_mod`, which unpacks nothing here), after
+    each column is divided by its content; when ``r`` is short of
+    ``min(rows, cols)``, ``rank <= r`` from kernel vectors found modulo
+    :data:`_Q` and checked over Z (:func:`_kernel_certified`).  Only when
+    that check fails does the fraction-free :func:`_bareiss` decide.  The
+    certificate is set out in the module docstring.
     """
     contents = [gcd(*col) or 1 for col in zip(*m.data)]
     work = [[x // g for x, g in zip(row, contents)] for row in m.data]
     if m.rows > m.cols:
         work = [list(col) for col in zip(*work)]
     s, cols = len(work), max(m.rows, m.cols)
-    pivots = _echelon_mod([[x % _P for x in row] for row in work], cols, _P)
+    pivots, _ = _echelon_mod(work, cols, _P)
     r = len(pivots)
     if r == s:
         return r
@@ -283,13 +363,38 @@ def nullspace_basis(m: QMatrix):
     form with exact divisions: by Cramer's rule its entry at pivot column
     ``J_k`` is minus ``A_J`` with column ``J_k`` replaced by column ``j``
     (Bareiss, Math. Comp. 22, 1968).
+
+    A tall matrix is eliminated on the rows that :func:`_echelon_mod` finds
+    independent modulo :data:`_P` in its transpose, ``r`` of them,
+    independent over Q too.  Their kernel, of dimension ``cols - r``,
+    contains the matrix's; it is the matrix's exactly when every dropped
+    row annihilates each of its basis vectors, which is checked over Z.
+    A check fails exactly when the rank exceeds ``r``, which needs ``_P``
+    to divide every minor of size ``r + 1``, and then every row is
+    eliminated.  The kernel decides the canonical basis, so the result is
+    the same on both routes.
     """
-    work = [row[:] for row in m.data]
-    pivots, _ = _bareiss(work, m.cols)
+    if m.rows <= m.cols:
+        return _back_substituted_kernel(m.data, m.cols)
+    independent, _ = _echelon_mod(zip(*m.data), m.rows, _P)
+    den, vectors = _back_substituted_kernel([m.data[i] for i in independent], m.cols)
+    kept = set(independent)
+    dropped = (row for i, row in enumerate(m.data) if i not in kept)
+    if any(sum(map(mul, row, v)) for row in dropped for v in vectors):
+        return _back_substituted_kernel(m.data, m.cols)
+    return den, vectors
+
+
+def _back_substituted_kernel(rows, cols):
+    """The canonical kernel basis of the integer rows ``rows`` as ``(den,
+    vectors)``, back-substituted in their :func:`_bareiss` echelon form
+    (see :func:`nullspace_basis`)."""
+    work = [row[:] for row in rows]
+    pivots, _ = _bareiss(work, cols)
     d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     vectors = []
-    for fc in sorted(set(range(m.cols)) - set(pivots)):
-        v = [0] * m.cols
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
         v[fc] = d
         for i in range(len(pivots) - 1, -1, -1):
             row_i, pc = work[i], pivots[i]

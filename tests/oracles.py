@@ -4,6 +4,8 @@ These deliberately avoid the package's own eliminations and its integer
 evaluation: rank and kernels come from a plain Gauss-Jordan reduction with
 Fraction arithmetic, integer kernel bases also from the fraction-free
 Gauss-Jordan pass that the package's back-substitution replaced,
+modular echelon forms from the entry-by-entry elimination on lists that
+the package's packed rows replaced,
 determinants from cofactor expansion,
 the generic rank of a matrix of linear forms from symbolic cofactor
 minors, the cycle-complex differentials from Koszul matrices built entry
@@ -142,6 +144,36 @@ def nullspace_gauss_jordan(m):
         vectors.append(v)
     g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
     return d // g, [[x // g for x in v] for v in vectors]
+
+
+def echelon_mod_oracle(rows, cols, p):
+    """Fraction-free row echelon form modulo the prime ``p`` of the integer
+    rows ``rows``, one entry at a time on lists: each row below a pivot
+    ``piv`` becomes ``piv`` times itself minus its head times the pivot row.
+    Returns the pivot columns and the pivot rows, reduced modulo ``p``."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for pc in range(cols):
+        for i in range(r, len(rows)):
+            if rows[i][pc]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        row_p = rows[r]
+        piv = row_p[pc]
+        tail = row_p[pc + 1 :]
+        for i in range(r + 1, len(rows)):
+            row_i = rows[i]
+            head = row_i[pc]
+            if head:
+                row_i[pc + 1 :] = [(piv * a - head * b) % p for a, b in zip(row_i[pc + 1 :], tail)]
+        pivots.append(pc)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, rows[:r]
 
 
 def det_cofactor(rows):

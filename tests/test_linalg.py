@@ -15,8 +15,15 @@ from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_m
 from mgimplicit import linalg
 from mgimplicit.complexes import koszul_differential_strand
 from mgimplicit.implicitize import sample_parameter_point
-from mgimplicit.linalg import _P, _Q, _bareiss, _echelon_mod, _kernel_certified
-from oracles import bareiss_gauss_jordan, det_cofactor, nullspace_gauss_jordan, nullspace_oracle, rank_oracle
+from mgimplicit.linalg import _P, _Q, _bareiss, _echelon_mod, _kernel_certified, _unpack
+from oracles import (
+    bareiss_gauss_jordan,
+    det_cofactor,
+    echelon_mod_oracle,
+    nullspace_gauss_jordan,
+    nullspace_oracle,
+    rank_oracle,
+)
 
 # the largest numerator and denominator that rational reconstruction
 # modulo _Q recovers
@@ -24,8 +31,8 @@ BOUND = isqrt(_Q // 2)
 
 
 def modular_rank(data, p):
-    """Rank of the integer matrix ``data`` modulo the prime ``p``."""
-    return len(_echelon_mod([[x % p for x in row] for row in data], len(data[0]), p))
+    """Rank of the integer matrix ``data`` modulo the Mersenne prime ``p``."""
+    return len(_echelon_mod(data, len(data[0]), p)[0])
 
 
 def bareiss_det(data):
@@ -64,6 +71,90 @@ def test_linalg_is_an_integer_leaf_module():
     names |= {n.module for n in imports if isinstance(n, ast.ImportFrom)}
     assert "fractions" not in names
     assert all(n.level == 0 for n in imports if isinstance(n, ast.ImportFrom))
+
+
+def packed_echelon(rows, cols, p):
+    """:func:`_echelon_mod` with its pivot rows unpacked, reduced modulo
+    ``p`` and indexed by column (zero left of each pivot)."""
+    pivots, echelon = _echelon_mod(rows, cols, p)
+    return pivots, [[0] * pc + [x % p for x in row] for row, pc in zip(_unpack(pivots, echelon, cols, p), pivots)]
+
+
+def modular_kernel(pivots, echelon, cols, p):
+    """The kernel modulo ``p`` of the echelon rows ``echelon`` (row ``i``
+    read from column ``pivots[i]`` on), one vector per free column, 1 there
+    and 0 at the other free columns."""
+    basis = []
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[fc] = 1
+        for row, pc in reversed(list(zip(echelon, pivots))):
+            if pc < fc:
+                v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, fc + 1)) * pow(row[pc], -1, p) % p
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def modular_inputs(draw):
+    """A Mersenne prime ``p`` (``_P`` or ``_Q``), integer rows and their
+    width: entries up to ``2**200`` in size, exact multiples of ``p``,
+    entries congruent to ``-1`` and small ones; dense, made of residues
+    ``-1``, ``0`` and ``1`` only (pivots and heads of ``-1`` drive the
+    slots to their fold bound), rank-deficient modulo ``p`` (a product
+    through a thinner inner dimension plus multiples of ``p``), with no
+    rows or no columns, or at least 200 columns wide."""
+    p = draw(st.sampled_from([_P, _Q]))
+    kind = draw(st.sampled_from(["dense", "units", "deficient", "no_rows", "no_cols", "wide"]))
+    multiples = st.integers(-3, 3).map(lambda c: c * p)
+    entries = st.integers(-(2**200), 2**200) | st.integers(-9, 9) | multiples | multiples.map(lambda x: x - 1)
+    if kind == "units":
+        entries = st.builds(lambda x, d: x + d, multiples, st.sampled_from([-1, 0, 1]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def matrix(r, c, elements):
+        return draw(st.lists(st.lists(elements, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if kind == "no_rows":
+        return p, [], cols
+    if kind == "no_cols":
+        return p, [[]] * rows, 0
+    if kind == "wide":
+        # drawing hundreds of entries one by one is slow; pick them from a
+        # drawn pool with a drawn generator instead
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(200, 230))
+        pool = draw(st.lists(entries, min_size=1, max_size=12))
+        rng = draw(st.randoms(use_true_random=False))
+        return p, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)], cols
+    if kind in ("dense", "units"):
+        return p, matrix(rows, cols, entries), cols
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    small = st.integers(-9, 9) | st.just(p - 1)
+    left, right = matrix(rows, inner, small), matrix(inner, cols, small)
+    columns = list(zip(*right)) if inner else [()] * cols
+    noise = matrix(rows, cols, multiples)
+    return p, [[sum(map(mul, row, col)) + y for col, y in zip(columns, nrow)] for row, nrow in zip(left, noise)], cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(modular_inputs())
+def test_packed_echelon_matches_the_list_elimination(case):
+    p, rows, cols = case
+    before = [row[:] for row in rows]
+    pivots, echelon = packed_echelon(rows, cols, p)
+    assert rows == before
+    expected_pivots, expected = echelon_mod_oracle(rows, cols, p)
+    assert pivots == expected_pivots
+    kernel = modular_kernel(pivots, echelon, cols, p)
+    assert kernel == modular_kernel(expected_pivots, expected, cols, p)
+    assert all(sum(map(mul, row, v)) % p == 0 for row in rows for v in kernel)
+
+
+@pytest.mark.parametrize("p", [1073741789, 2**31, 10])
+def test_echelon_mod_refuses_a_modulus_not_of_the_form_2k_minus_1(p):
+    # the folds reduce modulo 2**k - 1 and nothing else
+    with pytest.raises(ValueError, match="Mersenne"):
+        _echelon_mod([[1, 2]], 2, p)
 
 
 def test_rank_strips_a_column_factor_of_the_prime():
@@ -348,6 +439,29 @@ def koszul_strands(draw):
 @given(st.one_of(kernel_matrices(), koszul_strands()))
 def test_nullspace_back_substitution_matches_gauss_jordan(m):
     assert nullspace_basis(m) == nullspace_gauss_jordan(m)
+
+
+R1, R2 = [1, 2, 3, 4], [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "data,eliminated",
+    [
+        # rank 2: the two rows with modular pivots carry the whole kernel
+        ([R1, R2, [a + b for a, b in zip(R1, R2)], [a - b for a, b in zip(R1, R2)], [3 * a for a in R1]], [2]),
+        # rank 3 over Q, but the third row is the first modulo _P: the kernel
+        # of the two selected rows misses the third, whose check fails, so
+        # all five rows are eliminated
+        ([R1, R2, [R1[0] + _P] + R1[1:], [a + b for a, b in zip(R1, R2)], [2 * b for b in R2]], [2, 5]),
+    ],
+    ids=["selected_rows", "fallback"],
+)
+def test_tall_nullspace_eliminates_the_selected_rows_or_all(data, eliminated):
+    m = QMatrix(data)
+    assert modular_rank(data, _P) == 2
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert nullspace_basis(m) == nullspace_gauss_jordan(m)
+    assert [len(call.args[0]) for call in spy.call_args_list] == eliminated
 
 
 def test_nullspace_back_substitution_refuses_an_inexact_division(monkeypatch):

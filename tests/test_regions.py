@@ -126,6 +126,26 @@ def test_region_two_paths_agree():
             assert direct.contains(mu) == via_sigma.contains(mu), (r, s, a, b, mu)
 
 
+def test_region_is_a_down_set():
+    # lowering one coordinate of a point of the region keeps it there, for
+    # every s <= 3, r_i <= 2, gamma_i <= 3.  A part bounds coordinate j by
+    # mu_j <= shift_j (j in alpha) or mu_j >= shift_j, so membership changes
+    # along j only at the steps t = shift_j + [j in alpha]; clamping mu_j to
+    # [min t - 1, max t] changes no membership, and a point with mu_j outside
+    # [min t, max t] lies in the region exactly when mu - e_j does.  The box
+    # of those ranges therefore holds every counterexample there could be.
+    for s in (1, 2, 3):
+        for r, gamma in product(product(range(3), repeat=s), product(range(1, 4), repeat=s)):
+            region = region_RB(BlockStructure(r), gamma)
+            steps = [[part.shift[j] + (j in part.alpha) for part in region.parts] for j in range(s)]
+            box = [range(min(t) - 1, max(t) + 1) for t in steps]
+            inside = {mu for mu in product(*box) if region.contains(mu)}
+            for mu in inside:
+                for j in range(s):
+                    if mu[j] > box[j].start:
+                        assert mu[:j] + (mu[j] - 1,) + mu[j + 1 :] in inside, (r, gamma, mu, j)
+
+
 # -- corners and the suggestion ------------------------------------------------------
 
 def test_corners_golden():
