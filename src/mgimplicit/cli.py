@@ -239,7 +239,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--nu", help="strand degree (defaults to the suggested corner)")
     p.add_argument("--points", type=int, default=20, help="random points for the rank-drop check")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    p.add_argument("--seed", type=int, default=0, help="seed for the rank-drop points (not for delta)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_implicitize)
 

@@ -22,11 +22,12 @@ structural (:func:`_certify`): the columns of ``M_nu`` are syzygies of f.
 multidegree ``k*gamma`` of the parameter ring.  The degrees are known up
 front, so both grids are exact, not probabilistic.
 
-Randomized steps take explicit seeds and documented ranges, so results are
-reproducible.  There are two: one integer point, at which an exact
-elimination proves that ``M_nu`` has full row rank and picks the minors of
-the strand determinant, and the parameter points of the rank-drop check,
-whose first point off the base locus the certificate evaluates at too.
+Generic ranks are decided on the determinant grid too (:func:`_grid`):
+those of :func:`generic_rank`, and the full row rank of each differential,
+whose pivots pick the minors of the strand determinant.  One step is
+randomized, with an explicit seed and a documented range, so results are
+reproducible: the parameter points of the rank-drop check, whose first
+point off the base locus the certificate evaluates at too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, combinations_with_replacement, islice
 from math import factorial, lcm, prod
 from operator import add, mul
 
@@ -56,29 +57,35 @@ from .multipoly import (
 )
 from .regions import check_strand_degree, strand_basis, strand_dim, suggest_nu
 
-# numerators of random target specializations are drawn uniformly from
-# [-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE] (denominator 1)
-SPECIALIZATION_RANGE = 10**6
 # parameter points are sampled with coordinates in [-POINT_RANGE, POINT_RANGE];
 # the range is wide so that proper subvarieties (base points, singular loci of
 # the image, where the specialized rank drops further) are rarely hit
 POINT_RANGE = 99
-# random specializations taken by generic_rank
-GENERIC_RANK_TRIALS = 4
 
 
-def generic_rank(m: LinearFormMatrix, seed: int = 0) -> int:
-    """Rank over the function field of the target variables, estimated as the
-    maximum rank over ``GENERIC_RANK_TRIALS`` random integer specializations;
-    equals the true generic rank with probability overwhelming in the
-    specialization range.
+def _grid(nvars, k):
+    """The monomials of degree ``k`` in ``nvars`` target variables, each at
+    its own exponents with ``T_0 = 1``, one at a time and in the order of
+    :func:`strand_basis`, from ``(1, 0, .., 0)`` on: the grid of
+    :func:`_interpolate_simplex`, at one point of which every nonzero form
+    of degree at most ``k`` is nonzero."""
+    for c in combinations_with_replacement(range(nvars), k):
+        yield (1,) + tuple(c.count(t) for t in range(1, nvars))
+
+
+def generic_rank(m: LinearFormMatrix) -> int:
+    """Rank over the function field of the target variables, exactly: the
+    largest rank of ``m`` at the points of :func:`_grid` of degree ``k =
+    min(rows, cols)``, which stops at the first point of rank ``k``.  A
+    nonzero ``j x j`` minor is a form of degree ``j <= k``, so it is nonzero
+    at one of those points.  Each point costs one rank; a rank-deficient
+    ``m`` is specialized at every point, ``C(k + n, n)`` of them for
+    ``n + 1`` target variables, a count known before any elimination.
     """
-    rng = random.Random(seed)
-    best = 0
     limit = min(m.rows, m.cols)
-    for _ in range(GENERIC_RANK_TRIALS):
-        values = [rng.randint(-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE) for _ in m.target_names]
-        best = max(best, rank(m.specialize(values)))
+    best = 0
+    for point in _grid(len(m.target_names), limit):
+        best = max(best, rank(m.specialize(point)))
         if best == limit:
             break
     return best
@@ -191,8 +198,8 @@ def _interpolate_simplex(values, top):
     down by one, and induct).  A product of unisolvent sets is unisolvent
     for the tensor product, so the monomials of a multidegree ``d``, each
     evaluated at its own exponents with the first variable of every block
-    set to 1, fix every form of multidegree ``d``.  Both exact grids of this
-    module rest on this fact.
+    set to 1, fix every form of multidegree ``d``.  Every exact grid of
+    this module rests on this fact.
 
     Forward differences along the lines that trade ``T_0`` for one ``T_t``
     give the Newton coefficients ``Delta^b p(0)``, each divisible by ``b!``;
@@ -259,61 +266,70 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     return MultiPoly(ring, terms)
 
 
-def strand_determinant(diffs, seed: int = 0) -> MultiPoly:
+def strand_determinant(diffs) -> MultiPoly:
     """Normalized determinant of the strand complex whose differentials
     ``d_1, d_2, ..`` are ``diffs`` (any iterable; it is read only as far as
     needed), by Cayley's formula.
 
-    At one seeded integer point, ``J_1`` are the pivot columns of ``d_1``;
-    the columns of ``d_q`` outside ``J_q`` become the rows ``K_q`` of
-    ``d_(q+1)``, whose pivot columns on those rows are ``J_(q+1)``, until no
-    rows are left.  Then ``det = prod_q det(d_q[K_(q-1), J_q])^((-1)^(q+1))``
-    (Gelfand, Kapranov & Zelevinsky, *Discriminants, Resultants and
-    Multidimensional Determinants*, Appendix A).  Every chosen minor is
-    nonzero at the point, so none vanishes identically, and the determinant
-    of an exact complex does not depend on the choice up to sign: the
-    normalized result does not depend on ``seed``.  :func:`_det_on_columns`
-    interpolates each minor at an integer scale that the normalization
-    removes.  The chain stops at the first empty row set, so for a square
-    ``d_1`` of full rank no later differential is built and the result is
-    the one minor ``det(d_1)``.  The later terms are zero when the strand is
-    acyclic, as it is outside the unreliable region: ``d_(q+1)`` has rank 0,
-    and a map with linear entries is never onto a nonzero free module
-    (graded Nakayama), so exactness at the next term makes it zero too.
-    Only a chain that reaches ``d_2`` has even minors, and only then is the
-    product of the odd ones divided, exactly, by the product of the even ones.
+    ``J_1`` are the pivot columns of ``d_1``; the columns of ``d_q`` outside
+    ``J_q`` become the rows ``K_q`` of ``d_(q+1)``, whose pivot columns on
+    those rows are ``J_(q+1)``, until no rows are left.  Then ``det =
+    prod_q det(d_q[K_(q-1), J_q])^((-1)^(q+1))`` (Gelfand, Kapranov &
+    Zelevinsky, *Discriminants, Resultants and Multidimensional
+    Determinants*, Appendix A).  The pivots of ``d_q`` are taken at the
+    first point of :func:`_grid` of degree ``|K_(q-1)|`` where
+    :func:`_bareiss` finds ``|K_(q-1)|`` of them, one elimination per point.
+    Every chosen minor is nonzero at its point, so none vanishes
+    identically, and the determinant of an exact complex does not depend on
+    the choice up to sign, so the normalized result is a function of the
+    input alone.  :func:`_det_on_columns` interpolates each minor at an
+    integer scale that the normalization removes.  The chain stops at the
+    first empty row set, so for a square ``d_1`` of full rank no later
+    differential is built and the result is the one minor ``det(d_1)``.
+    The later terms are zero when the strand is acyclic, as it is outside
+    the unreliable region: ``d_(q+1)`` has rank 0, and a map with linear
+    entries is never onto a nonzero free module (graded Nakayama), so
+    exactness at the next term makes it zero too.  Only a chain that
+    reaches ``d_2`` has even minors, and only then is the product of the
+    odd ones divided, exactly, by the product of the even ones.
 
-    Raises :class:`PipelineError` when a rank falls short at the point or
-    rows remain after the last differential: the strand complex is not
-    exact (at this point, or at all).  A shortfall in ``d_1 = M_nu`` is
-    reported as its generic rank: then no maximal minor of ``M_nu`` can
-    carry the implicit equation.
+    Raises :class:`PipelineError` when no grid point gives a differential
+    full rank on its rows, or rows remain after the last differential: the
+    strand complex is not exact.  The message reports the most pivots found,
+    which is the generic rank (see :func:`generic_rank`); a shortfall in
+    ``d_1 = M_nu`` means that no maximal minor of ``M_nu`` can carry the
+    implicit equation.  The first grid point usually decides; a shortfall
+    costs one elimination at each of the ``C(k + n, n)`` points of degree
+    ``k = |K_(q-1)|``.
     """
-    return _strand_determinant(diffs, seed)[0]
+    return _strand_determinant(diffs)[0]
 
 
-def _strand_determinant(diffs, seed):
+def _strand_determinant(diffs):
     """:func:`strand_determinant` and the even minors it divided by, which
     :func:`_certify` reads: ``delta * prod(even) = prod(odd)`` exactly."""
-    rng = random.Random(seed)
     minors = []
     degree = 0
     rows = None
     for q, d in enumerate(diffs, 1):
         if rows is None:
             rows = range(d.rows)
-            values = [rng.randint(-SPECIALIZATION_RANGE, SPECIALIZATION_RANGE) for _ in d.target_names]
-        spec = d.specialize(values).data
-        pivots, _ = _bareiss([spec[i] for i in rows], d.cols)
-        if len(pivots) < len(rows):
+        most = 0
+        for point in _grid(len(d.target_names), len(rows)):
+            spec = d.specialize(point).data
+            pivots, _ = _bareiss([spec[i] for i in rows], d.cols)
+            if len(pivots) == len(rows):
+                break
+            most = max(most, len(pivots))
+        else:
             if q == 1:
                 short = (
-                    f"matrix has generic rank {len(pivots)} < {len(rows)} rows; "
+                    f"matrix has generic rank {most} < {len(rows)} rows; "
                     "no maximal minor can carry the implicit equation, re-check nu"
                 )
             else:
                 short = (
-                    f"differential {q} has rank {len(pivots)} < {len(rows)} "
+                    f"differential {q} has generic rank {most} < {len(rows)} "
                     "on the rows left by the previous one"
                 )
             raise PipelineError(f"the strand complex is not exact: {short}")
@@ -540,10 +556,12 @@ def run_pipeline(
     ``nu`` defaults to the suggested complement corner; a ``nu`` with the
     wrong number of components raises ``ValueError``.  The determinant is
     that of the whole strand complex (:func:`strand_determinant`); for a
-    square ``M_nu`` of full rank it is ``det(M_nu)``.  Its one seeded point
-    both proves that ``M_nu`` has full row rank, by an exact elimination,
-    and chooses the minors; the reported ``generic_rank`` is that row
-    count.  ``verified`` is the structural certificate of :func:`_certify`.
+    square ``M_nu`` of full rank it is ``det(M_nu)``.  Its exact
+    elimination at a grid point both proves that ``M_nu`` has full row rank
+    and chooses the minors; the reported ``generic_rank`` is that row count.
+    ``seed`` drives only the rank-drop points, the first of which off the
+    base locus is the certificate's point, so ``delta`` does not depend on
+    it.  ``verified`` is the structural certificate of :func:`_certify`.
     Raises :class:`PipelineError` when the matrix shape/rank rules
     out extraction or the strand complex is not exact at ``nu``; an
     inconclusive rank-drop check only warns (verification is the gate).
@@ -560,10 +578,10 @@ def run_pipeline(
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
     try:
-        delta, even = _strand_determinant(chain([m], diffs), seed)
+        delta, even = _strand_determinant(chain([m], diffs))
     except PipelineError as exc:
         raise PipelineError(f"at nu {nu}: {exc}") from exc
-    # the determinant found m.rows pivots of M_nu at its seeded point, so
+    # the determinant found m.rows pivots of M_nu at a grid point, so
     # M_nu has full row rank over the function field of the targets
     drop = rank_drop_check(m, inst, points=points, seed=seed, generic=m.rows)
     if drop.inconclusive:

@@ -14,11 +14,9 @@ canonical and integer over one least common denominator, so coordinates
 in them are read off at the free columns instead of solved for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
-Bareiss only when a certificate fails.  It divides each column by the gcd
-of its entries (the column content), which keeps the rank but not the
-kernel; strand matrices specialized over one common denominator carry
-large column contents.  A tall matrix is transposed, so every rank
-eliminates the wide orientation, once modulo the fixed prime :data:`_P`.
+Bareiss only when a certificate fails.  A tall matrix is transposed, so
+every rank eliminates the wide orientation, once modulo the fixed prime
+:data:`_P`.
 The ``r`` pivots select a minor that is nonzero modulo ``_P``, hence a
 nonzero integer, so ``rank >= r``; a modular rank of ``min(rows, cols)``
 is therefore the rank.  Otherwise the pivot columns are ``r`` independent
@@ -325,15 +323,14 @@ def rank(m: QMatrix) -> int:
     """Rank over Q, exactly, and deterministic.
 
     ``rank >= r`` from one packed elimination modulo :data:`_P` of the wide
-    orientation (:func:`_echelon_mod`, which unpacks nothing here), after
-    each column is divided by its content; when ``r`` is short of
-    ``min(rows, cols)``, ``rank <= r`` from kernel vectors found modulo
-    :data:`_Q` and checked over Z (:func:`_kernel_certified`).  Only when
-    that check fails does the fraction-free :func:`_bareiss` decide.  The
-    certificate is set out in the module docstring.
+    orientation (:func:`_echelon_mod`, which unpacks nothing here); when
+    ``r`` is short of ``min(rows, cols)``, ``rank <= r`` from kernel
+    vectors found modulo :data:`_Q` and checked over Z
+    (:func:`_kernel_certified`).  Only when that check fails does the
+    fraction-free :func:`_bareiss` decide, on a copy.  The certificate is
+    set out in the module docstring.
     """
-    contents = [gcd(*col) or 1 for col in zip(*m.data)]
-    work = [[x // g for x, g in zip(row, contents)] for row in m.data]
+    work = m.data
     if m.rows > m.cols:
         work = [list(col) for col in zip(*work)]
     s, cols = len(work), max(m.rows, m.cols)
@@ -344,7 +341,7 @@ def rank(m: QMatrix) -> int:
     b = list(zip(*work))
     if _kernel_certified(b, [b[c] for c in pivots], s):
         return r
-    return len(_bareiss(work, cols)[0])
+    return len(_bareiss([row[:] for row in work], cols)[0])
 
 
 def nullspace_basis(m: QMatrix):

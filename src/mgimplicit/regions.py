@@ -6,8 +6,8 @@ target ring ``k[T_0..T_n]`` is the one-block case).  This module computes
 strand dimensions and monomial bases, the shifted orthants ``Q_alpha``
 supporting the local cohomology of the ring with respect to the irrelevant
 ideal, the unreliable region ``R_B(gamma)`` of strand degrees (a down-set),
-its complement corners (read off the coordinates of its parts), a suggested
-strand degree ``nu`` (the corner with the smallest strand), and
+its complement corners (built part by part as minimal transversals), a
+suggested strand degree ``nu`` (the corner with the smallest strand), and
 :func:`check_strand_degree`, the one check of a requested ``nu``.
 
 Index conventions: blocks are 0-based in code; human-readable output
@@ -214,25 +214,37 @@ def check_strand_degree(blocks: BlockStructure, gamma, nu) -> list:
 
 def complement_corners(blocks: BlockStructure, gamma):
     """Componentwise-minimal points of the complement of the unreliable
-    region in ``N^s``, sorted lexicographically.  Each has ``mu_j = 0`` or
-    ``mu_j = shift_j + 1`` for a part with ``j`` in its ``alpha``, because
-    ``mu - e_j`` lies in a part, which would contain ``mu`` too if ``j``
-    were not in its ``alpha``.  So they are the points of that grid (at most
-    ``(1 + 2^(s-1))^s``) whose every step down lies in the region."""
-    region = region_RB(blocks, gamma)
-    coords = [
-        {0} | {p.shift[j] + 1 for p in region.parts if j in p.alpha and p.shift[j] >= 0}
-        for j in range(blocks.s)
-    ]
-    return sorted(
-        mu
-        for mu in product(*coords)
-        if not region.contains(mu)
-        and all(
-            mu[j] == 0 or region.contains(mu[:j] + (mu[j] - 1,) + mu[j + 1 :])
-            for j in range(blocks.s)
-        )
-    )
+    region in ``N^s``, sorted lexicographically.
+
+    The region is a down-set.  Let ``mu'`` lie below a point of the part of
+    ``alpha`` and close ``alpha`` under adding each ``j`` with ``mu'_j < w *
+    gamma_j``, ``w`` the current weight (the sum of ``r_i`` over the set).
+    Each added ``j`` satisfies ``mu'_j <= w * gamma_j - 1 <= (w + r_j) *
+    gamma_j - r_j - 1`` because ``gamma_j >= 1``, and weights only grow, so
+    the upper bounds of the closed set hold on it, as those of ``alpha``
+    do; the closure stopped where every other ``mu'_j >= w * gamma_j``, so
+    ``mu'`` lies in the part of the closed set.  A part's down-closure is
+    its cylinder ``{mu_j <= shift_j, j in alpha}``, so the region is the
+    union of the cylinders, and the complement is the intersection of their
+    complements, each the points with ``mu_j > shift_j`` for some ``j`` in
+    ``alpha``.  The corners are built one cylinder at a time, as minimal
+    transversals: from ``{0}``, each corner still inside the cylinder is
+    raised at one ``j`` in ``alpha`` to ``shift_j + 1`` in every way, and
+    the raised points that another corner lies below are dropped (the
+    corners outside the cylinder are an antichain that no raised point lies
+    below).  A cylinder with some ``shift_j < 0`` misses ``N^s`` and
+    changes nothing."""
+    corners = {(0,) * blocks.s}
+    for part in region_RB(blocks, gamma).parts:
+        bounds = [(j, part.shift[j]) for j in part.alpha]
+        inside = {mu for mu in corners if all(mu[j] <= b for j, b in bounds)}
+        raised = {mu[:j] + (b + 1,) + mu[j + 1 :] for mu in inside for j, b in bounds}
+        corners -= inside
+        pool = corners | raised
+        corners |= {
+            mu for mu in raised if not any(nu != mu and all(map(int.__le__, nu, mu)) for nu in pool)
+        }
+    return sorted(corners)
 
 
 def _smallest_strand_corner(blocks: BlockStructure, corners):

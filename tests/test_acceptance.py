@@ -58,7 +58,7 @@ def test_criterion_1_golden_matrix_and_ranks():
         inst = golden_instance()
         m = representation_matrix(inst, (3, 1))
         assert (m.rows, m.cols) == (8, 8)
-        assert generic_rank(m, seed=0) == 8
+        assert generic_rank(m) == 8
         report = rank_drop_check(m, inst, points=20, seed=0, generic=8)
         assert len(report.point_ranks) == 20
         assert all(r == 7 for r in report.point_ranks)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -72,12 +73,12 @@ def test_linear_form_matrix_rejects_non_integer_coefficients():
 # -- generic rank -----------------------------------------------------------------
 
 def test_generic_rank_golden(golden_matrix):
-    assert generic_rank(golden_matrix, seed=0) == 8
+    assert generic_rank(golden_matrix) == 8
 
 
 def test_generic_rank_zero_matrix():
     z = linear_matrix([[(0, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 0, 0)]])
-    assert generic_rank(z, seed=1) == 0
+    assert generic_rank(z) == 0
 
 
 def test_generic_rank_identical_columns_vs_symbolic_oracle():
@@ -87,7 +88,7 @@ def test_generic_rank_identical_columns_vs_symbolic_oracle():
         col = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
         other = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)]
         m = linear_matrix([[col[i], col[i], other[i]] for i in range(3)])
-        g = generic_rank(m, seed=7)
+        g = generic_rank(m)
         assert g <= 2
         assert g == symbolic_rank_oracle(m, ring)
 
@@ -99,17 +100,56 @@ def test_generic_rank_random_vs_symbolic_oracle():
         m = linear_matrix(
             [[tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)] for _ in range(3)]
         )
-        assert generic_rank(m, seed=5) == symbolic_rank_oracle(m, ring)
+        assert generic_rank(m) == symbolic_rank_oracle(m, ring)
 
 
-def test_generic_rank_seed_stable(golden_matrix):
-    assert {generic_rank(golden_matrix, seed=s) for s in range(5)} == {8}
+def _diagonal_t1_t2():
+    """``diag(T_1, T_2)``, which is zero at the first grid point ``(1, 0, 0)``."""
+    return linear_matrix([[(0, 1, 0), (0, 0, 0)], [(0, 0, 0), (0, 0, 1)]])
+
+
+def test_generic_rank_beyond_the_first_grid_point():
+    assert generic_rank(_diagonal_t1_t2()) == 2
+
+
+def test_strand_determinant_beyond_the_first_grid_point():
+    ring = target_ring(["T_0", "T_1", "T_2"])
+    assert strand_determinant([_diagonal_t1_t2()]) == normalize_poly(parse_poly("T_1*T_2", ring))
+
+
+def test_strand_determinant_reports_the_exact_generic_rank():
+    # the third row is the sum of the first two, so the generic rank is 2,
+    # while the matrix is zero at (1, 0, 0); the whole degree-3 grid is scanned
+    first = [(0, 1, 0), (0, 0, 0), (0, 0, 1)]
+    second = [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+    third = [tuple(map(add, a, b)) for a, b in zip(first, second)]
+    m = linear_matrix([first, second, third])
+    assert generic_rank(m) == 2
+    with pytest.raises(PipelineError, match="generic rank 2 < 3 rows"):
+        strand_determinant([m])
+
+
+@st.composite
+def t0_free_linear_matrices(draw):
+    """A linear-form matrix of 1-3 rows and columns in ``T_0, T_1, T_2``
+    with no ``T_0`` terms, so that it is zero at the first grid point."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    form = st.tuples(st.just(0), st.integers(-2, 2), st.integers(-2, 2))
+    row = st.lists(form, min_size=cols, max_size=cols)
+    return linear_matrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t0_free_linear_matrices())
+def test_generic_rank_matches_symbolic_oracle(m):
+    assert generic_rank(m) == symbolic_rank_oracle(m, target_ring(["T_0", "T_1", "T_2"]))
 
 
 # -- rank drop ---------------------------------------------------------------------
 
 def test_rank_drop_golden(golden, golden_matrix):
-    generic = generic_rank(golden_matrix, seed=0)
+    generic = generic_rank(golden_matrix)
     report = rank_drop_check(golden_matrix, golden, points=20, seed=0, generic=generic)
     assert report.generic_rank == 8
     assert len(report.point_ranks) >= 15
@@ -121,7 +161,7 @@ def test_rank_drop_on_small_regular_instance():
     rng = random.Random(21)
     inst = random_p1p1_instance(1, 1, rng)
     m = representation_matrix(inst, (1, 0), warn_region=False)
-    report = rank_drop_check(m, inst, points=15, seed=2, generic=generic_rank(m, seed=2))
+    report = rank_drop_check(m, inst, points=15, seed=2, generic=generic_rank(m))
     assert report.passed
     assert all(r <= report.generic_rank - 1 for r in report.point_ranks)
 
@@ -131,7 +171,7 @@ def test_rank_drop_degenerate_equal_generators():
     f = parse_poly("s*t + u*v", ring)
     inst = ProblemInstance.from_polys([f, f, f, f])
     m = representation_matrix(inst, (1, 0), warn_region=False)
-    report = rank_drop_check(m, inst, points=10, seed=3, generic=generic_rank(m, seed=3))
+    report = rank_drop_check(m, inst, points=10, seed=3, generic=generic_rank(m))
     # columns collapse under T_i = T_j: every specialized rank drops
     assert report.passed
 
@@ -277,8 +317,6 @@ def test_strand_determinant_does_not_depend_on_the_choice():
     delta = strand_determinant(diffs)
     assert delta.total_degree() == 6 - 3 + 1
     assert verify_implicit(delta, inst)
-    for seed in range(1, 6):
-        assert strand_determinant(diffs, seed=seed) == delta
     # reordering a basis changes which minors are chosen, not the result
     for q in (1, 2, 3):
         assert strand_determinant(_reversed_basis(diffs, q)) == delta
@@ -630,8 +668,8 @@ def test_certificate_rejects_a_corrupted_delta(monkeypatch, capsys, name):
     # delta no longer vanishes at f(p0), and the CLI exits 2
     intact = implicitize._strand_determinant
 
-    def corrupted(diffs, seed):
-        delta, even = intact(diffs, seed)
+    def corrupted(diffs):
+        delta, even = intact(diffs)
         return delta + MultiPoly.monomial(delta.ring, delta.leading()[0]), even
 
     monkeypatch.setattr(implicitize, "_strand_determinant", corrupted)
@@ -650,8 +688,8 @@ def test_vanishing_even_minor_falls_back_to_the_grid(monkeypatch):
     assert line and implicitize._eval_terms(line.terms, values) == 0
     intact = implicitize._strand_determinant
 
-    def vanishing_at_p0(diffs, seed):
-        delta, even = intact(diffs, seed)
+    def vanishing_at_p0(diffs):
+        delta, even = intact(diffs)
         assert even
         return delta, [even[0] * line] + even[1:]
 

@@ -203,8 +203,8 @@ def _short_side_kernel_matrix(draw, big):
     kernel ``x + [1]``: small entries, or with ``big`` a first entry beyond
     the reconstruction bound.  ``B`` holds the rows ``[e_j, -x_j]`` and
     random rows, shuffled; with ``big`` one ``x_j`` is ``1``, so that every
-    column of ``B`` stays primitive and no content divides the big entry
-    away."""
+    column of ``B`` is primitive and no scaling of a column could divide
+    the big entry away."""
     shape = draw(st.sampled_from(["square", "wide", "tall"]))
     short = draw(st.integers(3 if big else 2, 5))
     long = short if shape == "square" else draw(st.integers(short + 1, 7))

@@ -557,8 +557,8 @@ def test_cmd_implicitize_has_no_samples_option(capsys):
 
 
 def test_cmd_implicitize_has_no_trials_option(capsys):
-    # full row rank is proved at the determinant's seeded point; there are
-    # no generic-rank trials left to count
+    # full row rank is proved by the determinant's elimination at a grid
+    # point; there are no generic-rank trials left to count
     assert main(["implicitize", GOLDEN_JSON, "--trials", "4"]) == 1
 
 

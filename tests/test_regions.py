@@ -184,6 +184,19 @@ def test_corners_match_dominance_oracle():
         assert complement_corners(blocks, gamma) == expected, (r, gamma)
 
 
+def test_corners_of_five_blocks_with_distinct_shifts():
+    # every part has its own shift in every coordinate, so a scan of the
+    # candidate grid would test 17^5 points; each corner is outside the
+    # region and each step down from it is inside
+    blocks = BlockStructure((1, 2, 4, 8, 16))
+    region = region_RB(blocks, (3, 2, 5, 1, 7))
+    corners = complement_corners(blocks, (3, 2, 5, 1, 7))
+    assert len(corners) == 120
+    for mu in corners:
+        assert not region.contains(mu)
+        assert all(region.contains(mu[:j] + (mu[j] - 1,) + mu[j + 1 :]) for j in range(5) if mu[j])
+
+
 def test_corner_outside_region_randomized():
     rng = random.Random(8)
     for _ in range(20):
