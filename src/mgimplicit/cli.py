@@ -125,6 +125,8 @@ def cmd_region(args):
     if args.plot != "-":
         _check_out_path(args.plot)
     if args.file:
+        if args.blocks or args.gamma:
+            raise ProblemValidationError("region takes a FILE or --blocks and --gamma, not both")
         inst = load_problem(args.file).instance()
         blocks, gamma = inst.blocks, inst.gamma
     else:

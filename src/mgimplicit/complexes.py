@@ -13,6 +13,10 @@ cycle-complex strand in degree ``nu``, whose spaces are ``(Z_q) at nu +
 q*gamma``.  The first of these differentials is the representation matrix
 ``M_nu``: rows indexed by the monomials of degree ``nu``, columns by the
 degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
+
+Every differential is a :class:`LinearFormMatrix`, stored as its integer
+slices: ``M = sum_t T_t M_t / den``, with ``M_t`` the coefficients of
+``T_t``.  The contraction by ``e_j`` writes the slice ``M_j`` directly.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb, lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import QMatrix, nullspace_basis, rank
 from .multipoly import (
@@ -135,11 +139,14 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
 
     Maps the (S, u)-indexed strand of ``K_q`` to the (T, w)-indexed strand
     of ``K_{q-1}``; an empty strand on either side yields a matrix with
-    zero rows or columns.
+    zero rows or columns.  Raises ``ValueError`` unless ``d`` has one
+    component per block.
     """
     n1 = len(inst.f)
     if not 1 <= q <= n1:
         raise ValueError(f"q must be between 1 and {n1}")
+    if len(d) != inst.blocks.s:
+        raise ValueError(f"degree {tuple(d)} needs {inst.blocks.s} components, got {len(d)}")
     gamma = inst.gamma
     src_mons = strand_basis(inst.blocks, _vsub(d, _vscale(q, gamma)))
     tgt_mons = strand_basis(inst.blocks, _vsub(d, _vscale(q - 1, gamma)))
@@ -196,48 +203,60 @@ def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
 
 @dataclass
 class LinearFormMatrix:
-    """Matrix whose entries are degree-1 polynomials in the target variables.
+    """Matrix ``M = sum_t T_t M_t / den`` whose entries are degree-1
+    polynomials in the target variables.
 
-    ``coeffs[i][j]`` is the integer coefficient vector of the entry over the
-    common denominator ``den``: entry = ``sum_t coeffs[i][j][t] * T_t / den``.
+    ``slices[t]`` is the integer ``rows x cols`` matrix ``M_t`` of the
+    coefficients of ``T_t``, over the common denominator ``den``: one slice
+    per target variable.  A slice of another shape raises ``ValueError``,
+    a coefficient that is not an ``int`` raises ``TypeError``.
     """
 
     rows: int
     cols: int
     target_names: tuple[str, ...]
-    coeffs: list
+    slices: list
     den: int
     row_labels: list = None
 
     def __post_init__(self):
         if not isinstance(self.den, int) or self.den < 1:
             raise TypeError(f"den must be an int >= 1, not {self.den!r}")
-        for i, row in enumerate(self.coeffs):
-            for j, cell in enumerate(row):
-                for t, c in enumerate(cell):
-                    if not isinstance(c, int):
-                        raise TypeError(f"coefficient {t} of entry ({i}, {j}) is {c!r}, not an int")
+        if len(self.slices) != len(self.target_names) or any(len(s) != self.rows for s in self.slices):
+            raise ValueError(f"need {len(self.target_names)} slices of {self.rows} rows")
+        for t, s in enumerate(self.slices):
+            try:
+                QMatrix(s, cols=self.cols)
+            except TypeError as exc:
+                raise TypeError(f"coefficient {t} of {exc}") from None
 
     def entry_poly(self, i, j, ring) -> MultiPoly:
         """Entry ``(i, j)`` as a polynomial of ``ring``, the target ring."""
         terms = {}
-        for t, c in enumerate(self.coeffs[i][j]):
-            if c:
+        for t, s in enumerate(self.slices):
+            if s[i][j]:
                 e = [0] * len(self.target_names)
                 e[t] = 1
-                terms[tuple(e)] = _whole(Fraction(c, self.den))
+                terms[tuple(e)] = _whole(Fraction(s[i][j], self.den))
         return MultiPoly(ring, terms)
 
     def specialize(self, values) -> QMatrix:
-        """``den`` times the numeric matrix at integer ``T_t = values[t]`` (same rank)."""
+        """``den * M`` at integer ``T_t = values[t]``: the integer matrix
+        ``sum_t values[t] * M_t``, which has the rank of ``M`` there.  The
+        slices of zero values are skipped and those of values 1 are not
+        scaled; each entry is summed in one pass, with no intermediate
+        matrix.  This is the one place where values meet the slices."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
-        data = [[sum(map(mul, cell, values)) for cell in row] for row in self.coeffs]
-        return QMatrix(data, cols=self.cols)
+        data = None
+        for v, s in compress(zip(values, self.slices), values):
+            rows = s if v == 1 else [map(mul, row, repeat(v)) for row in s]
+            data = rows if data is None else [map(add, a, b) for a, b in zip(data, rows)]
+        return QMatrix(data or [[0] * self.cols for _ in range(self.rows)], cols=self.cols)
 
     def to_json_dict(self, extra=None) -> dict:
         ring = target_ring(self.target_names)
-        out = {
+        return {
             "schema": "linear-form-matrix/1",
             "rows": self.rows,
             "cols": self.cols,
@@ -247,10 +266,8 @@ class LinearFormMatrix:
             "entries": [
                 [str(self.entry_poly(i, j, ring)) for j in range(self.cols)] for i in range(self.rows)
             ],
+            **(extra or {}),
         }
-        if extra:
-            out.update(extra)
-        return out
 
 
 def strand_differentials(inst: ProblemInstance, nu):
@@ -304,14 +321,15 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
 
     Each contraction image is read at the free columns of ``tgt`` (the last
     nonzero entry of each basis vector) and checked by exact re-expansion;
-    at q = 1, ``tgt`` is the identity basis.  The matrix is over ``src.den``.
+    at q = 1, ``tgt`` is the identity basis.  The contraction by ``e_j``
+    gives the slice ``M_j``: ``M = sum_j T_j M_j / src.den``.
     """
     n1 = len(inst.f)
     lm = len(src.monomials)
     support = [[(i, x) for i, x in enumerate(v) if x] for v in tgt.vectors]
     free = [nz[-1][0] for nz in support]
     faces = _faces(n1, src.q)
-    coeffs = [[None] * len(src) for _ in free]
+    slices = [[[0] * len(src) for _ in free] for _ in range(n1)]
     for c, v in enumerate(src.vectors):
         images = [[0] * (len(tgt.subsets) * lm) for _ in range(n1)]
         for si, j, ti, sign in faces:
@@ -327,15 +345,16 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
                     f"contraction image not in the span of the {tgt.q}-cycle "
                     f"basis at degree {src.nu}"
                 )
-        for t, ft in enumerate(free):
-            coeffs[t][c] = [w[ft] for w in images]
+        for m_j, w in zip(slices, images):
+            for row, ft in zip(m_j, free):
+                row[c] = w[ft]
     # only M_nu (q = 1) is ever printed; its rows are the monomials of nu
     row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials] if tgt.q == 0 else None
     return LinearFormMatrix(
         rows=len(free),
         cols=len(src),
         target_names=inst.target.names,
-        coeffs=coeffs,
+        slices=slices,
         den=src.den,
         row_labels=row_labels,
     )

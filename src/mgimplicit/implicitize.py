@@ -50,7 +50,6 @@ from .linalg import _bareiss, rank
 from .multipoly import (
     MultiPoly,
     _eval_terms,
-    eval_at,
     exact_div,
     normalize_poly,
     target_ring,
@@ -92,16 +91,15 @@ def generic_rank(m: LinearFormMatrix) -> int:
 
 
 def sample_parameter_point(ring, rng):
-    """Random parameter point with no block identically zero, as a
-    name -> value mapping."""
-    point = {}
+    """Random parameter point with no block identically zero, as its
+    coordinates in the order of ``ring.names``."""
+    point = []
     for start, stop in ring.block_slices:
         while True:
             coords = [rng.randint(-POINT_RANGE, POINT_RANGE) for _ in range(stop - start)]
             if any(coords):
                 break
-        for name, v in zip(ring.names[start:stop], coords):
-            point[name] = v
+        point += coords
     return point
 
 
@@ -169,7 +167,7 @@ def _image_points(inst: ProblemInstance, seed: int):
     rng = random.Random(seed)
     while True:
         point = sample_parameter_point(inst.ring, rng)
-        values = [eval_at(fj, point) for fj in inst.integer_forms]
+        values = [_eval_terms(fj.terms, point) for fj in inst.integer_forms]
         yield values if any(values) else None
 
 
@@ -239,9 +237,12 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
 
     The determinant is zero or a form of degree ``N = len(rows)``, so it is
     fixed by its values on the ``C(N+n, n)`` monomials of degree ``N``
-    (see :func:`_interpolate_simplex`), each an integer determinant on the
-    integer ``coeffs``.  The result is checked against one more integer
-    determinant at a fixed point off the grid.
+    (see :func:`_interpolate_simplex`).  With ``m = sum_t T_t M_t / den``,
+    the submatrix keeps the slices ``M_t`` on ``rows`` and ``cols``, and
+    each value is the integer determinant of ``sum_t T_t M_t`` there, as
+    :meth:`LinearFormMatrix.specialize` evaluates it.  The result is
+    checked against one more integer determinant at a fixed point off the
+    grid.
     """
     cols = list(cols)
     rows = list(rows)
@@ -251,10 +252,11 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     ring = target_ring(m.target_names)
     if size == 0:
         return MultiPoly.constant(ring, 1)
-    entries = [[m.coeffs[r][j] for j in cols] for r in rows]
+    slices = [[[s[r][c] for c in cols] for r in rows] for s in m.slices]
+    sub = LinearFormMatrix(size, size, m.target_names, slices, m.den)
 
     def det_at(point):
-        work = [[sum(map(mul, point, e)) for e in row] for row in entries]
+        work = sub.specialize(point).data
         pivots, sign = _bareiss(work, size)
         return sign * work[-1][-1] if len(pivots) == size else 0
 
@@ -456,18 +458,15 @@ def _columns_are_syzygies(m: LinearFormMatrix, inst: ProblemInstance, nu) -> boo
     """Whether every column ``(g_0..g_n)`` of ``m = M_nu`` is a syzygy of the
     integer forms, ``sum_j g_j f_j = 0`` exactly: the Koszul differential
     at ``nu + gamma`` (:func:`koszul_differential_strand`) sends it to zero.
-    There ``g_j = sum_u m[u][c][j] x^u`` over the monomials ``u`` of
-    multidegree ``nu`` that index the rows, and the coordinates are
-    ``(j, u)`` pairs, form-major."""
-    n1 = len(inst.f)
+    There ``g_j = sum_u M_j[u][c] x^u`` over the monomials ``u`` of
+    multidegree ``nu`` that index the rows, so column ``c`` of the slices
+    ``M_0, .., M_n`` stacked is the column in Koszul's ``(j, u)``
+    coordinates, form-major."""
+    stacked = list(chain.from_iterable(m.slices))
     koszul = koszul_differential_strand(inst, 1, tuple(map(add, nu, inst.gamma)))
-    if koszul.cols != n1 * m.rows:
+    if koszul.cols != len(stacked):
         return False
-    for c in range(m.cols):
-        g = [row[c][j] for j in range(n1) for row in m.coeffs]
-        if any(sum(map(mul, k, g)) for k in koszul.data):
-            return False
-    return True
+    return not any(any(sum(map(mul, k, g)) for k in koszul.data) for g in zip(*stacked))
 
 
 def _certify(m: LinearFormMatrix, nu, inst: ProblemInstance, delta: MultiPoly, even, seed: int) -> bool:

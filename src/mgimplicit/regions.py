@@ -90,7 +90,10 @@ class RegionUnion:
 # strands
 
 def strand_dim(blocks: BlockStructure, d) -> int:
-    """Dimension of the degree-``d`` graded piece: prod_i C(d_i + r_i, r_i)."""
+    """Dimension of the degree-``d`` graded piece: prod_i C(d_i + r_i, r_i).
+    Raises ``ValueError`` unless ``d`` has one component per block."""
+    if len(d) != blocks.s:
+        raise ValueError(f"degree {tuple(d)} needs {blocks.s} components, got {len(d)}")
     out = 1
     for di, ri in zip(d, blocks.r):
         if di < 0:
@@ -113,7 +116,10 @@ def _compositions_desc(total, parts):
 
 def strand_basis(blocks: BlockStructure, d):
     """All monomials of multidegree ``d`` as flat exponent tuples, canonical
-    (descending graded-lex) order; empty when some component is negative."""
+    (descending graded-lex) order; empty when some component is negative.
+    Raises ``ValueError`` unless ``d`` has one component per block."""
+    if len(d) != blocks.s:
+        raise ValueError(f"degree {tuple(d)} needs {blocks.s} components, got {len(d)}")
     if any(di < 0 for di in d):
         return []
     per_block = [_compositions_desc(di, ri + 1) for di, ri in zip(d, blocks.r)]

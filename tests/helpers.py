@@ -98,7 +98,7 @@ def base_locus_probably_empty(inst, rng, samples=500):
     from mgimplicit.implicitize import sample_parameter_point
 
     for _ in range(samples):
-        point = sample_parameter_point(inst.ring, rng)
+        point = dict(zip(inst.ring.names, sample_parameter_point(inst.ring, rng)))
         if all(eval_at(f, point) == 0 for f in inst.f):
             return False
     return True

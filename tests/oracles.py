@@ -7,6 +7,9 @@ Gauss-Jordan pass that the package's back-substitution replaced,
 modular echelon forms from the entry-by-entry elimination on lists that
 the package's packed rows replaced,
 determinants from cofactor expansion,
+the values of a matrix of linear forms entry by entry from its cells
+(the coefficient vectors of its entries, the layout the package stored
+before its integer slices ``M_t``),
 the generic rank of a matrix of linear forms from symbolic cofactor
 minors, the cycle-complex differentials from Koszul matrices built entry
 by entry and solved by Gauss-Jordan, the complement corners by an
@@ -28,6 +31,7 @@ The symbolic expansions the package no longer ships live here too:
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring
 from mgimplicit.regions import _check_gamma, region_RB, strand_basis
@@ -193,6 +197,25 @@ def det_cofactor(rows):
     return total
 
 
+def cells(m):
+    """The entries of the linear-form matrix ``m = sum_t T_t M_t / den``
+    cell by cell: ``cells(m)[i][j][t]`` is ``M_t[i][j]``, the coefficient
+    of ``T_t`` in entry ``(i, j)`` over ``m.den``."""
+    return [[[s[i][j] for s in m.slices] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def slices_of(cells, ntargets):
+    """The slices ``M_t`` of the matrix whose cells are ``cells``; the
+    inverse of :func:`cells` for ``ntargets`` target variables."""
+    return [[[cell[t] for cell in row] for row in cells] for t in range(ntargets)]
+
+
+def specialize_cells(cells, values):
+    """``den * m`` at ``T_t = values[t]``, evaluated cell by cell: the
+    reference for ``LinearFormMatrix.specialize``, which sums slices."""
+    return [[sum(map(mul, cell, values)) for cell in row] for row in cells]
+
+
 def det_cofactor_poly(entries):
     """Cofactor determinant of a matrix of MultiPoly entries (tiny sizes only)."""
     n = len(entries)
@@ -262,10 +285,10 @@ def solve_in_basis_oracle(basis, ws):
 
 
 def cycle_differentials_oracle(inst, nu):
-    """``coeffs`` of every differential of the degree-``nu`` cycle-complex
+    """The :func:`cells` of every differential of the degree-``nu`` cycle-complex
     strand: the q-th maps q-cycle ``c`` to ``sum_j T_j * x_j`` where ``x_j``
     solves the contraction of ``c`` by ``e_j`` against the (q-1)-cycle
-    basis; ``coeffs[t][c][j]`` is the t-th coordinate of ``x_j``."""
+    basis; ``cells[t][c][j]`` is the t-th coordinate of ``x_j``."""
     n1 = len(inst.f)
     lm = len(strand_basis(inst.blocks, nu))
     bases = [koszul_cycles_oracle(inst, q, nu) for q in range(n1)]

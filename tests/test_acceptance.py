@@ -158,7 +158,7 @@ def test_criterion_6_invariant_suites():
             mons = strand_basis(inst.blocks, nu)
             hits = 0
             while hits < 100:
-                point = sample_parameter_point(inst.ring, rng)
+                point = dict(zip(inst.ring.names, sample_parameter_point(inst.ring, rng)))
                 values = [eval_at(fj, point) for fj in inst.f]
                 if all(v == 0 for v in values):
                     continue

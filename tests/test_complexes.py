@@ -1,6 +1,9 @@
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     golden_instance,
@@ -26,9 +29,51 @@ from mgimplicit import (
     strand_dim,
     strand_differentials,
 )
+from mgimplicit.complexes import LinearFormMatrix
+from mgimplicit.implicitize import evaluation_points
 from mgimplicit.multipoly import MultiPoly, eval_at
 from mgimplicit.regions import BlockStructure, strand_basis
-from oracles import compositions_vanish, cycle_differentials_oracle, cycle_polys, rank_oracle
+from oracles import (
+    cells,
+    compositions_vanish,
+    cycle_differentials_oracle,
+    cycle_polys,
+    rank_oracle,
+    specialize_cells,
+)
+
+
+@pytest.mark.parametrize("d", [(3,), (5,), (3, 1, 5)], ids=["short", "short-5", "long"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, d: cycle_basis(inst, 0, d),
+        lambda inst, d: cycle_basis(inst, 1, d),
+        lambda inst, d: koszul_differential_strand(inst, 1, d),
+        lambda inst, d: koszul_differential_strand(inst, 2, d),
+        lambda inst, d: homology_dim(inst, 0, d),
+        lambda inst, d: homology_dim(inst, 1, d),
+        lambda inst, d: next(strand_differentials(inst, d)),
+        lambda inst, d: representation_matrix(inst, d, warn_region=False),
+        lambda inst, d: evaluation_points(inst, d),
+    ],
+    ids=[
+        "cycle_basis-0",
+        "cycle_basis-1",
+        "koszul-1",
+        "koszul-2",
+        "homology-0",
+        "homology-1",
+        "strand_differentials",
+        "representation_matrix",
+        "evaluation_points",
+    ],
+)
+def test_strand_degree_needs_one_component_per_block(call, d):
+    # golden has two blocks; a degree of another length used to be cut or
+    # padded by zip (cycle_basis(golden, 1, (3,)) gave 10 vectors)
+    with pytest.raises(ValueError, match="needs 2 components"):
+        call(golden_instance(), d)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +198,7 @@ def test_representation_matrix_entries_match_cycles(make):
     assert (m.rows, m.cols) == (len(mons), len(cb)) and m.cols > 0
     for c, cyc in enumerate(cycle_polys(cb, inst.ring)):
         for i, mon in enumerate(mons):
-            assert over(m.den, m.coeffs[i])[c] == [g.coeff(mon) for g in cyc]
+            assert over(m.den, cells(m)[i])[c] == [g.coeff(mon) for g in cyc]
 
 
 def test_equal_monomial_generators_give_difference_columns():
@@ -166,9 +211,9 @@ def test_equal_monomial_generators_give_difference_columns():
     assert mat.cols == 3 * mat.rows
     ring_t = None
     for c in range(mat.cols):
-        nonzero_rows = [i for i in range(mat.rows) if any(mat.coeffs[i][c])]
+        nonzero_rows = [i for i in range(mat.rows) if any(cells(mat)[i][c])]
         assert len(nonzero_rows) == 1
-        coeffs = mat.coeffs[nonzero_rows[0]][c]
+        coeffs = cells(mat)[nonzero_rows[0]][c]
         js = [j for j, v in enumerate(coeffs) if v]
         assert len(js) == 2 and 0 in js
         assert coeffs[js[0]] == -coeffs[js[1]]
@@ -182,7 +227,7 @@ def test_left_kernel_law(golden, golden_matrix):
 
     names = golden.ring.names
     for _ in range(25):
-        point = sample_parameter_point(golden.ring, rng)
+        point = dict(zip(names, sample_parameter_point(golden.ring, rng)))
         values = [eval_at(fj, point) for fj in golden.f]
         if all(v == 0 for v in values):
             continue
@@ -212,7 +257,7 @@ def test_z_strand_golden(golden):
     assert compositions_vanish(diffs)
     # the first differential is the representation matrix
     m = representation_matrix(golden, (3, 1))
-    assert diffs[0].coeffs == m.coeffs
+    assert diffs[0].slices == m.slices
 
 
 def test_z_strand_compositions_random():
@@ -264,8 +309,8 @@ def test_z_strand_matches_gauss_jordan_oracle(make, dims):
     inst, nu = make()
     diffs = list(strand_differentials(inst, nu))
     assert strand_dims(diffs) == dims
-    assert all(any(any(e) for row in d.coeffs for e in row) for d in diffs[1:])
-    mine = [[over(d.den, row) for row in d.coeffs] for d in diffs]
+    assert all(any(map(any, chain.from_iterable(d.slices))) for d in diffs[1:])
+    mine = [[over(d.den, row) for row in cells(d)] for d in diffs]
     assert mine == cycle_differentials_oracle(inst, nu)
 
 
@@ -310,3 +355,51 @@ def test_homology_dim_out_of_range(golden):
     assert homology_dim(golden, 7, (3, 1)) == 0
     with pytest.raises(ValueError):
         homology_dim(golden, -1, (3, 1))
+
+
+# -- specialization of the slices --------------------------------------------------
+
+BIG = 2**100
+HUGE = st.integers(BIG - 3, BIG + 3) | st.integers(-BIG - 3, -BIG + 3)
+COEFFICIENTS = st.integers(-9, 9) | HUGE
+VALUES = st.sampled_from([0, 1, -1]) | st.integers(-9, 9) | HUGE
+
+
+@st.composite
+def specializations(draw):
+    """A linear-form matrix with 0-3 rows and columns in 1-4 target
+    variables, coefficients small or about ``2**100``, and values that are
+    0, 1, negative or about ``2**100``, or a point of the interpolation
+    grid: ``T_0 = 1`` and the others small exponents, often 0."""
+    ntargets = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(0, 3))
+    slices = [[[draw(COEFFICIENTS) for _ in range(cols)] for _ in range(rows)] for _ in range(ntargets)]
+    names = tuple(f"T_{t}" for t in range(ntargets))
+    m = LinearFormMatrix(rows, cols, names, slices, den=draw(st.integers(1, 9)))
+    if draw(st.booleans()):
+        values = [1] + [draw(st.integers(0, 2)) for _ in range(ntargets - 1)]
+    else:
+        values = [draw(VALUES) for _ in range(ntargets)]
+    return m, values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(specializations())
+@example((LinearFormMatrix(0, 2, ("T_0", "T_1"), [[], []], den=1), [1, 3]))
+@example((LinearFormMatrix(2, 0, ("T_0", "T_1"), [[[], []], [[], []]], den=1), [1, 3]))
+@example((LinearFormMatrix(1, 1, ("T_0", "T_1"), [[[BIG]], [[-1]]], den=1), [0, 0]))
+def test_specialize_matches_the_cellwise_oracle(case):
+    m, values = case
+    spec = m.specialize(values)
+    assert (spec.rows, spec.cols) == (m.rows, m.cols)
+    assert spec.data == specialize_cells(cells(m), values)
+
+
+def test_specialize_does_not_share_rows_with_the_slices():
+    # at T = (1, 0) the result is M_0 itself; Bareiss eliminates in place
+    m = LinearFormMatrix(2, 2, ("T_0", "T_1"), [[[1, 2], [3, 4]], [[5, 6], [7, 8]]], den=1)
+    for values in ([1, 0], [0, 1], [2, 0], [1, 1], [0, 0]):
+        spec = m.specialize(values)
+        spec.data[0][0] += 100
+        assert m.slices == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]

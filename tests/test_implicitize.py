@@ -45,7 +45,7 @@ from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.multipoly import exact_div
 from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
-from oracles import det_cofactor_poly, gcd_poly, substitute_targets, symbolic_rank_oracle
+from oracles import det_cofactor_poly, gcd_poly, slices_of, substitute_targets, symbolic_rank_oracle
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -58,16 +58,33 @@ def linear_matrix(rows, names=("T_0", "T_1", "T_2")):
         rows=len(rows),
         cols=len(rows[0]) if rows else 0,
         target_names=tuple(names),
-        coeffs=[[[int(c * den) for c in cell] for cell in row] for row in rows],
+        slices=slices_of([[[int(c * den) for c in cell] for cell in row] for row in rows], len(names)),
         den=den,
     )
 
 
 def test_linear_form_matrix_rejects_non_integer_coefficients():
     with pytest.raises(TypeError, match=r"coefficient 1 of entry \(0, 1\)"):
-        LinearFormMatrix(1, 2, ("T_0", "T_1"), [[[1, 0], [0, Fraction(1, 2)]]], den=1)
+        LinearFormMatrix(1, 2, ("T_0", "T_1"), [[[1, 0]], [[0, Fraction(1, 2)]]], den=1)
     with pytest.raises(TypeError, match="den"):
-        LinearFormMatrix(1, 1, ("T_0", "T_1"), [[[1, 0]]], den=0)
+        LinearFormMatrix(1, 1, ("T_0", "T_1"), [[[1]], [[0]]], den=0)
+
+
+def test_linear_form_matrix_rejects_slices_of_the_wrong_shape():
+    names = ("T_0", "T_1")
+    two_by_two = [[0, 0], [0, 0]]
+    for rows, cols, slices in [
+        (3, 2, [[[1, 0], [2]]]),  # one slice (and a short row) for two targets
+        (2, 2, [two_by_two]),  # one slice for two targets
+        (2, 2, [two_by_two, two_by_two, two_by_two]),  # three slices
+        (2, 2, [two_by_two, [[0, 0], [0]]]),  # a ragged slice
+        (3, 2, [two_by_two, two_by_two]),  # 2 rows, not 3
+        (2, 3, [two_by_two, two_by_two]),  # 2 columns, not 3
+        (2, 2, [two_by_two, [[0, 0, 0], [0, 0, 0]]]),  # one slice 2x3
+    ]:
+        with pytest.raises(ValueError):
+            LinearFormMatrix(rows, cols, names, slices, den=1)
+    assert LinearFormMatrix(2, 2, names, [two_by_two, two_by_two], den=1).specialize([1, 5]).rows == 2
 
 
 # -- generic rank -----------------------------------------------------------------
@@ -301,10 +318,10 @@ def test_strand_determinant_non_exact_complex_raises():
 def _reversed_basis(diffs, q):
     """The strand complex with the basis of its q-th term in reverse order:
     the columns of ``d_q`` and the rows of ``d_(q+1)`` are reversed."""
-    out = [LinearFormMatrix(d.rows, d.cols, d.target_names, [list(row) for row in d.coeffs], d.den) for d in diffs]
-    out[q - 1].coeffs = [row[::-1] for row in out[q - 1].coeffs]
+    out = [LinearFormMatrix(d.rows, d.cols, d.target_names, list(d.slices), d.den) for d in diffs]
+    out[q - 1].slices = [[row[::-1] for row in s] for s in out[q - 1].slices]
     if q < len(out):
-        out[q].coeffs = out[q].coeffs[::-1]
+        out[q].slices = [s[::-1] for s in out[q].slices]
     return out
 
 
@@ -643,9 +660,9 @@ def _with_first_matrix(diffs, m):
 def test_certificate_rejects_a_column_that_is_not_a_syzygy(golden, golden_delta, monkeypatch):
     nu = (3, 1)
     intact = representation_matrix(golden, nu)
-    coeffs = [[list(cell) for cell in row] for row in intact.coeffs]
-    coeffs[2][5][1] += 1
-    corrupted = LinearFormMatrix(intact.rows, intact.cols, intact.target_names, coeffs, intact.den)
+    slices = [[list(row) for row in s] for s in intact.slices]
+    slices[1][2][5] += 1
+    corrupted = LinearFormMatrix(intact.rows, intact.cols, intact.target_names, slices, intact.den)
     assert implicitize._columns_are_syzygies(intact, golden, nu)
     assert not implicitize._columns_are_syzygies(corrupted, golden, nu)
     # with the true delta every other check passes, so only the columns reject

@@ -282,7 +282,7 @@ def _on_surface_matrices(inst, nu, count, seed):
     """``M_nu`` specialized at ``T = f(p)`` for ``count`` seeded points ``p``."""
     m = representation_matrix(inst, nu)
     rng = random.Random(seed)
-    points = [sample_parameter_point(inst.ring, rng) for _ in range(count)]
+    points = [dict(zip(inst.ring.names, sample_parameter_point(inst.ring, rng))) for _ in range(count)]
     return [m.specialize([eval_at(f, p) for f in inst.f]) for p in points]
 
 

@@ -346,6 +346,19 @@ def test_cmd_region_from_file(capsys):
     assert "suggested nu: (1, 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--blocks", "1,1,1", "--gamma", "5,5,5"], ["--blocks", "1,1"], ["--gamma", "2,2"]],
+    ids=["both", "blocks", "gamma"],
+)
+def test_cmd_region_rejects_a_file_with_blocks_or_gamma(capsys, flags):
+    # the file used to win silently: r = [1, 1], gamma = [2, 2]
+    assert main(["region", GOLDEN_JSON, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
 def test_cmd_region_unit_gamma(capsys):
     assert main(["region", "--blocks", "1,1", "--gamma", "1,1"]) == 0
     out = capsys.readouterr().out
@@ -614,6 +627,11 @@ def test_matrix_output_byte_stable(tmp_path):
     assert main(["matrix", GOLDEN_JSON, "--nu", "3,1", "--out", str(a)]) == 0
     assert main(["matrix", GOLDEN_TXT, "--nu", "3,1", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # a wide M_nu (8x9) and one whose entries print as c/den, at the suggested nu
+    golden_dir = REPO / "tests" / "golden"
+    for name in ("p1p1_22_basepoint", "bigraded_22_rational"):
+        assert main(["matrix", str(REPO / "problems" / f"{name}.json"), "--nu", "1,3", "--out", str(a)]) == 0
+        assert a.read_bytes() == (golden_dir / f"matrix_{name}_nu_1_3.json").read_bytes()
 
 
 def test_implicitize_output_byte_stable(tmp_path):

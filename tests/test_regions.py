@@ -35,6 +35,15 @@ def test_strand_dim_negative_component():
     assert strand_dim(BlockStructure((2, 1, 3)), (1, -2, 0)) == 0
 
 
+@pytest.mark.parametrize("d", [(3,), (3, 1, 5)], ids=["short", "long"])
+def test_strand_degree_needs_one_component_per_block(d):
+    # zip would read (3,) as (3, 0) and (3, 1, 5) as (3, 1)
+    with pytest.raises(ValueError, match="needs 2 components"):
+        strand_dim(P11, d)
+    with pytest.raises(ValueError, match="needs 2 components"):
+        strand_basis(P11, d)
+
+
 def test_strand_basis_single_block():
     blocks = BlockStructure((1,))
     assert strand_basis(blocks, (2,)) == [(2, 0), (1, 1), (0, 2)]
