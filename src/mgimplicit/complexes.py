@@ -17,6 +17,9 @@ degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
 Every differential is a :class:`LinearFormMatrix`, stored as its integer
 slices: ``M = sum_t T_t M_t / den``, with ``M_t`` the coefficients of
 ``T_t``.  The contraction by ``e_j`` writes the slice ``M_j`` directly.
+A specialization at an integer point is lazy, and its rank is read off
+the slices packed modulo the certificate primes
+(:class:`~mgimplicit.linalg.Slices`).
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import combinations
 from math import comb, lcm
-from operator import add, mul
 
-from .linalg import QMatrix, nullspace_basis, rank
+from .linalg import QMatrix, Slices, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,
@@ -209,7 +211,10 @@ class LinearFormMatrix:
     ``slices[t]`` is the integer ``rows x cols`` matrix ``M_t`` of the
     coefficients of ``T_t``, over the common denominator ``den``: one slice
     per target variable.  A slice of another shape raises ``ValueError``,
-    a coefficient that is not an ``int`` raises ``TypeError``.
+    a coefficient that is not an ``int`` raises ``TypeError``.  The
+    slices are read through :attr:`images`, which packs them for the ranks
+    of :meth:`specialize`'s matrices once per instance: change no slice
+    after the first such rank.
     """
 
     rows: int
@@ -240,19 +245,28 @@ class LinearFormMatrix:
                 terms[tuple(e)] = _whole(Fraction(s[i][j], self.den))
         return MultiPoly(ring, terms)
 
+    @cached_property
+    def images(self) -> Slices:
+        """The slices as :class:`~mgimplicit.linalg.Slices`: they evaluate
+        every specialization, and hold the packed images that the ranks
+        of integer specializations read, built by the first rank that
+        needs them and kept with this matrix."""
+        return Slices(self.slices, self.rows, self.cols)
+
     def specialize(self, values) -> QMatrix:
-        """``den * M`` at integer ``T_t = values[t]``: the integer matrix
-        ``sum_t values[t] * M_t``, which has the rank of ``M`` there.  The
-        slices of zero values are skipped and those of values 1 are not
-        scaled; each entry is summed in one pass, with no intermediate
-        matrix.  This is the one place where values meet the slices."""
+        """``den * M`` at ``T_t = values[t]``: the integer matrix ``sum_t
+        values[t] * M_t``, which has the rank of ``M`` there.  At integer
+        values it is lazy (:meth:`~mgimplicit.linalg.Slices.at`): its
+        entries are built when its ``data`` is first read, with no
+        re-check, and :func:`~mgimplicit.linalg.rank` reads its residues
+        off :attr:`images` instead.  Other values are evaluated at once,
+        and a non-``int`` entry raises ``TypeError``.  Values meet the
+        slices only in :attr:`images`."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
-        data = None
-        for v, s in compress(zip(values, self.slices), values):
-            rows = s if v == 1 else [map(mul, row, repeat(v)) for row in s]
-            data = rows if data is None else [map(add, a, b) for a, b in zip(data, rows)]
-        return QMatrix(data or [[0] * self.cols for _ in range(self.rows)], cols=self.cols)
+        if all(isinstance(v, int) for v in values):
+            return self.images.at(values)
+        return QMatrix(self.images.evaluate(values), cols=self.cols)
 
     def to_json_dict(self, extra=None) -> dict:
         ring = target_ring(self.target_names)

@@ -43,7 +43,26 @@ below ``2**(2k + 2)``, one bit short of ``2**W``, so no carry crosses into
 the next slot, and since ``2**k == 1`` modulo ``p``, two shift-and-mask
 folds bring every slot back below ``2**(k + 1)`` without a division.  Its
 pivot columns are the column rank profile modulo ``p``, whatever rows it
-swaps.
+swaps.  :func:`_pack` packs the rows of a plain matrix.
+
+A matrix ``M(y) = sum_t y_t M_t`` specialized at an integer point ``y``
+(:class:`Slices`, which is how strand matrices are ranked) is not
+packed from its entries: it is never built as big integers on the
+certified route.  Its slices are packed once per matrix, modulo each
+prime, and since ``M(y) == sum_t (y_t mod p) (M_t mod p)`` modulo ``p``,
+each packed row is that sum of whole packed slice rows, brought back
+below ``2**(k + 1)`` by the same two folds; the rows modulo ``_P`` and
+the pivot columns modulo ``_Q`` are residues of the same entries, so the
+pivots and the kernel vectors modulo ``_Q`` are those of the plain
+matrix.  The exact check of a kernel vector ``v`` is ``v^T M(y) =
+sum_t y_t (v^T M_t)``: with each row of ``M_t`` packed as one integer of
+``E``-bit slots, signed entry ``j`` times ``2**(E * j)``, the integer
+``sum_t y_t sum_i v_i row_(t,i)`` is ``sum_j c_j 2**(E * j)`` with ``c
+= v^T M(y)``.  Each ``|c_j|`` is at most ``sum|y| * sum|v| * max|M_t|``;
+when that is below ``2**E`` a zero integer means a zero ``c``, since the
+lowest nonzero ``c_j`` would have to be a multiple of ``2**E``.  Beyond
+that bound the entries are built and checked one column at a time, and
+Bareiss eliminates them when a certificate fails.
 
 :func:`nullspace_basis` eliminates a tall matrix on ``r`` of its rows
 only: those whose columns are pivots of the transpose modulo ``_P``, which
@@ -59,10 +78,10 @@ comfortably handled dense; sparse storage is deliberately out of scope.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, repeat
+from functools import cached_property, lru_cache, partial
+from itertools import chain, compress, repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul
 
 # The prime of the first elimination in :func:`rank`, the Mersenne prime
 # 2**31 - 1: :func:`_echelon_mod` reduces whole packed rows with shifts and
@@ -117,6 +136,145 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+class Slices:
+    """The integer matrices ``M_t``, each ``rows x cols``, of a matrix
+    ``M(y) = sum_t y_t M_t`` that is specialized at many points ``y``,
+    and the packed images of the slices that :func:`rank` reads at an
+    integer point, each built the first time a rank needs it.
+
+    The slices are trusted: lists of rows of ``int`` entries, of this
+    shape, that are not changed afterwards.  The images are per instance,
+    in the wide orientation of :func:`rank` (a tall ``M_t`` transposed,
+    with ``short`` rows of ``long`` entries): its rows packed modulo
+    :data:`_P`, its columns packed modulo :data:`_Q` as
+    :func:`_echelon_mod` reads them, and its rows packed exactly, entry
+    ``j`` times ``2**(E * j)`` with the slot width ``E`` of
+    :meth:`annihilates`.
+    """
+
+    def __init__(self, slices, rows, cols):
+        self.slices = slices
+        self.rows, self.cols = rows, cols
+        self.short, self.long = min(rows, cols), max(rows, cols)
+
+    def at(self, values) -> QMatrix:
+        """``sum_t values[t] * M_t`` at integer values: a :class:`QMatrix`
+        whose entries are built when its ``data`` is first read, and whose
+        :func:`rank` reads the packed images instead."""
+        return _Specialized(self, tuple(values))
+
+    def evaluate(self, values):
+        """The rows of ``sum_t values[t] * M_t``, fresh lists.  The slices
+        of zero values are skipped and those of values 1 are not scaled;
+        each entry is summed in one pass, with no intermediate matrix."""
+        data = None
+        for v, s in compress(zip(values, self.slices), values):
+            rows = s if v == 1 else [map(mul, row, repeat(v)) for row in s]
+            data = rows if data is None else [map(add, a, b) for a, b in zip(data, rows)]
+        if data is None:
+            return [[0] * self.cols for _ in range(self.rows)]
+        return [list(row) for row in data]
+
+    def _wide(self, s):
+        return s if self.rows <= self.cols else list(zip(*s))
+
+    @cached_property
+    def _rows_mod_p(self):
+        return [_pack(self._wide(s), _P) for s in self.slices]
+
+    @cached_property
+    def _columns_mod_q(self):
+        return [_pack(zip(*self._wide(s)), _Q) for s in self.slices]
+
+    @cached_property
+    def _exact_rows(self):
+        """``(E, b, rows)``: the slot width, the bit length ``b`` of the
+        largest ``|M_t|`` entry, and each slice's rows packed exactly."""
+        top = max((abs(a).bit_length() for s in self.slices for row in s for a in row), default=0)
+        # room for sum|y| and sum|v| of up to 107 bits each, as large as
+        # the kernel vectors that reconstruction modulo _Q recovers
+        width = top + 2 * _Q.bit_length()
+        images = []
+        for s in self.slices:
+            packed = []
+            for row in self._wide(s):
+                x = 0
+                for a in reversed(row):
+                    x = (x << width) + a
+                packed.append(x)
+            images.append(packed)
+        return width, top, images
+
+    def residues(self, values, p, index=None):
+        """The rows modulo ``p`` of the wide orientation of ``M(values)``
+        (with ``p = _P``), or its columns ``index`` (with ``p = _Q``),
+        packed for :func:`_echelon_mod`: each ``sum_t (values[t] mod p) *
+        image_t``, two folds after every seven terms and at the end.  Every
+        product slot is below ``2**(2k)``, so seven of them plus a folded
+        slot stay below ``2**(2k + 3)``, which the folds take below
+        ``2**(k + 1)``, as :func:`_echelon_mod` needs."""
+        if p == _P:
+            images, slots, index = self._rows_mod_p, self.long, range(self.short)
+        else:
+            images, slots = self._columns_mod_q, self.short
+        k = p.bit_length()
+        lo, hi = _fold_masks(k, slots)
+        terms = [(c, image) for c, image in zip((v % p for v in values), images) if c]
+        packed = []
+        for i in index:
+            x = 0
+            for j, (c, image) in enumerate(terms, 1):
+                x += c * image[i]
+                if j % 7 == 0 or j == len(terms):
+                    x = (x & lo) + ((x >> k) & hi)
+                    x = (x & lo) + ((x >> k) & hi)
+            packed.append(x)
+        return packed
+
+    def annihilates(self, values, v):
+        """Whether ``v^T M(values) = 0`` in the wide orientation, from the
+        one integer ``sum_t values[t] * (v . rows_t)``, which is ``sum_j
+        c_j 2**(E * j)`` with ``c = v^T M(values)``; ``None`` when the
+        entries of ``c`` may not fit the slots.  Each ``|c_j|`` is at most
+        ``sum|values| * sum|v| * max|M_t|``, below ``2**E`` when the bit
+        lengths of the three add up to at most ``E``; then a zero integer
+        means that every ``c_j`` is zero, since the lowest nonzero one
+        would have to be a multiple of ``2**E``."""
+        width, top, images = self._exact_rows
+        if sum(map(abs, values)).bit_length() + sum(map(abs, v)).bit_length() + top > width:
+            return None
+        total = 0
+        for y, rows in zip(values, images):
+            if y:
+                total += y * sum(map(mul, v, rows))
+        return not total
+
+
+class _Specialized(QMatrix):
+    """``sum_t values[t] * M_t`` for the :class:`Slices` ``images`` at
+    integer ``values``, whose ``data`` is built when it is first read."""
+
+    __slots__ = ("images", "values", "_data")
+
+    def __init__(self, images, values):
+        self.images, self.values, self._data = images, values, None
+        self.rows, self.cols = images.rows, images.cols
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = self.images.evaluate(self.values)
+        return self._data
+
+    def annihilates(self, v):
+        """Whether ``v`` is a left kernel vector of the wide orientation,
+        in the slices' exact slots, or on the entries beyond them."""
+        found = self.images.annihilates(self.values, v)
+        if found is None:
+            found = _annihilated(self.data if self.rows > self.cols else zip(*self.data), v)
+        return found
+
+
 def _bareiss(work, cols):
     """Fraction-free row echelon form of the integer matrix ``work``, in place.
 
@@ -163,7 +321,7 @@ def _bareiss(work, cols):
 
 def _echelon_mod(rows, cols, p):
     """Fraction-free row echelon form modulo ``p = 2**k - 1``, a Mersenne
-    prime, of the integer rows ``rows``, each of length ``cols``; the input
+    prime, of the packed rows ``rows``, each of ``cols`` slots; the input
     is left as it is.  Returns ``(pivot_cols, echelon)``: the pivot columns
     and, for each, its pivot row packed, whose slot ``j`` holds column
     ``pivot_cols[i] + j`` (read them with :func:`_unpack`).  A caller that
@@ -172,7 +330,9 @@ def _echelon_mod(rows, cols, p):
     Each row is one int of ``W = 2k + 3``-bit slots, column ``j`` in slot
     ``j``, and every slot holds a residue below ``2**(k + 1)``, not
     necessarily reduced (a slot that is 0 modulo ``p`` may hold ``p`` or
-    ``2p``).  At a pivot ``piv``, every row below becomes ``piv`` times
+    ``2p``).  :func:`_pack` packs the rows of a plain matrix;
+    :meth:`Slices.residues` forms those of a specialization from the
+    packed slices.  At a pivot ``piv``, every row below becomes ``piv`` times
     itself plus ``p - head`` times the pivot row: two big-int products and
     one sum for the whole row, and no pivot is inverted.  Its first slot,
     now 0 modulo ``p``, is shifted off.  With ``piv`` and ``head`` reduced,
@@ -181,13 +341,14 @@ def _echelon_mod(rows, cols, p):
     carry crosses into the next slot.  Since ``2**k == 1`` modulo ``p``,
     the fold ``(x & LO) + ((x >> k) & HI)`` adds each slot's bits from
     ``k`` up to its low ``k`` bits without changing its residue, taking a
-    slot below ``2**(2k + 2)`` to one below ``5 * 2**k``, and a second fold
-    takes that below ``2**k + 4 <= 2**(k + 1)``.
+    slot below ``2**W`` to one below ``9 * 2**k``, and a second fold
+    takes that below ``2**k + 9 <= 2**(k + 1)``.
 
     The pivot columns are the column rank profile modulo ``p`` (each column
     that is independent of the columns before it), so they do not depend
-    on the order of the rows or on which row is swapped up; the echelon
-    rows span the input's rows, so the kernel modulo ``p`` does not either.
+    on the order of the rows or on which row is swapped up, nor on which
+    representatives the slots hold; the echelon rows span the input's
+    rows, so the kernel modulo ``p`` does not either.
     """
     k = p.bit_length()
     if p < 3 or p & (p + 1):
@@ -195,12 +356,7 @@ def _echelon_mod(rows, cols, p):
     w = 2 * k + 3
     slot = (1 << w) - 1
     lo, hi = _fold_masks(k, cols)
-    below = []
-    for row in rows:
-        x = 0
-        for a in reversed(row):
-            x = x << w | a % p
-        below.append(x)
+    below = list(rows)
     pivots, echelon = [], []
     for pc in range(cols):
         for i, x in enumerate(below):
@@ -225,6 +381,20 @@ def _echelon_mod(rows, cols, p):
                 x = (x & lo) + ((x >> k) & hi)
             below[j] = x
     return pivots, echelon
+
+
+def _pack(rows, p):
+    """The integer rows ``rows`` packed for :func:`_echelon_mod` modulo
+    ``p = 2**k - 1``: each one int whose ``2k + 3``-bit slot ``j`` holds
+    entry ``j`` reduced modulo ``p`` (Horner's rule)."""
+    w = 2 * p.bit_length() + 3
+    packed = []
+    for row in rows:
+        x = 0
+        for a in reversed(row):
+            x = x << w | a % p
+        packed.append(x)
+    return packed
 
 
 @lru_cache(maxsize=32)
@@ -262,13 +432,16 @@ def _reconstruct(x, bound):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _kernel_certified(b, independent, s):
-    """Whether the integer rows ``b``, of length ``s``, have no more rank
-    than the number of rows in ``independent``, a selection of them.
+def _kernel_certified(independent, s, annihilates):
+    """Whether a matrix whose short side has ``s`` entries per row has no
+    more rank than ``independent``, the packed residues modulo :data:`_Q`
+    of a selection of those rows, has rows; ``annihilates(v)`` tells
+    whether the integer vector ``v`` annihilates every row of the short
+    side over Z.
 
-    The kernel of ``independent`` modulo :data:`_Q` has one vector per free
+    The kernel of ``independent`` modulo ``_Q`` has one vector per free
     column of its echelon form.  Each is lifted to Q by rational
-    reconstruction and must annihilate every row of ``b`` over Z.  The
+    reconstruction and must annihilate every row of the short side.  The
     vectors are independent (each is nonzero at its own free column and
     zero at the others), so together they prove the bound.  ``False``
     means that a reconstruction or a check failed, which proves nothing.
@@ -314,7 +487,7 @@ def _kernel_certified(b, independent, s):
                 v[j] = n
             else:
                 v[j] = y
-        if any(sum(map(mul, row, v)) for row in b):
+        if not annihilates(v):
             return False
     return True
 
@@ -329,19 +502,36 @@ def rank(m: QMatrix) -> int:
     (:func:`_kernel_certified`).  Only when that check fails does the
     fraction-free :func:`_bareiss` decide, on a copy.  The certificate is
     set out in the module docstring.
+
+    A matrix that :meth:`Slices.at` specialized at an integer point ``y``
+    takes the same route on residues formed from its packed slices
+    (:meth:`Slices.residues`), which are those of its entries, and checks
+    each kernel vector in the slices' exact slots
+    (:meth:`Slices.annihilates`): it builds its entries only for a check
+    beyond those slots or for Bareiss.  The pivots, the kernel vectors
+    modulo ``_Q`` and so the route and the rank are those of the plain
+    matrix of the same entries.
     """
-    work = m.data
-    if m.rows > m.cols:
-        work = [list(col) for col in zip(*work)]
-    s, cols = len(work), max(m.rows, m.cols)
-    pivots, _ = _echelon_mod(work, cols, _P)
-    r = len(pivots)
-    if r == s:
-        return r
-    b = list(zip(*work))
-    if _kernel_certified(b, [b[c] for c in pivots], s):
-        return r
-    return len(_bareiss([row[:] for row in work], cols)[0])
+    s, n = min(m.rows, m.cols), max(m.rows, m.cols)
+    if isinstance(m, _Specialized):
+        pivots, _ = _echelon_mod(m.images.residues(m.values, _P), n, _P)
+        if len(pivots) == s or _kernel_certified(m.images.residues(m.values, _Q, pivots), s, m.annihilates):
+            return len(pivots)
+        work = m.data if m.rows <= m.cols else list(zip(*m.data))
+    else:
+        work = m.data if m.rows <= m.cols else list(zip(*m.data))
+        pivots, _ = _echelon_mod(_pack(work, _P), n, _P)
+        if len(pivots) == s:
+            return s
+        b = list(zip(*work))
+        if _kernel_certified(_pack([b[c] for c in pivots], _Q), s, partial(_annihilated, b)):
+            return len(pivots)
+    return len(_bareiss([list(row) for row in work], n)[0])
+
+
+def _annihilated(columns, v):
+    """Whether ``v`` annihilates every vector of ``columns`` over Z."""
+    return not any(sum(map(mul, col, v)) for col in columns)
 
 
 def nullspace_basis(m: QMatrix):
@@ -373,7 +563,7 @@ def nullspace_basis(m: QMatrix):
     """
     if m.rows <= m.cols:
         return _back_substituted_kernel(m.data, m.cols)
-    independent, _ = _echelon_mod(zip(*m.data), m.rows, _P)
+    independent, _ = _echelon_mod(_pack(zip(*m.data), _P), m.rows, _P)
     den, vectors = _back_substituted_kernel([m.data[i] for i in independent], m.cols)
     kept = set(independent)
     dropped = (row for i, row in enumerate(m.data) if i not in kept)

@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .regions import BlockStructure
@@ -454,18 +455,15 @@ def _eval_terms(terms, values):
 
 def eval_at(p: MultiPoly, assignment) -> Rational:
     """Exact value of ``p`` at a point given as ``{variable name: rational}``;
-    integer coefficients at an integer point give integer arithmetic."""
-    values = [None] * p.ring.nvars
-    used = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                used.add(i)
-    for i in used:
-        name = p.ring.names[i]
-        if name not in assignment:
-            raise ValueError(f"missing assignment for variable {name!r}")
-        values[i] = assignment[name]
+    integer coefficients at an integer point give integer arithmetic.  The
+    point is read once, by name; the exponents are scanned only when a
+    name is missing, to tell whether a term uses it."""
+    names = p.ring.names
+    values = [assignment[name] if name in assignment else None for name in names]
+    if None in values:
+        for i, name in enumerate(names):
+            if values[i] is None and any(e[i] for e in p.terms):
+                raise ValueError(f"missing assignment for variable {name!r}")
     return _whole(_eval_terms(p.terms, values))
 
 
@@ -478,24 +476,51 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     The term order is a monomial order, so the leading term of a multiple
     of ``q`` is a multiple of that of ``q``: a remainder whose leading term
-    is not proves that ``q`` does not divide ``p``.  The pipeline divides
-    only where Cayley's formula has a denominator, the even minors of a
-    wide strand (:func:`~mgimplicit.implicitize.strand_determinant`)."""
+    is not proves that ``q`` does not divide ``p``.  The remainder is one
+    term map, updated in place, with a heap of its exponents in descending
+    term order (stale entries of cancelled terms are skipped), so each
+    quotient term costs one pass over the terms of ``q``; two integer
+    coefficients are divided as integers when no remainder is left.  The
+    pipeline divides only where Cayley's formula has a denominator, the
+    even minors of a wide strand
+    (:func:`~mgimplicit.implicitize.strand_determinant`)."""
     p._check_ring(q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    lq_e, lq_c = q.leading()
+    (lq_e, lq_c), *rest = q.sorted_terms()
+    rem = dict(p.terms)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapify(heap)
     quot = {}
-    r = p
-    while r.terms:
-        lr_e, lr_c = r.leading()
+    while heap:
+        lr_e = heappop(heap)[1]
+        lr_c = rem.pop(lr_e, 0)
+        if not lr_c:
+            continue
         diff = tuple(a - b for a, b in zip(lr_e, lq_e))
         if min(diff) < 0:
             raise ValueError("inexact polynomial division")
-        c = _whole(Fraction(lr_c) / Fraction(lq_c))
+        if isinstance(lr_c, int) and isinstance(lq_c, int) and not lr_c % lq_c:
+            c = lr_c // lq_c
+        else:
+            c = _whole(Fraction(lr_c) / lq_c)
         quot[diff] = c
-        r = r - q * MultiPoly.monomial(p.ring, diff, c)
+        for e, cq in rest:
+            e = tuple(a + b for a, b in zip(diff, e))
+            old = rem.get(e)
+            new = (old or 0) - c * cq
+            if new:
+                rem[e] = new
+                if old is None:
+                    heappush(heap, (_heap_key(e), e))
+            elif old is not None:
+                del rem[e]
     return MultiPoly(p.ring, quot)
+
+
+def _heap_key(exps):
+    """A key whose least value is the canonical leading exponent."""
+    return (-sum(exps), tuple(-x for x in exps))
 
 
 def _primitive_factor(coeffs) -> Rational:

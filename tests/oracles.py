@@ -25,7 +25,10 @@ The symbolic expansions the package no longer ships live here too:
 * :func:`cycle_polys`, a cycle basis written out as polynomial syzygies;
 * :func:`compositions_vanish`, the products ``d_q d_(q+1)`` of a strand's
   differentials expanded as matrices of quadratic forms;
-* :func:`divides` and :func:`poly_pow`, which the gcd tests and the PRS use.
+* :func:`divides` and :func:`poly_pow`, which the gcd tests and the PRS use;
+* :func:`long_division`, exact division that copies and rescans the whole
+  remainder for each quotient term, which the package's one-pass
+  ``exact_div`` replaced.
 """
 
 from fractions import Fraction
@@ -380,6 +383,26 @@ def divides(q, p):
     except ValueError:
         return False
     return True
+
+
+def long_division(p, q):
+    """``p / q`` by long division on leading terms, subtracting each
+    quotient term times ``q`` from a new remainder polynomial; raises
+    ``ValueError`` when ``q`` does not divide ``p``."""
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    lq_e, lq_c = q.leading()
+    quot = {}
+    r = p
+    while r.terms:
+        lr_e, lr_c = r.leading()
+        diff = tuple(a - b for a, b in zip(lr_e, lq_e))
+        if min(diff) < 0:
+            raise ValueError("inexact polynomial division")
+        c = Fraction(lr_c) / Fraction(lq_c)
+        quot[diff] = c.numerator if c.denominator == 1 else c
+        r = r - q * MultiPoly.monomial(p.ring, diff, c)
+    return MultiPoly(p.ring, quot)
 
 
 def poly_pow(p, k):

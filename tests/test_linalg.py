@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from helpers import cayley_instances, golden_instance, identity, mat_vec, over, random_matrix, random_p1p1_instance
 from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
 from mgimplicit import linalg
-from mgimplicit.complexes import koszul_differential_strand
-from mgimplicit.implicitize import sample_parameter_point
-from mgimplicit.linalg import _P, _Q, _bareiss, _echelon_mod, _kernel_certified, _unpack
+from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
+from mgimplicit.implicitize import _image_points, sample_parameter_point
+from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _kernel_certified, _pack, _unpack
 from oracles import (
     bareiss_gauss_jordan,
     det_cofactor,
@@ -32,7 +32,7 @@ BOUND = isqrt(_Q // 2)
 
 def modular_rank(data, p):
     """Rank of the integer matrix ``data`` modulo the Mersenne prime ``p``."""
-    return len(_echelon_mod(data, len(data[0]), p)[0])
+    return len(_echelon_mod(_pack(data, p), len(data[0]), p)[0])
 
 
 def bareiss_det(data):
@@ -76,7 +76,7 @@ def test_linalg_is_an_integer_leaf_module():
 def packed_echelon(rows, cols, p):
     """:func:`_echelon_mod` with its pivot rows unpacked, reduced modulo
     ``p`` and indexed by column (zero left of each pivot)."""
-    pivots, echelon = _echelon_mod(rows, cols, p)
+    pivots, echelon = _echelon_mod(_pack(rows, p), cols, p)
     return pivots, [[0] * pc + [x % p for x in row] for row, pc in zip(_unpack(pivots, echelon, cols, p), pivots)]
 
 
@@ -154,7 +154,7 @@ def test_packed_echelon_matches_the_list_elimination(case):
 def test_echelon_mod_refuses_a_modulus_not_of_the_form_2k_minus_1(p):
     # the folds reduce modulo 2**k - 1 and nothing else
     with pytest.raises(ValueError, match="Mersenne"):
-        _echelon_mod([[1, 2]], 2, p)
+        _echelon_mod(_pack([[1, 2]], p), 2, p)
 
 
 def test_rank_strips_a_column_factor_of_the_prime():
@@ -182,7 +182,7 @@ def test_rank_singular_modulo_both_primes_fails_the_exact_check():
     # reconstructs, but it does not annihilate that row over Z
     data = [[_P * _Q + 1, 1], [1, 1]]
     assert modular_rank(data, _P) == modular_rank(data, _Q) == 1
-    assert not _kernel_certified(data, data[:1], 2)
+    assert not _kernel_certified(_pack(data[:1], _Q), 2, lambda v: not any(sum(map(mul, row, v)) for row in data))
     assert rank(QMatrix(data)) == 2
 
 
@@ -475,3 +475,186 @@ def test_nullspace_back_substitution_refuses_an_inexact_division(monkeypatch):
     monkeypatch.setattr(linalg, "_bareiss", broken)
     with pytest.raises(ArithmeticError, match="remainder"):
         nullspace_basis(QMatrix([[1, 0, 1], [0, 1, 1]]))
+
+
+# -- ranks of specializations, on the residues of their slices -----------------
+
+# scalars of a point: zero, units, the certificate primes and their product
+# (which make every residue vanish), and one beyond any exact slot
+SCALARS = [0, 1, -1, 2, -7, _P, -_P, _Q, _P * _Q, 2**300 + 1]
+POINT_VALUES = (
+    st.sampled_from(SCALARS)
+    | st.integers(-9, 9)
+    | st.integers(-(2**64), 2**64)
+    | st.builds(mul, st.sampled_from([_P, _Q, _P * _Q]), st.integers(-3, 3))
+)
+
+
+def _targets(n):
+    return tuple(f"T_{t}" for t in range(n))
+
+
+@st.composite
+def specializations(draw):
+    """``(m, values)``: a matrix of linear forms in up to ten targets (more
+    than seven fold a residue midway) and an integer point.  Its slices are
+    random, with entries up to ``2**200`` in size, multiples of the primes
+    or residues ``-1``; or products ``A B_t`` through a thin ``A``, so
+    that every specialization is rank-deficient; or ``M_nu`` of a
+    Cayley-property instance at an image point ``f(p)``, where its rank
+    drops, times a scalar that may be a multiple of the primes or beyond
+    the exact slots.  Shapes are wide, tall or square, with no rows or no
+    columns among them."""
+    kind = draw(st.sampled_from(["random", "thin", "surface"]))
+    if kind == "surface":
+        inst = draw(cayley_instances())
+        m = representation_matrix(inst, suggest_nu(inst.blocks, inst.gamma), warn_region=False)
+        values = next(v for v in _image_points(inst, draw(st.integers(0, 99))) if v)
+        scale = draw(st.sampled_from(SCALARS[1:]))
+        return m, [scale * v for v in values]
+    rows, cols, n = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 10))
+    multiples = st.builds(mul, st.sampled_from([_P, _Q]), st.integers(-3, 3))
+    entries = (
+        st.integers(-9, 9)
+        | st.integers(-(2**200), 2**200)
+        | multiples
+        | multiples.map(lambda x: x - 1)
+    )
+
+    def matrix(r, c, elements=entries):
+        return draw(st.lists(st.lists(elements, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if kind == "random" or min(rows, cols) == 0:
+        slices = [matrix(rows, cols) for _ in range(n)]
+    else:
+        # M_t = A B_t with A thin: every M(y) has rank <= inner
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        thin = matrix(rows, inner, st.integers(-9, 9))
+        slices = []
+        for _ in range(n):
+            b = matrix(inner, cols, st.integers(-9, 9) | st.integers(-(2**70), 2**70))
+            columns = list(zip(*b)) if inner else [()] * cols
+            slices.append([[sum(map(mul, row, col)) for col in columns] for row in thin])
+    values = draw(st.lists(POINT_VALUES, min_size=n, max_size=n))
+    return LinearFormMatrix(rows, cols, _targets(n), slices, den=1), values
+
+
+def _slots(x, count, p):
+    w = 2 * p.bit_length() + 3
+    return [x >> (w * j) & ((1 << w) - 1) for j in range(count)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(specializations())
+def test_specialized_rank_matches_the_plain_matrix(case):
+    m, values = case
+    spec = m.specialize(values)
+    found = rank(spec)
+    data = spec.data
+    assert found == rank(QMatrix(data, cols=m.cols)) == rank_oracle(data)
+    assert found == len(_bareiss([row[:] for row in data], m.cols)[0])
+    # the residues are those of the entries, in slots that _echelon_mod
+    # takes; the columns modulo _Q are read only when there are rows
+    wide = data if m.rows <= m.cols else [list(col) for col in zip(*data)]
+    images = m.images
+    residues = [(_P, images.residues(values, _P), wide)]
+    if wide:
+        residues.append((_Q, images.residues(values, _Q, range(images.long)), list(zip(*wide))))
+    for p, packed, vectors in residues:
+        assert len(packed) == len(vectors)
+        for x, vector in zip(packed, vectors):
+            slots = _slots(x, len(vector), p)
+            assert all(a < 2 ** (p.bit_length() + 1) for a in slots)
+            assert [a % p for a in slots] == [a % p for a in vector]
+            assert x >> (len(vector) * (2 * p.bit_length() + 3)) == 0
+
+
+def test_residues_of_extreme_slots_are_folded():
+    # residues -1 times values -1, in ten slices: each product slot is
+    # (p - 1)**2, the largest there is, and seven of them need both folds
+    for p in (_P, _Q):
+        for n in (1, 7, 8, 10):
+            (x,) = Slices([[[p - 1]]] * n, 1, 1).residues([-1] * n, p, range(1))
+            assert x < 2 ** (p.bit_length() + 1) and x % p == n % p
+
+
+def _golden_m():
+    inst = golden_instance()
+    return inst, representation_matrix(inst, (3, 1))
+
+
+def test_full_rank_and_on_surface_queries_never_build_entries():
+    inst, m = _golden_m()
+    off = m.specialize([1, 2, 3, 5])
+    on = m.specialize(next(v for v in _image_points(inst, 1) if v))
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert rank(off) == 8
+        assert rank(on) == 7
+    assert not spy.called
+    assert off._data is None and on._data is None
+
+
+def test_oversize_point_checks_the_kernel_on_the_entries(monkeypatch):
+    # the same projective point times 2**300: its kernel vector is the
+    # same, but sum |y| leaves no room in the exact slots
+    inst, m = _golden_m()
+    values = next(v for v in _image_points(inst, 1) if v)
+    spec = m.specialize([2**300 * v for v in values])
+    results = []
+    check = Slices.annihilates
+    monkeypatch.setattr(Slices, "annihilates", lambda *args: results.append(check(*args)) or results[-1])
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert rank(spec) == 7
+    assert results == [None]
+    assert spec._data is not None
+    assert not spy.called
+
+
+@pytest.mark.parametrize("scale", [_P, _Q * _P, -_P])
+def test_failed_certificate_reaches_bareiss(scale):
+    # every entry is 0 modulo _P, so the pass modulo _P finds no pivot; the
+    # unit vectors it offers as a kernel annihilate nothing over Z
+    m = LinearFormMatrix(2, 3, ("T_0", "T_1"), [[[1, 0, 2], [0, 1, 3]], [[0, 0, 0], [5, 0, 0]]], den=1)
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert rank(m.specialize([scale, 0])) == 2
+    assert spy.call_count == 1
+
+
+TOP = 200
+
+
+def _slot_margin():
+    """``E - max|M_t|`` bits: the room of the exact slots for ``sum|y|``
+    and ``sum|v|`` together."""
+    width, top, _ = Slices([[[2 ** (TOP - 1)]]], 1, 1)._exact_rows
+    return width - top
+
+
+def test_exact_check_refuses_a_point_one_bit_beyond_its_slots():
+    # y = (1, Y) and v = (1, V) with v^T M(y) = (2**E, -1), E the slot
+    # width, which is not zero, though its packed integer 2**E - 2**E is;
+    # the bit lengths of sum|y|, sum|v| and max|M_t| add up to E + 1
+    margin = _slot_margin()
+    a = (margin + 1) // 2
+    y, v = 2**a - 2, 2 ** (margin + 1 - a) - 2
+    big = 2 ** (TOP + margin)
+    m = big // (y * v)
+    alpha, gamma = divmod(big - y * v * m, y)
+    assert m.bit_length() == TOP and alpha.bit_length() < TOP and gamma.bit_length() < TOP
+    images = Slices([[[gamma, -1], [0, 0]], [[alpha, 0], [m, 0]]], 2, 2)
+    spec = images.at([1, y])
+    assert [sum(map(mul, col, [1, v])) for col in zip(*spec.data)] == [big, -1]
+    assert sum(t * sum(map(mul, [1, v], rows)) for t, rows in zip([1, y], images._exact_rows[2])) == 0
+    assert images.annihilates([1, y], [1, v]) is None
+    assert spec.annihilates([1, v]) is False
+
+
+def test_exact_check_decides_at_its_slot_width():
+    # sum|y| and sum|v| take the whole margin: the slots still decide
+    margin = _slot_margin()
+    a = margin // 2
+    y, v = 2**a - 1, 2 ** (margin - a - 1) - 1
+    images = Slices([[[2 ** (TOP - 1), 1], [2 ** (TOP - 1), 1]]], 2, 2)
+    assert images.annihilates([y], [v, -v]) is True
+    assert images.annihilates([y], [2 * v + 1, 0]) is False
+    assert images.annihilates([y], [2 * v + 2, 0]) is None

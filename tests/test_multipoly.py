@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import GOLDEN_F, random_poly
@@ -20,7 +20,7 @@ from mgimplicit import (
     target_ring,
 )
 from mgimplicit.regions import BlockStructure
-from oracles import divides, gcd_poly, poly_pow, substitute_targets
+from oracles import divides, gcd_poly, long_division, poly_pow, substitute_targets
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +291,13 @@ def test_eval_missing_assignment(pring):
         eval_at(parse_poly("s*t", pring), {"s": 1})
 
 
+def test_eval_needs_only_the_variables_in_use(pring):
+    # u, t and v appear in no term; the first used variable missing is named
+    assert eval_at(parse_poly("3*s^2 - 1", pring), {"s": 2}) == 11
+    with pytest.raises(ValueError, match="missing assignment for variable 'u'"):
+        eval_at(parse_poly("s*u + t*v", pring), {"s": 1, "v": 2})
+
+
 # -- gcd and division ----------------------------------------------------------
 
 def test_gcd_with_zero_normalizes(tring):
@@ -371,6 +378,46 @@ def test_exact_div_one_term_divisor(tring, divisor, quotient):
     else:
         assert exact_div(p, d) == parse_poly(quotient, tring)
         assert exact_div(p, d) * d == p
+
+
+@st.composite
+def divisions(draw):
+    """``(p, q)``: a product ``a * q`` in a ring of one to three blocks,
+    rational coefficients included, or that product plus a term that no
+    multiple of ``q`` has room for (``q`` does not divide it)."""
+    ring = parameter_ring(draw(st.sampled_from(RING_BLOCKS)))
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    term_lists = st.lists(st.tuples(exps, COEFF), min_size=1, max_size=6)
+    a = MultiPoly.from_terms(ring, draw(term_lists))
+    q = MultiPoly.from_terms(ring, draw(term_lists))
+    assume(not q.is_zero())
+    p = a * q
+    if draw(st.booleans()):
+        lead = q.leading()[0]
+        # a term below the leading exponent of q in some variable
+        k = draw(st.sampled_from([i for i, x in enumerate(lead) if x] or [None]))
+        assume(k is not None)
+        e = list(draw(exps))
+        e[k] = draw(st.integers(0, lead[k] - 1))
+        p = p + MultiPoly.monomial(ring, e, draw(COEFF.filter(bool)))
+    return p, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(divisions())
+def test_exact_div_matches_long_division(case):
+    p, q = case
+    try:
+        expected = long_division(p, q)
+    except ValueError:
+        with pytest.raises(ValueError, match="inexact"):
+            exact_div(p, q)
+        return
+    got = exact_div(p, q)
+    assert got == expected and got * q == p
+    # integral quotient coefficients are ints, as everywhere in the package
+    assert str(got) == str(expected)
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
 
 def test_normalize_poly(tring):
