@@ -17,9 +17,9 @@ degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
 Every differential is a :class:`LinearFormMatrix`, stored as its integer
 slices: ``M = sum_t T_t M_t / den``, with ``M_t`` the coefficients of
 ``T_t``.  The contraction by ``e_j`` writes the slice ``M_j`` directly.
-A specialization at an integer point is lazy, and its rank is read off
-the slices packed modulo the certificate primes
-(:class:`~mgimplicit.linalg.Slices`).
+The matrix is its own :class:`~mgimplicit.linalg.Slices`: a
+specialization at an integer point is lazy, and its rank is read off the
+slices packed modulo the certificate primes.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, lcm
 
-from .linalg import QMatrix, Slices, nullspace_basis, rank
+from .linalg import QMatrix, Slices, _Specialized, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,
@@ -204,17 +204,18 @@ def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
 
 
 @dataclass
-class LinearFormMatrix:
+class LinearFormMatrix(Slices):
     """Matrix ``M = sum_t T_t M_t / den`` whose entries are degree-1
     polynomials in the target variables.
 
     ``slices[t]`` is the integer ``rows x cols`` matrix ``M_t`` of the
     coefficients of ``T_t``, over the common denominator ``den``: one slice
     per target variable.  A slice of another shape raises ``ValueError``,
-    a coefficient that is not an ``int`` raises ``TypeError``.  The
-    slices are read through :attr:`images`, which packs them for the ranks
-    of :meth:`specialize`'s matrices once per instance: change no slice
-    after the first such rank.
+    a coefficient that is not an ``int`` raises ``TypeError``.  The matrix
+    is its own :class:`~mgimplicit.linalg.Slices`: it evaluates every
+    specialization and holds the packed images of its slices, which the
+    ranks of :meth:`specialize`'s matrices build once and keep here.
+    Change no slice after the first such rank.
     """
 
     rows: int
@@ -234,6 +235,8 @@ class LinearFormMatrix:
                 QMatrix(s, cols=self.cols)
             except TypeError as exc:
                 raise TypeError(f"coefficient {t} of {exc}") from None
+        # the orientation of the packed images: short and long
+        super().__init__(self.slices, self.rows, self.cols)
 
     def entry_poly(self, i, j, ring) -> MultiPoly:
         """Entry ``(i, j)`` as a polynomial of ``ring``, the target ring."""
@@ -245,28 +248,20 @@ class LinearFormMatrix:
                 terms[tuple(e)] = _whole(Fraction(s[i][j], self.den))
         return MultiPoly(ring, terms)
 
-    @cached_property
-    def images(self) -> Slices:
-        """The slices as :class:`~mgimplicit.linalg.Slices`: they evaluate
-        every specialization, and hold the packed images that the ranks
-        of integer specializations read, built by the first rank that
-        needs them and kept with this matrix."""
-        return Slices(self.slices, self.rows, self.cols)
-
     def specialize(self, values) -> QMatrix:
-        """``den * M`` at ``T_t = values[t]``: the integer matrix ``sum_t
-        values[t] * M_t``, which has the rank of ``M`` there.  At integer
-        values it is lazy (:meth:`~mgimplicit.linalg.Slices.at`): its
-        entries are built when its ``data`` is first read, with no
-        re-check, and :func:`~mgimplicit.linalg.rank` reads its residues
-        off :attr:`images` instead.  Other values are evaluated at once,
-        and a non-``int`` entry raises ``TypeError``.  Values meet the
-        slices only in :attr:`images`."""
+        """``den * M`` at the integer values ``T_t = values[t]``: the
+        integer matrix ``sum_t values[t] * M_t``, which has the rank of
+        ``M`` there.  It is lazy: its entries are built (by
+        :meth:`~mgimplicit.linalg.Slices.evaluate`) when its ``data`` is
+        first read, and :func:`~mgimplicit.linalg.rank` reads its residues
+        off the packed slices of this matrix instead.  A value that is not
+        an ``int`` raises ``TypeError``, before any entry is built."""
         if len(values) != len(self.target_names):
             raise ValueError("one value per target variable required")
-        if all(isinstance(v, int) for v in values):
-            return self.images.at(values)
-        return QMatrix(self.images.evaluate(values), cols=self.cols)
+        if not all(map(isinstance, values, repeat(int))):
+            t, v = next((t, v) for t, v in enumerate(values) if not isinstance(v, int))
+            raise TypeError(f"value {t} is {v!r}, not an int")
+        return _Specialized(self, tuple(values))
 
     def to_json_dict(self, extra=None) -> dict:
         ring = target_ring(self.target_names)

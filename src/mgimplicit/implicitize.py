@@ -36,7 +36,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import add, mul
 
 from .complexes import (
@@ -46,7 +46,7 @@ from .complexes import (
     koszul_differential_strand,
     strand_differentials,
 )
-from .linalg import _bareiss, rank
+from .linalg import Slices, _bareiss, rank
 from .multipoly import (
     MultiPoly,
     _eval_terms,
@@ -238,9 +238,10 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     The determinant is zero or a form of degree ``N = len(rows)``, so it is
     fixed by its values on the ``C(N+n, n)`` monomials of degree ``N``
     (see :func:`_interpolate_simplex`).  With ``m = sum_t T_t M_t / den``,
-    the submatrix keeps the slices ``M_t`` on ``rows`` and ``cols``, and
-    each value is the integer determinant of ``sum_t T_t M_t`` there, as
-    :meth:`LinearFormMatrix.specialize` evaluates it.  The result is
+    the submatrix keeps the slices ``M_t`` on ``rows`` and ``cols``, in a
+    plain :class:`~mgimplicit.linalg.Slices`, and each value is the
+    integer determinant of ``sum_t T_t M_t`` there, which
+    :meth:`~mgimplicit.linalg.Slices.evaluate` builds.  The result is
     checked against one more integer determinant at a fixed point off the
     grid.
     """
@@ -252,11 +253,10 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     ring = target_ring(m.target_names)
     if size == 0:
         return MultiPoly.constant(ring, 1)
-    slices = [[[s[r][c] for c in cols] for r in rows] for s in m.slices]
-    sub = LinearFormMatrix(size, size, m.target_names, slices, m.den)
+    sub = Slices([[[s[r][c] for c in cols] for r in rows] for s in m.slices], size, size)
 
     def det_at(point):
-        work = sub.specialize(point).data
+        work = sub.evaluate(point)
         pivots, sign = _bareiss(work, size)
         return sign * work[-1][-1] if len(pivots) == size else 0
 
@@ -318,7 +318,7 @@ def _strand_determinant(diffs):
             rows = range(d.rows)
         most = 0
         for point in _grid(len(d.target_names), len(rows)):
-            spec = d.specialize(point).data
+            spec = d.evaluate(point)
             pivots, _ = _bareiss([spec[i] for i in rows], d.cols)
             if len(pivots) == len(rows):
                 break
@@ -358,18 +358,15 @@ def _strand_determinant(diffs):
 
 
 def _vanishes_on_grid(terms, k, inst) -> bool:
-    """Whether the degree-``k`` form ``terms`` vanishes at the integer forms
-    of ``inst``.  ``delta_k(f)`` has multidegree ``k*gamma``,
+    """Whether the degree-``k`` form ``terms``, with integer coefficients,
+    vanishes at the integer forms of ``inst``.  ``delta_k(f)`` has
+    multidegree ``k*gamma``,
     so it is zero when it vanishes at every monomial of that strand, each
     evaluated at its own exponents with the first variable of every block
     set to 1 (see :func:`_interpolate_simplex`).  Stops at the first
     nonzero value."""
-    mult = lcm(*(c.denominator for c in terms.values()))
-    # each term as its integer coefficient and its (variable, exponent) factors
-    terms = [
-        (c.numerator * (mult // c.denominator), [(j, e) for j, e in enumerate(exps) if e])
-        for exps, c in terms.items()
-    ]
+    # each term as its coefficient and its (variable, exponent) factors
+    terms = [(c, [(j, e) for j, e in enumerate(exps) if e]) for exps, c in terms.items()]
     firsts = [start for start, _ in inst.ring.block_slices]
     for mon in strand_basis(inst.blocks, tuple(k * g for g in inst.gamma)):
         point = list(mon)
@@ -400,10 +397,10 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
     multidegrees ``k*gamma``, so ``delta(f) = 0`` exactly when every
     ``delta_k(f) = 0``; each component is tested on the monomials of the
     strand ``k*gamma`` (:func:`_vanishes_on_grid`; why they suffice is in
-    :func:`_interpolate_simplex`) after one integer multiplier clears the
-    denominators of ``delta_k``.  The images are the integer forms ``L * f``
-    (:attr:`ProblemInstance.integer_forms`): ``delta_k(L f) = L^k
-    delta_k(f)``.
+    :func:`_interpolate_simplex`) in its integer-primitive form
+    (:func:`normalize_poly`), which has the same zeros.  The images are
+    the integer forms ``L * f`` (:attr:`ProblemInstance.integer_forms`):
+    ``delta_k(L f) = L^k delta_k(f)``.
 
     This is the certificate of ``implicit verify``, for a candidate with no
     strand matrix behind it; the pipeline proves its own ``delta`` from
@@ -418,7 +415,10 @@ def verify_implicit(delta: MultiPoly, inst: ProblemInstance) -> bool:
     components = {}
     for exps, c in delta.terms.items():
         components.setdefault(sum(exps), {})[exps] = c
-    return all(_vanishes_on_grid(components[k], k, inst) for k in sorted(components))
+    return all(
+        _vanishes_on_grid(normalize_poly(MultiPoly(delta.ring, components[k])).terms, k, inst)
+        for k in sorted(components)
+    )
 
 
 def evaluation_points(inst: ProblemInstance, nu) -> dict:

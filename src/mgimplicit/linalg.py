@@ -46,7 +46,7 @@ pivot columns are the column rank profile modulo ``p``, whatever rows it
 swaps.  :func:`_pack` packs the rows of a plain matrix.
 
 A matrix ``M(y) = sum_t y_t M_t`` specialized at an integer point ``y``
-(:class:`Slices`, which is how strand matrices are ranked) is not
+(:class:`Slices`, which every strand matrix is) is not
 packed from its entries: it is never built as big integers on the
 certified route.  Its slices are packed once per matrix, modulo each
 prime, and since ``M(y) == sum_t (y_t mod p) (M_t mod p)`` modulo ``p``,
@@ -61,8 +61,8 @@ sum_t y_t (v^T M_t)``: with each row of ``M_t`` packed as one integer of
 = v^T M(y)``.  Each ``|c_j|`` is at most ``sum|y| * sum|v| * max|M_t|``;
 when that is below ``2**E`` a zero integer means a zero ``c``, since the
 lowest nonzero ``c_j`` would have to be a multiple of ``2**E``.  Beyond
-that bound the entries are built and checked one column at a time, and
-Bareiss eliminates them when a certificate fails.
+that bound the check fails and Bareiss decides, as it does whenever a
+certificate fails.
 
 :func:`nullspace_basis` eliminates a tall matrix on ``r`` of its rows
 only: those whose columns are pivots of the transpose modulo ``_P``, which
@@ -149,19 +149,16 @@ class Slices:
     :data:`_P`, its columns packed modulo :data:`_Q` as
     :func:`_echelon_mod` reads them, and its rows packed exactly, entry
     ``j`` times ``2**(E * j)`` with the slot width ``E`` of
-    :meth:`annihilates`.
+    :meth:`annihilates`.  A strand matrix
+    (:class:`~mgimplicit.complexes.LinearFormMatrix`) is its own
+    ``Slices``; a plain one serves the determinants, which only
+    :meth:`evaluate`.
     """
 
     def __init__(self, slices, rows, cols):
         self.slices = slices
         self.rows, self.cols = rows, cols
         self.short, self.long = min(rows, cols), max(rows, cols)
-
-    def at(self, values) -> QMatrix:
-        """``sum_t values[t] * M_t`` at integer values: a :class:`QMatrix`
-        whose entries are built when its ``data`` is first read, and whose
-        :func:`rank` reads the packed images instead."""
-        return _Specialized(self, tuple(values))
 
     def evaluate(self, values):
         """The rows of ``sum_t values[t] * M_t``, fresh lists.  The slices
@@ -234,15 +231,16 @@ class Slices:
     def annihilates(self, values, v):
         """Whether ``v^T M(values) = 0`` in the wide orientation, from the
         one integer ``sum_t values[t] * (v . rows_t)``, which is ``sum_j
-        c_j 2**(E * j)`` with ``c = v^T M(values)``; ``None`` when the
-        entries of ``c`` may not fit the slots.  Each ``|c_j|`` is at most
-        ``sum|values| * sum|v| * max|M_t|``, below ``2**E`` when the bit
-        lengths of the three add up to at most ``E``; then a zero integer
-        means that every ``c_j`` is zero, since the lowest nonzero one
-        would have to be a multiple of ``2**E``."""
+        c_j 2**(E * j)`` with ``c = v^T M(values)``.  Each ``|c_j|`` is at
+        most ``sum|values| * sum|v| * max|M_t|``, below ``2**E`` when the
+        bit lengths of the three add up to at most ``E``; then a zero
+        integer means that every ``c_j`` is zero, since the lowest nonzero
+        one would have to be a multiple of ``2**E``.  Beyond that bound
+        the check fails: ``False``, which proves nothing, and
+        :func:`rank` leaves the decision to Bareiss."""
         width, top, images = self._exact_rows
         if sum(map(abs, values)).bit_length() + sum(map(abs, v)).bit_length() + top > width:
-            return None
+            return False
         total = 0
         for y, rows in zip(values, images):
             if y:
@@ -251,28 +249,22 @@ class Slices:
 
 
 class _Specialized(QMatrix):
-    """``sum_t values[t] * M_t`` for the :class:`Slices` ``images`` at
-    integer ``values``, whose ``data`` is built when it is first read."""
+    """``sum_t values[t] * M_t`` for the :class:`Slices` ``matrix`` at
+    integer ``values``, whose ``data`` is built when it is first read:
+    :func:`rank` reads the packed images of ``matrix`` instead, and
+    builds the entries only for Bareiss."""
 
-    __slots__ = ("images", "values", "_data")
+    __slots__ = ("matrix", "values", "_data")
 
-    def __init__(self, images, values):
-        self.images, self.values, self._data = images, values, None
-        self.rows, self.cols = images.rows, images.cols
+    def __init__(self, matrix, values):
+        self.matrix, self.values, self._data = matrix, values, None
+        self.rows, self.cols = matrix.rows, matrix.cols
 
     @property
     def data(self):
         if self._data is None:
-            self._data = self.images.evaluate(self.values)
+            self._data = self.matrix.evaluate(self.values)
         return self._data
-
-    def annihilates(self, v):
-        """Whether ``v`` is a left kernel vector of the wide orientation,
-        in the slices' exact slots, or on the entries beyond them."""
-        found = self.images.annihilates(self.values, v)
-        if found is None:
-            found = _annihilated(self.data if self.rows > self.cols else zip(*self.data), v)
-        return found
 
 
 def _bareiss(work, cols):
@@ -503,19 +495,21 @@ def rank(m: QMatrix) -> int:
     fraction-free :func:`_bareiss` decide, on a copy.  The certificate is
     set out in the module docstring.
 
-    A matrix that :meth:`Slices.at` specialized at an integer point ``y``
-    takes the same route on residues formed from its packed slices
+    A strand matrix specialized at an integer point ``y``
+    (:meth:`~mgimplicit.complexes.LinearFormMatrix.specialize`) takes the
+    same route on residues formed from its packed slices
     (:meth:`Slices.residues`), which are those of its entries, and checks
     each kernel vector in the slices' exact slots
-    (:meth:`Slices.annihilates`): it builds its entries only for a check
-    beyond those slots or for Bareiss.  The pivots, the kernel vectors
-    modulo ``_Q`` and so the route and the rank are those of the plain
-    matrix of the same entries.
+    (:meth:`Slices.annihilates`): it builds its entries only for Bareiss,
+    which decides when a vector does not fit those slots too.  The pivots,
+    the kernel vectors modulo ``_Q`` and so the route and the rank are
+    those of the plain matrix of the same entries.
     """
     s, n = min(m.rows, m.cols), max(m.rows, m.cols)
     if isinstance(m, _Specialized):
-        pivots, _ = _echelon_mod(m.images.residues(m.values, _P), n, _P)
-        if len(pivots) == s or _kernel_certified(m.images.residues(m.values, _Q, pivots), s, m.annihilates):
+        a, y = m.matrix, m.values
+        pivots, _ = _echelon_mod(a.residues(y, _P), n, _P)
+        if len(pivots) == s or _kernel_certified(a.residues(y, _Q, pivots), s, partial(a.annihilates, y)):
             return len(pivots)
         work = m.data if m.rows <= m.cols else list(zip(*m.data))
     else:

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -556,10 +557,9 @@ def test_specialized_rank_matches_the_plain_matrix(case):
     # the residues are those of the entries, in slots that _echelon_mod
     # takes; the columns modulo _Q are read only when there are rows
     wide = data if m.rows <= m.cols else [list(col) for col in zip(*data)]
-    images = m.images
-    residues = [(_P, images.residues(values, _P), wide)]
+    residues = [(_P, m.residues(values, _P), wide)]
     if wide:
-        residues.append((_Q, images.residues(values, _Q, range(images.long)), list(zip(*wide))))
+        residues.append((_Q, m.residues(values, _Q, range(m.long)), list(zip(*wide))))
     for p, packed, vectors in residues:
         assert len(packed) == len(vectors)
         for x, vector in zip(packed, vectors):
@@ -594,9 +594,10 @@ def test_full_rank_and_on_surface_queries_never_build_entries():
     assert off._data is None and on._data is None
 
 
-def test_oversize_point_checks_the_kernel_on_the_entries(monkeypatch):
+def test_oversize_point_falls_back_to_bareiss(monkeypatch):
     # the same projective point times 2**300: its kernel vector is the
-    # same, but sum |y| leaves no room in the exact slots
+    # same, but sum |y| leaves no room in the exact slots, so the check
+    # fails and Bareiss decides
     inst, m = _golden_m()
     values = next(v for v in _image_points(inst, 1) if v)
     spec = m.specialize([2**300 * v for v in values])
@@ -605,9 +606,27 @@ def test_oversize_point_checks_the_kernel_on_the_entries(monkeypatch):
     monkeypatch.setattr(Slices, "annihilates", lambda *args: results.append(check(*args)) or results[-1])
     with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
         assert rank(spec) == 7
-    assert results == [None]
-    assert spec._data is not None
-    assert not spy.called
+    assert results == [False]
+    assert spy.call_count == 1
+
+
+def test_specialize_refuses_a_non_integer_value_before_building_entries(monkeypatch):
+    m = LinearFormMatrix(2, 2, ("T_0", "T_1"), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], den=1)
+
+    def no_entries(*args):
+        raise AssertionError("built the entries")
+
+    monkeypatch.setattr(Slices, "evaluate", no_entries)
+    with pytest.raises(TypeError, match=re.escape("Fraction(1, 2)")):
+        m.specialize([1, Fraction(1, 2)])
+
+
+def test_ranks_at_two_points_pack_the_slices_once():
+    _, m = _golden_m()
+    with mock.patch.object(linalg, "_pack", wraps=_pack) as spy:
+        assert rank(m.specialize([1, 2, 3, 5])) == rank(m.specialize([2, 3, 5, 7])) == 8
+    # the rows of each slice modulo _P, packed once and kept on m
+    assert [call.args[1] for call in spy.call_args_list] == [_P] * len(m.slices)
 
 
 @pytest.mark.parametrize("scale", [_P, _Q * _P, -_P])
@@ -642,11 +661,9 @@ def test_exact_check_refuses_a_point_one_bit_beyond_its_slots():
     alpha, gamma = divmod(big - y * v * m, y)
     assert m.bit_length() == TOP and alpha.bit_length() < TOP and gamma.bit_length() < TOP
     images = Slices([[[gamma, -1], [0, 0]], [[alpha, 0], [m, 0]]], 2, 2)
-    spec = images.at([1, y])
-    assert [sum(map(mul, col, [1, v])) for col in zip(*spec.data)] == [big, -1]
+    assert [sum(map(mul, col, [1, v])) for col in zip(*images.evaluate([1, y]))] == [big, -1]
     assert sum(t * sum(map(mul, [1, v], rows)) for t, rows in zip([1, y], images._exact_rows[2])) == 0
-    assert images.annihilates([1, y], [1, v]) is None
-    assert spec.annihilates([1, v]) is False
+    assert images.annihilates([1, y], [1, v]) is False
 
 
 def test_exact_check_decides_at_its_slot_width():
@@ -657,4 +674,4 @@ def test_exact_check_decides_at_its_slot_width():
     images = Slices([[[2 ** (TOP - 1), 1], [2 ** (TOP - 1), 1]]], 2, 2)
     assert images.annihilates([y], [v, -v]) is True
     assert images.annihilates([y], [2 * v + 1, 0]) is False
-    assert images.annihilates([y], [2 * v + 2, 0]) is None
+    assert images.annihilates([y], [2 * v + 2, 0]) is False
