@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
 from math import comb, lcm
+from operator import add
 
 from .linalg import QMatrix, Slices, _Specialized, nullspace_basis, rank
 from .multipoly import (
@@ -156,13 +157,20 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
     lm, lt = len(src_mons), len(tgt_mons)
     rows = comb(n1, q - 1) * lt
     cols = comb(n1, q) * lm
+    # the target row of x^u * x^w for each source monomial u, once per
+    # exponent w that occurs in the forms
+    shifted = {
+        w: [tgt_mon_pos[tuple(map(add, u, w))] for u in src_mons]
+        for w in {w for f in inst.integer_forms for w in f.terms}
+    }
     data = [[0] * cols for _ in range(rows)]
     for si, j, ti, sign in _faces(n1, q):
-        for ui, u in enumerate(src_mons):
-            col = si * lm + ui
-            # the faces of one column have distinct ti: each entry is written once
-            for w_f, c in inst.integer_forms[j].terms.items():
-                data[ti * lt + tgt_mon_pos[_vadd(u, w_f)]][col] = sign * c
+        col, row = si * lm, ti * lt
+        # the faces of one column have distinct ti: each entry is written once
+        for w, c in inst.integer_forms[j].terms.items():
+            c *= sign
+            for ui, t in enumerate(shifted[w], col):
+                data[row + t][ui] = c
     return QMatrix(data, cols=cols)
 
 
@@ -224,6 +232,9 @@ class LinearFormMatrix(Slices):
     slices: list
     den: int
     row_labels: list = None
+    # the exponents of the row monomials, for ``M_nu``, whose rows are the
+    # monomials of multidegree ``nu``
+    row_monomials: list = None
 
     def __post_init__(self):
         if not isinstance(self.den, int) or self.den < 1:
@@ -366,6 +377,7 @@ def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis)
         slices=slices,
         den=src.den,
         row_labels=row_labels,
+        row_monomials=tgt.monomials if tgt.q == 0 else None,
     )
 
 

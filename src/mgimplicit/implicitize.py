@@ -143,15 +143,23 @@ def rank_drop_check(
     rank is below ``generic``, the generic rank of ``m``.  Points on the
     base locus (all f zero) are skipped; if every point lands there the
     report is inconclusive.  ``m`` is linear, so the integer forms serve.
+
+    When ``m`` is ``M_nu`` (it knows its row monomials) and not tall, the
+    strand monomials at ``p`` go to :func:`~mgimplicit.linalg.rank` as a
+    candidate left kernel vector: they are one whenever the columns are
+    syzygies of f, and they prove a rank drop by one without a kernel
+    modulo the certificate prime.  The ranks are the same either way.
     """
     _check_points(points)
+    monomials = m.row_monomials if m.rows <= m.cols else None
     ranks = []
     skipped = 0
-    for values in islice(_image_points(inst, seed), points):
-        if values is None:
+    for point, values in islice(_parameter_points(inst, seed), points):
+        if not any(values):
             skipped += 1
         else:
-            ranks.append(rank(m.specialize(values)))
+            kernel = None if monomials is None else [prod(map(pow, point, u)) for u in monomials]
+            ranks.append(rank(m.specialize(values), kernel))
     return RankDropReport(generic_rank=generic, point_ranks=ranks, skipped_base_locus=skipped)
 
 
@@ -160,14 +168,20 @@ def _check_points(points):
         raise ValueError("points must be at least 1")
 
 
-def _image_points(inst: ProblemInstance, seed: int):
-    """The values of the integer forms at the parameter points drawn from
-    ``random.Random(seed)``, without end; ``None`` for a point on the base
-    locus, where every value is zero."""
+def _parameter_points(inst: ProblemInstance, seed: int):
+    """The parameter points drawn from ``random.Random(seed)``, without
+    end, each with the values of the integer forms there."""
     rng = random.Random(seed)
     while True:
         point = sample_parameter_point(inst.ring, rng)
-        values = [_eval_terms(fj.terms, point) for fj in inst.integer_forms]
+        yield point, [_eval_terms(fj.terms, point) for fj in inst.integer_forms]
+
+
+def _image_points(inst: ProblemInstance, seed: int):
+    """The values of the integer forms at the points of
+    :func:`_parameter_points`; ``None`` for a point on the base locus,
+    where every value is zero."""
+    for _, values in _parameter_points(inst, seed):
         yield values if any(values) else None
 
 

@@ -4,14 +4,16 @@ Inputs and outputs are Python ints: callers clear denominators before they
 build a matrix, and :class:`QMatrix` refuses any other entry.  One integer
 fraction-free (Bareiss) routine, :func:`_bareiss`, decides every exact
 elimination in the package that the modular certificates of :func:`rank`
-leave open: every intermediate value is an integer (a minor of the input,
-by Sylvester's identity), so each division by the previous pivot is an
-exact ``//``.  No polynomial matrix is ever eliminated.  Pivoting is
-deterministic -- the first nonzero entry in column order -- which makes
-ranks, determinants and kernel bases reproducible from run to run.
-Kernel bases are back-substituted in the same echelon form, and are
-canonical and integer over one least common denominator, so coordinates
-in them are read off at the free columns instead of solved for.
+and the modular kernels of :func:`nullspace_basis` leave open: every
+intermediate value is an integer (a minor of the input, by Sylvester's
+identity), so each division by the previous pivot is an exact ``//``.
+No polynomial matrix is ever eliminated.  Pivoting is deterministic --
+the first nonzero entry in column order -- which makes ranks,
+determinants and kernel bases reproducible from run to run.
+Kernel bases that no modular kernel gives are back-substituted in the
+same echelon form; every kernel basis is canonical and integer over one
+least common denominator, so coordinates in it are read off at the free
+columns instead of solved for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
 Bareiss only when a certificate fails.  A tall matrix is transposed, so
@@ -29,12 +31,15 @@ whenever the kernel is small: a strand matrix specialized at a point of
 the hypersurface, ``T = f(p)``, has the strand monomials at ``p`` as a
 left kernel vector, and when they span the kernel and lie within the
 reconstruction bound of ``_Q`` the rank is certified without Bareiss.
+A caller that knows such a vector can pass it: when the modular rank is
+one short of ``min(rows, cols)``, one nonzero vector that passes the
+exact check proves the rank, and no kernel is computed modulo ``_Q``.
 When a reconstruction or a check fails, :func:`_bareiss` decides, so the
 result is exact whatever the primes.  Both primes are fixed, not drawn,
 so every rank takes the same route on every run.  No floating point, no
 tolerances.
 
-Both modular eliminations are one routine, :func:`_echelon_mod`, on packed
+Every modular elimination is one routine, :func:`_echelon_mod`, on packed
 rows (Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011): modulo a
 Mersenne prime ``p = 2**k - 1`` a row is one int of ``W = 2k + 3``-bit
 slots, one residue per slot, kept below ``2**(k + 1)``.  A row update is
@@ -64,13 +69,18 @@ lowest nonzero ``c_j`` would have to be a multiple of ``2**E``.  Beyond
 that bound the check fails and Bareiss decides, as it does whenever a
 certificate fails.
 
-:func:`nullspace_basis` eliminates a tall matrix on ``r`` of its rows
-only: those whose columns are pivots of the transpose modulo ``_P``, which
-are independent over Q.  Their kernel contains the whole kernel, and the
-two are equal exactly when every dropped row annihilates it; that is
-checked over Z on the basis.  A check fails only when the modular rank
-fell short of the rank, and then all rows are eliminated.  Either way the
-canonical basis is the same.
+:func:`nullspace_basis` reads the kernel of a tall matrix off ``r`` of
+its rows: those whose columns are pivots of the transpose modulo ``_P``,
+which are independent over Q.  Their kernel modulo ``_P`` is lifted by
+the same rational reconstruction, over one common denominator, and
+checked over Z on every row of the matrix; ``cols - r`` exact kernel
+vectors, each ending in its own free column, are the canonical basis up
+to scale, since ``rank >= r``.  When the lift or the check fails, the
+``r`` rows are eliminated with Bareiss; their kernel contains the whole
+kernel, and the two are equal exactly when every dropped row annihilates
+it, which is checked over Z on the basis.  That check fails only when
+the modular rank fell short of the rank, and then all rows are
+eliminated.  Every route gives the same canonical basis.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
@@ -80,16 +90,21 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
-# The prime of the first elimination in :func:`rank`, the Mersenne prime
-# 2**31 - 1: :func:`_echelon_mod` reduces whole packed rows with shifts and
-# masks, which is exact only modulo a Mersenne prime, and at k = 31 a slot
-# is 2k + 3 = 65 bits.  It is fixed, not drawn, so that ranks take the same
-# route (and the same time) on every run; correctness does not depend on
-# it, since a modular rank is trusted only as a lower bound, which holds
-# for any prime.
+# The prime of the first elimination in :func:`rank` and of the row
+# selection and kernel lift in :func:`nullspace_basis`, the Mersenne prime
+# 2**31 - 1: :func:`_echelon_mod` reduces whole packed rows with shifts
+# and masks, which is exact only modulo a Mersenne prime, and at k = 31 a
+# slot is 2k + 3 = 65 bits.  Rational reconstruction modulo _P recovers
+# numerators and denominators up to isqrt(_P // 2) = 2**15 - 1, which
+# covers the tall Koszul kernels of the benchmark's wide_gcd workload
+# (canonical denominators of at most 9 bits at seeds 1-3).  It is fixed,
+# not drawn, so that ranks and kernels take the same route (and the same
+# time) on every run; correctness does not depend on it, since a modular
+# rank is trusted only as a lower bound, which holds for any prime, and
+# every lifted kernel vector is checked over Z.
 _P = 2**31 - 1
 # The prime of the kernel certificate in :func:`rank`, the Mersenne prime
 # 2**107 - 1.  Rational reconstruction modulo _Q recovers numerators
@@ -408,13 +423,13 @@ def _unpack(pivots, echelon, cols, p):
     return [[x >> s & slot for s in range(0, w * (cols - pc), w)] for x, pc in zip(echelon, pivots)]
 
 
-def _reconstruct(x, bound):
+def _reconstruct(x, bound, p):
     """The fraction ``n / d`` with ``|n|, d <= bound`` and ``n == d * x``
-    modulo :data:`_Q`, as ``(n, d)``, or ``None`` when there is none
-    (rational reconstruction: the extended Euclidean algorithm on ``_Q`` and
-    ``x``, stopped at the first remainder within the bound; Wang, Guy &
-    Davenport, SIGSAM Bull. 16(2), 1982)."""
-    r0, r1, t0, t1 = _Q, x, 0, 1
+    modulo ``p``, as ``(n, d)``, or ``None`` when there is none (rational
+    reconstruction: the extended Euclidean algorithm on ``p`` and ``x``,
+    stopped at the first remainder within the bound; Wang, Guy & Davenport,
+    SIGSAM Bull. 16(2), 1982)."""
+    r0, r1, t0, t1 = p, x, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
@@ -422,6 +437,68 @@ def _reconstruct(x, bound):
     if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_mod(packed, cols, p):
+    """The kernel modulo the Mersenne prime ``p`` of the packed rows
+    ``packed`` (of ``cols`` slots each), in reversed echelon form: for each
+    free column ``fc`` of their echelon form, ``(fc, v)`` with ``v`` the
+    residues of the kernel vector that is 1 at ``fc`` and 0 at the other
+    free columns and after ``fc``.  A generator: it eliminates when it is
+    first advanced, and a caller that stops early back-substitutes no
+    further vector.  The last free column comes first: its vector reaches
+    the most pivot columns, so its entries are the likeliest to lie beyond
+    a reconstruction bound, and a lift that fails does so at once."""
+    pivots, echelon = _echelon_mod(packed, cols, p)
+    # row i holds the columns from pivots[i] on
+    rows = _unpack(pivots, echelon, cols, p)
+    # the pivots' inverses from one modular inversion (Montgomery's trick)
+    prefix = []
+    acc = 1
+    for row in rows:
+        prefix.append(acc)
+        acc = acc * row[0] % p
+    inv = pow(acc, -1, p)
+    inverses = [0] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        inverses[i] = inv * prefix[i] % p
+        inv = inv * rows[i][0] % p
+    for fc in sorted(set(range(cols)) - set(pivots), reverse=True):
+        # back substitution modulo p: 1 at fc, 0 at the other free columns
+        v = [0] * cols
+        v[fc] = 1
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            if pc < fc:
+                v[pc] = -sum(map(mul, rows[i][1 : fc - pc + 1], v[pc + 1 : fc + 1])) * inverses[i] % p
+        yield fc, v
+
+
+def _lift(v, p):
+    """The residues ``v`` modulo ``p`` lifted to an integer vector over one
+    common denominator, or ``None`` when a reconstruction fails: each entry
+    times the denominator so far is taken as it is when it lies within the
+    reconstruction bound ``isqrt(p // 2)`` of 0, and is otherwise
+    reconstructed as a fraction (:func:`_reconstruct`), whose denominator
+    then scales the entries before it.  ``v`` is changed in place."""
+    bound = isqrt(p // 2)
+    den = 1
+    for j, x in enumerate(v):
+        y = x * den % p
+        if y >= p - bound:
+            v[j] = y - p
+        elif y > bound:
+            frac = _reconstruct(y, bound, p)
+            if frac is None:
+                return None
+            n, d = frac
+            den *= d
+            for k in range(j):
+                v[k] *= d
+            v[j] = n
+        else:
+            v[j] = y
+    return v
 
 
 def _kernel_certified(independent, s, annihilates):
@@ -432,68 +509,37 @@ def _kernel_certified(independent, s, annihilates):
     side over Z.
 
     The kernel of ``independent`` modulo ``_Q`` has one vector per free
-    column of its echelon form.  Each is lifted to Q by rational
-    reconstruction and must annihilate every row of the short side.  The
-    vectors are independent (each is nonzero at its own free column and
-    zero at the others), so together they prove the bound.  ``False``
-    means that a reconstruction or a check failed, which proves nothing.
+    column of its echelon form (:func:`_kernel_mod`).  Each is lifted to Q
+    by rational reconstruction (:func:`_lift`) and must annihilate every
+    row of the short side.  The vectors are independent (each is nonzero
+    at its own free column and zero at the others), so together they prove
+    the bound.  ``False`` means that a reconstruction or a check failed,
+    which proves nothing.
     """
-    pivots, echelon = _echelon_mod(independent, s, _Q)
-    # row i holds the columns from pivots[i] on
-    rows = _unpack(pivots, echelon, s, _Q)
-    # the pivots' inverses from one modular inversion (Montgomery's trick)
-    prefix = []
-    acc = 1
-    for row in rows:
-        prefix.append(acc)
-        acc = acc * row[0] % _Q
-    inv = pow(acc, -1, _Q)
-    inverses = [0] * len(pivots)
-    for i in range(len(pivots) - 1, -1, -1):
-        inverses[i] = inv * prefix[i] % _Q
-        inv = inv * rows[i][0] % _Q
-    bound = isqrt(_Q // 2)
-    for fc in sorted(set(range(s)) - set(pivots)):
-        # back substitution modulo _Q: 1 at fc, 0 at the other free columns
-        v = [0] * s
-        v[fc] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            if pc < fc:
-                v[pc] = -sum(map(mul, rows[i][1 : fc - pc + 1], v[pc + 1 : fc + 1])) * inverses[i] % _Q
-        # lift to integers over one common denominator, reconstructing
-        # only the entries that it does not already make small
-        den = 1
-        for j in range(fc + 1):
-            y = v[j] * den % _Q
-            if y >= _Q - bound:
-                v[j] = y - _Q
-            elif y > bound:
-                frac = _reconstruct(y, bound)
-                if frac is None:
-                    return False
-                n, d = frac
-                den *= d
-                for k in range(j):
-                    v[k] *= d
-                v[j] = n
-            else:
-                v[j] = y
-        if not annihilates(v):
+    for _, v in _kernel_mod(independent, s, _Q):
+        v = _lift(v, _Q)
+        if v is None or not annihilates(v):
             return False
     return True
 
 
-def rank(m: QMatrix) -> int:
+def rank(m: QMatrix, kernel=None) -> int:
     """Rank over Q, exactly, and deterministic.
 
     ``rank >= r`` from one packed elimination modulo :data:`_P` of the wide
     orientation (:func:`_echelon_mod`, which unpacks nothing here); when
-    ``r`` is short of ``min(rows, cols)``, ``rank <= r`` from kernel
+    ``r`` is short of ``s = min(rows, cols)``, ``rank <= r`` from kernel
     vectors found modulo :data:`_Q` and checked over Z
     (:func:`_kernel_certified`).  Only when that check fails does the
     fraction-free :func:`_bareiss` decide, on a copy.  The certificate is
     set out in the module docstring.
+
+    ``kernel`` is an optional candidate for the kernel vector of the short
+    side, ``s`` integers ``v`` with ``v^T W = 0`` for the wide orientation
+    ``W`` (the rows of ``m`` unless it is tall): when ``r = s - 1``, a
+    nonzero ``v`` that passes the exact check proves ``rank <= s - 1`` by
+    itself, and no kernel is computed modulo ``_Q``.  Any other candidate
+    changes nothing, so the rank never depends on it.
 
     A strand matrix specialized at an integer point ``y``
     (:meth:`~mgimplicit.complexes.LinearFormMatrix.specialize`) takes the
@@ -506,20 +552,28 @@ def rank(m: QMatrix) -> int:
     those of the plain matrix of the same entries.
     """
     s, n = min(m.rows, m.cols), max(m.rows, m.cols)
+    if kernel is not None and len(kernel) != s:
+        raise ValueError(f"a kernel candidate needs {s} entries, not {len(kernel)}")
     if isinstance(m, _Specialized):
         a, y = m.matrix, m.values
         pivots, _ = _echelon_mod(a.residues(y, _P), n, _P)
-        if len(pivots) == s or _kernel_certified(a.residues(y, _Q, pivots), s, partial(a.annihilates, y)):
-            return len(pivots)
-        work = m.data if m.rows <= m.cols else list(zip(*m.data))
+        if len(pivots) == s:
+            return s
+        annihilates = partial(a.annihilates, y)
+        independent = partial(a.residues, y, _Q, pivots)
     else:
         work = m.data if m.rows <= m.cols else list(zip(*m.data))
         pivots, _ = _echelon_mod(_pack(work, _P), n, _P)
         if len(pivots) == s:
             return s
         b = list(zip(*work))
-        if _kernel_certified(_pack([b[c] for c in pivots], _Q), s, partial(_annihilated, b)):
-            return len(pivots)
+        annihilates = partial(_annihilated, b)
+        independent = partial(_pack, [b[c] for c in pivots], _Q)
+    if len(pivots) == s - 1 and kernel is not None and any(kernel) and annihilates(kernel):
+        return s - 1
+    if _kernel_certified(independent(), s, annihilates):
+        return len(pivots)
+    work = m.data if m.rows <= m.cols else list(zip(*m.data))
     return len(_bareiss([list(row) for row in work], n)[0])
 
 
@@ -545,25 +599,59 @@ def nullspace_basis(m: QMatrix):
     ``J_k`` is minus ``A_J`` with column ``J_k`` replaced by column ``j``
     (Bareiss, Math. Comp. 22, 1968).
 
-    A tall matrix is eliminated on the rows that :func:`_echelon_mod` finds
-    independent modulo :data:`_P` in its transpose, ``r`` of them,
-    independent over Q too.  Their kernel, of dimension ``cols - r``,
-    contains the matrix's; it is the matrix's exactly when every dropped
-    row annihilates each of its basis vectors, which is checked over Z.
-    A check fails exactly when the rank exceeds ``r``, which needs ``_P``
-    to divide every minor of size ``r + 1``, and then every row is
+    A tall matrix is first reduced to the rows that :func:`_echelon_mod`
+    finds independent modulo :data:`_P` in its transpose, ``r`` of them,
+    independent over Q too.  Their kernel modulo ``_P`` in reversed
+    echelon form (:func:`_kernel_mod`), ``k = cols - r`` vectors, is lifted
+    by rational reconstruction (:func:`_lift`) and kept once every lifted
+    vector annihilates every row of the matrix over Z.  Each of them then
+    shows that its free column depends on the columns before it, and as
+    ``rank >= r`` they are as many as the free columns of the canonical
+    basis, so they are that basis up to scale: no Bareiss runs.  When a
+    reconstruction or a check fails, the selected rows are eliminated with
+    :func:`_bareiss` instead.  Their kernel, of dimension ``k``, contains
+    the matrix's; it is the matrix's exactly when every dropped row
+    annihilates each of its basis vectors, which is checked over Z.  That
+    check fails exactly when the rank exceeds ``r``, which needs ``_P`` to
+    divide every minor of size ``r + 1``, and then every row is
     eliminated.  The kernel decides the canonical basis, so the result is
-    the same on both routes.
+    the same on every route.
     """
     if m.rows <= m.cols:
         return _back_substituted_kernel(m.data, m.cols)
     independent, _ = _echelon_mod(_pack(zip(*m.data), _P), m.rows, _P)
-    den, vectors = _back_substituted_kernel([m.data[i] for i in independent], m.cols)
+    selected = [m.data[i] for i in independent]
+    found = _reconstructed_kernel(m.data, selected, m.cols)
+    if found is not None:
+        return found
+    den, vectors = _back_substituted_kernel(selected, m.cols)
     kept = set(independent)
     dropped = (row for i, row in enumerate(m.data) if i not in kept)
     if any(sum(map(mul, row, v)) for row in dropped for v in vectors):
         return _back_substituted_kernel(m.data, m.cols)
     return den, vectors
+
+
+def _reconstructed_kernel(rows, independent, cols):
+    """The canonical kernel basis of the integer rows ``rows`` as ``(den,
+    vectors)``, from the kernel modulo :data:`_P` of ``independent``, rows
+    of ``rows`` that are independent modulo ``_P``, or ``None`` when a
+    reconstruction fails or a lifted vector does not annihilate every row
+    of ``rows`` over Z (see :func:`nullspace_basis`).  Each lifted vector
+    ``w`` is ``w[fc]`` times the canonical one of its free column ``fc``."""
+    scales, lifted = [], []
+    for fc, v in _kernel_mod(_pack(independent, _P), cols, _P):
+        w = _lift(v, _P)
+        if w is None or any(sum(map(mul, row, w)) for row in rows):
+            return None
+        scales.append(w[fc])
+        lifted.append(w)
+    # over the common denominator den, then divided by the content, in
+    # increasing order of the free columns
+    den = lcm(*scales)
+    vectors = [[x * (den // d) for x in w] for d, w in zip(reversed(scales), reversed(lifted))]
+    g = gcd(den, *chain.from_iterable(vectors))
+    return den // g, [[x // g for x in v] for v in vectors]
 
 
 def _back_substituted_kernel(rows, cols):

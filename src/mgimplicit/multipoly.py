@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import gcd, lcm
 
 from .regions import BlockStructure
@@ -538,11 +539,18 @@ def _primitive_factor(coeffs) -> Rational:
 
 
 def normalize_poly(p: MultiPoly) -> MultiPoly:
-    """Integer-primitive representative with positive leading coefficient."""
+    """Integer-primitive representative with positive leading coefficient:
+    ``int`` coefficients are divided by their gcd with ``//``, rational ones
+    scaled by their primitive factor."""
     if p.is_zero():
         return p
-    factor = _primitive_factor(p.terms.values())
     _, lead = p.leading()
+    if all(map(isinstance, p.terms.values(), repeat(int))):
+        g = gcd(*p.terms.values())
+        if lead < 0:
+            g = -g
+        return MultiPoly(p.ring, {e: c // g for e, c in p.terms.items()})
+    factor = _primitive_factor(p.terms.values())
     if lead < 0:
         factor = -factor
     return p.scale(factor)

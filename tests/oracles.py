@@ -248,14 +248,12 @@ def symbolic_rank_oracle(matrix, ring):
     return 0
 
 
-def koszul_cycles_oracle(inst, q, nu):
-    """Canonical basis of the Koszul q-cycles whose coefficients have
-    multidegree ``nu``, over (subset, monomial) pairs, subset-major: the
-    Koszul matrix is built entry by entry from its definition and its kernel
-    is read off the Gauss-Jordan RREF."""
+def koszul_matrix_oracle(inst, q, nu):
+    """The q-th Koszul differential on the q-chains whose coefficients have
+    multidegree ``nu``, built entry by entry from its definition on the
+    forms ``inst.f``, as ``(rows, cols)``: the entries as lists, and the
+    column count, over (subset, monomial) pairs, subset-major."""
     mons = strand_basis(inst.blocks, nu)
-    if q == 0:
-        return nullspace_oracle([], len(mons))
     n1 = len(inst.f)
     cols = [(S, u) for S in combinations(range(n1), q) for u in mons]
     up = strand_basis(inst.blocks, tuple(a + b for a, b in zip(nu, inst.gamma)))
@@ -268,7 +266,17 @@ def koszul_cycles_oracle(inst, q, nu):
             for e, coef in inst.f[j].terms.items():
                 w = tuple(a + b for a, b in zip(u, e))
                 matrix[row_of[T, w]][c] += (-1) ** pos * coef
-    return nullspace_oracle(matrix, len(cols))
+    return matrix, len(cols)
+
+
+def koszul_cycles_oracle(inst, q, nu):
+    """Canonical basis of the Koszul q-cycles whose coefficients have
+    multidegree ``nu``, over (subset, monomial) pairs, subset-major: the
+    kernel of :func:`koszul_matrix_oracle`, read off the Gauss-Jordan
+    RREF."""
+    if q == 0:
+        return nullspace_oracle([], len(strand_basis(inst.blocks, nu)))
+    return nullspace_oracle(*koszul_matrix_oracle(inst, q, nu))
 
 
 def solve_in_basis_oracle(basis, ws):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cayley_instances,
     golden_instance,
     mat_mul,
     over,
@@ -28,6 +29,7 @@ from mgimplicit import (
     representation_matrix,
     strand_dim,
     strand_differentials,
+    suggest_nu,
 )
 from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.implicitize import evaluation_points
@@ -38,6 +40,7 @@ from oracles import (
     compositions_vanish,
     cycle_differentials_oracle,
     cycle_polys,
+    koszul_matrix_oracle,
     rank_oracle,
     specialize_cells,
 )
@@ -275,6 +278,17 @@ def single_block_instance():
     blocks = BlockStructure((1,))
     polys = [random_poly(ring, blocks, (3,), rng) for _ in range(3)]
     return ProblemInstance.from_polys(polys), (4,)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cayley_instances(), st.integers(1, 3))
+def test_koszul_strand_matches_its_definition(inst, q):
+    # the rows of x^u * x^w are looked up once per exponent w of the forms;
+    # the entries are those of the definition, one (face, u, term) at a time
+    q = min(q, len(inst.f))
+    nu = suggest_nu(inst.blocks, inst.gamma)
+    m = koszul_differential_strand(inst, q, [a + q * g for a, g in zip(nu, inst.gamma)])
+    assert (m.data, m.cols) == koszul_matrix_oracle(inst, q, nu)
 
 
 def test_z_strand_single_block_dimensions():

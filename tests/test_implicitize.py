@@ -764,18 +764,19 @@ def test_pipeline_golden(golden, golden_delta):
 
 def test_pipeline_takes_one_rank_per_rank_drop_point(golden, monkeypatch):
     # full row rank is proved by the determinant's own elimination, so the
-    # only ranks the pipeline takes are the rank-drop check's, one per point
+    # only ranks the pipeline takes are the rank-drop check's, one per point,
+    # each given the strand monomials at its point as a kernel candidate
     intact = implicitize.rank
     calls = []
 
-    def counting(m):
-        calls.append((m.rows, m.cols))
-        return intact(m)
+    def counting(m, kernel=None):
+        calls.append((m.rows, m.cols, len(kernel)))
+        return intact(m, kernel)
 
     monkeypatch.setattr(implicitize, "rank", counting)
     result = run_pipeline(golden, (3, 1), points=20, seed=0)
     assert result.verified and result.generic_rank == 8
-    assert len(calls) == 20
+    assert calls == [(8, 8, 8)] * 20
 
 
 def test_pipeline_auto_nu(golden):

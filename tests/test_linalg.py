@@ -2,7 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
 from unittest import mock
@@ -15,7 +15,7 @@ from helpers import cayley_instances, golden_instance, identity, mat_vec, over, 
 from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
 from mgimplicit import linalg
 from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
-from mgimplicit.implicitize import _image_points, sample_parameter_point
+from mgimplicit.implicitize import _image_points, _parameter_points, sample_parameter_point
 from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _kernel_certified, _pack, _unpack
 from oracles import (
     bareiss_gauss_jordan,
@@ -448,11 +448,13 @@ R1, R2 = [1, 2, 3, 4], [2, 3, 5, 7]
 @pytest.mark.parametrize(
     "data,eliminated",
     [
-        # rank 2: the two rows with modular pivots carry the whole kernel
-        ([R1, R2, [a + b for a, b in zip(R1, R2)], [a - b for a, b in zip(R1, R2)], [3 * a for a in R1]], [2]),
-        # rank 3 over Q, but the third row is the first modulo _P: the kernel
-        # of the two selected rows misses the third, whose check fails, so
-        # all five rows are eliminated
+        # rank 2: the kernel of the two rows with modular pivots, lifted
+        # from its residues modulo _P, is the whole kernel; nothing is
+        # eliminated exactly
+        ([R1, R2, [a + b for a, b in zip(R1, R2)], [a - b for a, b in zip(R1, R2)], [3 * a for a in R1]], []),
+        # rank 3 over Q, but the third row is the first modulo _P: the lifted
+        # kernel of the two selected rows misses the third row, so the two
+        # rows are eliminated; their kernel misses it too, so all five are
         ([R1, R2, [R1[0] + _P] + R1[1:], [a + b for a, b in zip(R1, R2)], [2 * b for b in R2]], [2, 5]),
     ],
     ids=["selected_rows", "fallback"],
@@ -463,6 +465,59 @@ def test_tall_nullspace_eliminates_the_selected_rows_or_all(data, eliminated):
     with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
         assert nullspace_basis(m) == nullspace_gauss_jordan(m)
     assert [len(call.args[0]) for call in spy.call_args_list] == eliminated
+
+
+# the largest numerator and denominator that rational reconstruction
+# modulo _P recovers
+BOUND_P = isqrt(_P // 2)
+
+
+@st.composite
+def tall_kernels(draw):
+    """``(lifts, m)``: a tall integer matrix ``m``, and ``False`` when its
+    kernel cannot be lifted from its residues modulo ``_P`` (else
+    ``None``, undecided).  Either a product through a thin inner
+    dimension, with entries up to 2**64; or ``[B | B c]`` with ``B`` an
+    identity over random rows, whose kernel is spanned by ``(-c, 1)``
+    with every ``|c_i|`` beyond ``BOUND_P**(cols + 1)``, which no lifted
+    vector reaches (each entry is at most ``BOUND_P`` times the product
+    of at most ``cols`` reconstructed denominators); or
+    ``koszul_differential_strand(inst, q, nu + q * gamma)``, q = 2 or 3,
+    at the suggested ``nu`` of a Cayley-property instance."""
+    kind = draw(st.sampled_from(["thin", "unliftable", "koszul"]))
+    if kind == "koszul":
+        inst = draw(cayley_instances())
+        q = min(draw(st.sampled_from([2, 3])), len(inst.f))
+        nu = suggest_nu(inst.blocks, inst.gamma)
+        return None, koszul_differential_strand(inst, q, [a + q * g for a, g in zip(nu, inst.gamma)])
+    cols = draw(st.integers(1 if kind == "thin" else 2, 7))
+    rows = draw(st.integers(cols + 1, 12))
+    small = st.integers(-9, 9)
+
+    def matrix(r, c, entries):
+        return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if kind == "thin":
+        inner = draw(st.integers(0, cols - 1))
+        left = matrix(rows, inner, small | st.integers(-(2**64), 2**64))
+        columns = list(zip(*matrix(inner, cols, small))) if inner else [()] * cols
+        return None, QMatrix([[sum(map(mul, row, col)) for col in columns] for row in left])
+    n = cols - 1
+    b = [[int(i == j) for j in range(n)] for i in range(n)] + matrix(rows - n, n, small)
+    top = BOUND_P ** (cols + 1)
+    c = [draw(st.sampled_from([1, -1])) * draw(st.integers(top + 1, 2**64 * top)) for _ in range(n)]
+    return False, QMatrix([row + [sum(map(mul, row, c))] for row in b])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tall_kernels())
+def test_tall_nullspace_lifts_the_modular_kernel_or_falls_back(case):
+    lifts, m = case
+    assert m.rows > m.cols
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        assert nullspace_basis(m) == nullspace_gauss_jordan(m)
+    if lifts is False:
+        assert spy.called
 
 
 def test_nullspace_back_substitution_refuses_an_inexact_division(monkeypatch):
@@ -608,6 +663,39 @@ def test_oversize_point_falls_back_to_bareiss(monkeypatch):
         assert rank(spec) == 7
     assert results == [False]
     assert spy.call_count == 1
+
+
+# a 4x5 matrix of linear forms with slices A B_t through the 4x2 A: every
+# specialization has rank at most 2, and THIN_KERNEL^T A = 0
+THIN = [[1, 0], [0, 1], [1, 1], [1, -1]]
+THIN_KERNEL = [1, 1, -1, 0]
+
+
+def _thin_m():
+    b = [[[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]], [[5, 8, 9, 7, 9], [3, 2, 3, 8, 4]]]
+    slices = [[[sum(map(mul, row, col)) for col in zip(*b_t)] for row in THIN] for b_t in b]
+    return LinearFormMatrix(4, 5, ("T_0", "T_1"), slices, den=1)
+
+
+@pytest.mark.parametrize("case", ["monomials", "wrong", "zero", "drop_by_two"])
+def test_kernel_candidate_never_changes_the_rank(case):
+    # the strand monomials at p are a left kernel vector of M_nu(f(p)) and
+    # prove its rank drop by one with no kernel modulo _Q; any other
+    # candidate leaves the rank to the certificate modulo _Q
+    if case == "drop_by_two":
+        spec, kernel, expected = _thin_m().specialize([2, -3]), THIN_KERNEL, 2
+    else:
+        inst, m = _golden_m()
+        point, values = next(pv for pv in _parameter_points(inst, 1) if any(pv[1]))
+        kernel = [prod(map(pow, point, u)) for u in m.row_monomials]
+        spec, expected = m.specialize(values), 7
+        kernel = {"monomials": kernel, "wrong": [kernel[0] + 1] + kernel[1:], "zero": [0] * 8}[case]
+    with mock.patch.object(linalg, "_kernel_certified", wraps=_kernel_certified) as spy:
+        assert rank(spec, kernel) == expected
+    assert spy.called == (case != "monomials")
+    assert rank(spec) == rank(QMatrix(spec.data), kernel) == expected
+    with pytest.raises(ValueError, match="entries"):
+        rank(spec, kernel + [0])
 
 
 def test_specialize_refuses_a_non_integer_value_before_building_entries(monkeypatch):

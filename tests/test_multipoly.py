@@ -424,3 +424,15 @@ def test_normalize_poly(tring):
     p = parse_poly("2/3*X_0 - 4/3*X_1", tring)
     assert normalize_poly(p) == parse_poly("X_0 - 2*X_1", tring)
     assert normalize_poly(-p) == parse_poly("X_0 - 2*X_1", tring)
+
+
+def test_normalize_poly_divides_integer_coefficients_by_their_gcd(tring):
+    # integer coefficients are divided by their gcd with //; the same
+    # polynomial with Fraction coefficients takes the rational path
+    p = parse_poly("-6*X_0^2 + 4*X_0*X_1 - 10*X_1^2", tring)
+    rational = MultiPoly(tring, {e: Fraction(c) for e, c in p.terms.items()})
+    expected = parse_poly("3*X_0^2 - 2*X_0*X_1 + 5*X_1^2", tring)
+    for q in (p, rational, -p):
+        got = normalize_poly(q)
+        assert got == expected and all(type(c) is int for c in got.terms.values())
+        assert list(got.terms) == list(q.terms)
