@@ -2,16 +2,14 @@
 projective spaces, via graded strands of the complex of Koszul cycles."""
 
 from .complexes import (
-    CycleBasis,
     InRegionWarning,
     LinearFormMatrix,
     ProblemInstance,
     StrandAssemblyError,
-    cycle_basis,
+    StrandComplex,
     homology_dim,
     koszul_differential_strand,
     representation_matrix,
-    strand_differentials,
 )
 from .implicitize import (
     ImplicitResult,

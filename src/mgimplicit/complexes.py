@@ -13,6 +13,9 @@ cycle-complex strand in degree ``nu``, whose spaces are ``(Z_q) at nu +
 q*gamma``.  The first of these differentials is the representation matrix
 ``M_nu``: rows indexed by the monomials of degree ``nu``, columns by the
 degree-``nu`` syzygies of f, entries ``sum_j coeff(g_j, x^u) * T_j``.
+One :class:`StrandComplex` holds that strand: the Koszul strands ``K_q``
+at ``nu + q*gamma``, their kernels ``Z_q`` and the differentials ``d_q``
+between them, each built once, when it is first read.
 
 Every differential is a :class:`LinearFormMatrix`, stored as its integer
 slices: ``M = sum_t T_t M_t / den``, with ``M_t`` the coefficients of
@@ -175,43 +178,6 @@ def koszul_differential_strand(inst: ProblemInstance, q: int, d) -> QMatrix:
 
 
 @dataclass
-class CycleBasis:
-    """Deterministic basis of the Koszul q-cycles in internal degree nu + q*gamma.
-
-    The basis is ``vectors / den``, integer kernel coordinates over (subset,
-    monomial) pairs, subset-major, and their least common denominator.
-    """
-
-    q: int
-    nu: tuple[int, ...]
-    subsets: list
-    monomials: list
-    vectors: list
-    den: int
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-def cycle_basis(inst: ProblemInstance, q: int, nu) -> CycleBasis:
-    """Basis of the q-cycles graded piece feeding the degree-``nu`` strand
-    of the cycle complex; q = 0 returns the monomial (identity) basis."""
-    nu = tuple(nu)
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    mons = strand_basis(inst.blocks, nu)
-    if q == 0:
-        vectors = [[int(i == j) for j in range(len(mons))] for i in range(len(mons))]
-        return CycleBasis(0, nu, [()], mons, vectors, 1)
-    n1 = len(inst.f)
-    if q > n1:
-        return CycleBasis(q, nu, [], mons, [], 1)
-    d = _vadd(nu, _vscale(q, inst.gamma))
-    den, vectors = nullspace_basis(koszul_differential_strand(inst, q, d))
-    return CycleBasis(q, nu, list(combinations(range(n1), q)), mons, vectors, den)
-
-
-@dataclass
 class LinearFormMatrix(Slices):
     """Matrix ``M = sum_t T_t M_t / den`` whose entries are degree-1
     polynomials in the target variables.
@@ -290,37 +256,6 @@ class LinearFormMatrix(Slices):
         }
 
 
-def strand_differentials(inst: ProblemInstance, nu):
-    """The differentials ``d_1, d_2, .., d_n`` of the degree-``nu`` strand of
-    the cycle complex, each built when it is first asked for: ``d_q`` sends
-    a q-cycle to ``sum_j T_j * (contraction by e_j)``, written in the
-    canonical (q-1)-cycle basis.  Every cycle basis is computed once, and a
-    consumer that stops after ``d_q`` computes none beyond the q-cycles."""
-    nu = tuple(nu)
-    tgt = cycle_basis(inst, 0, nu)
-    for q in range(1, inst.n + 1):
-        src = cycle_basis(inst, q, nu)
-        yield _cycle_differential(inst, src, tgt)
-        tgt = src
-
-
-def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> LinearFormMatrix:
-    """The first strand differential ``M_nu``.
-
-    Rows are indexed by the monomials of multidegree ``nu``, columns by the
-    degree-``nu`` syzygies ``(g_0..g_n)`` of f; the (u, c) entry is
-    ``sum_j coeff(g_j, x^u) * T_j``.  A degree inside the unreliable region
-    is allowed but triggers :class:`InRegionWarning` when ``warn_region`` is
-    true; a degree with the wrong number of components raises ``ValueError``.
-    """
-    nu = tuple(nu)
-    notes = check_strand_degree(inst.blocks, inst.gamma, nu)
-    if warn_region:
-        for note in notes:
-            warnings.warn(note, InRegionWarning, stacklevel=2)
-    return next(strand_differentials(inst, nu))
-
-
 def _is_expansion(w, support, den):
     """Whether ``sum_t w[f_t] * u_t == den * w``: the exact test that ``w`` lies
     in the span of a canonical kernel basis ``u_t / den``.  ``support[t]``
@@ -335,50 +270,118 @@ def _is_expansion(w, support, den):
     return acc == [den * x for x in w]
 
 
-def _cycle_differential(inst: ProblemInstance, src: CycleBasis, tgt: CycleBasis) -> LinearFormMatrix:
-    """The T-linear map sending a q-cycle of ``src`` to ``sum_j T_j *
-    (contraction by e_j)``, written in the canonical (q-1)-cycle basis ``tgt``.
+class StrandComplex:
+    """The degree-``nu`` strand ``(Z.)_nu`` of the cycle complex of ``inst``.
 
-    Each contraction image is read at the free columns of ``tgt`` (the last
-    nonzero entry of each basis vector) and checked by exact re-expansion;
-    at q = 1, ``tgt`` is the identity basis.  The contraction by ``e_j``
-    gives the slice ``M_j``: ``M = sum_j T_j M_j / src.den``.
+    Each piece is built when it is first read and then kept, so one
+    complex builds every Koszul strand, kernel and differential once.  A
+    degree with the wrong number of components raises ``ValueError``.
     """
-    n1 = len(inst.f)
-    lm = len(src.monomials)
-    support = [[(i, x) for i, x in enumerate(v) if x] for v in tgt.vectors]
-    free = [nz[-1][0] for nz in support]
-    faces = _faces(n1, src.q)
-    slices = [[[0] * len(src) for _ in free] for _ in range(n1)]
-    for c, v in enumerate(src.vectors):
-        images = [[0] * (len(tgt.subsets) * lm) for _ in range(n1)]
-        for si, j, ti, sign in faces:
-            # (j, ti) determines si, so each image entry is written once
-            w = images[j]
-            for ui in range(lm):
-                x = v[si * lm + ui]
-                if x:
-                    w[ti * lm + ui] = x if sign > 0 else -x
-        for w in images:
-            if not _is_expansion(w, support, tgt.den):
-                raise StrandAssemblyError(
-                    f"contraction image not in the span of the {tgt.q}-cycle "
-                    f"basis at degree {src.nu}"
-                )
-        for m_j, w in zip(slices, images):
-            for row, ft in zip(m_j, free):
-                row[c] = w[ft]
-    # only M_nu (q = 1) is ever printed; its rows are the monomials of nu
-    row_labels = [monomial_str(inst.ring, m) for m in tgt.monomials] if tgt.q == 0 else None
-    return LinearFormMatrix(
-        rows=len(free),
-        cols=len(src),
-        target_names=inst.target.names,
-        slices=slices,
-        den=src.den,
-        row_labels=row_labels,
-        row_monomials=tgt.monomials if tgt.q == 0 else None,
-    )
+
+    def __init__(self, inst: ProblemInstance, nu):
+        self.inst = inst
+        self.nu = tuple(nu)
+        # the monomials of nu, the rows of M_nu
+        self.monomials = strand_basis(inst.blocks, self.nu)
+        self._built = {}
+
+    def _kept(self, build, q):
+        key = (build.__name__, q)
+        if key not in self._built:
+            self._built[key] = build(q)
+        return self._built[key]
+
+    def koszul(self, q) -> QMatrix:
+        """The Koszul strand ``K_q`` at ``nu + q*gamma``
+        (:func:`koszul_differential_strand`)."""
+        return self._kept(self._koszul, q)
+
+    def cycles(self, q):
+        """The canonical basis of ``Z_q``, the kernel of :meth:`koszul`,
+        as ``(den, vectors)`` (:func:`~mgimplicit.linalg.nullspace_basis`):
+        integer coordinates over (subset, monomial) pairs, subset-major.  At
+        ``q = 0`` it is the identity basis of :attr:`monomials`."""
+        return self._kept(self._cycles, q)
+
+    def differential(self, q) -> LinearFormMatrix:
+        """The T-linear differential ``d_q: Z_q -> Z_(q-1)``, for ``1 <= q
+        <= n``; ``differential(1)`` is the representation matrix ``M_nu``."""
+        return self._kept(self._differential, q)
+
+    def _koszul(self, q):
+        return koszul_differential_strand(self.inst, q, _vadd(self.nu, _vscale(q, self.inst.gamma)))
+
+    def _cycles(self, q):
+        if q == 0:
+            size = len(self.monomials)
+            return 1, [[int(i == j) for j in range(size)] for i in range(size)]
+        return nullspace_basis(self.koszul(q))
+
+    def _differential(self, q) -> LinearFormMatrix:
+        """The map sending a q-cycle to ``sum_j T_j * (contraction by e_j)``,
+        written in the canonical (q-1)-cycle basis.
+
+        Each contraction image is read at the free columns of that basis
+        (the last nonzero entry of each basis vector) and checked by exact
+        re-expansion, or :class:`StrandAssemblyError` is raised; at q = 1
+        the basis is the identity.  The contraction by ``e_j`` gives the
+        slice ``M_j``: ``M = sum_j T_j M_j / den``, ``den`` that of ``Z_q``.
+        """
+        inst = self.inst
+        n1 = len(inst.f)
+        lm = len(self.monomials)
+        den, vectors = self.cycles(q)
+        tgt_den, tgt_vectors = self.cycles(q - 1)
+        support = [[(i, x) for i, x in enumerate(v) if x] for v in tgt_vectors]
+        free = [nz[-1][0] for nz in support]
+        faces = _faces(n1, q)
+        slices = [[[0] * len(vectors) for _ in free] for _ in range(n1)]
+        for c, v in enumerate(vectors):
+            images = [[0] * (comb(n1, q - 1) * lm) for _ in range(n1)]
+            for si, j, ti, sign in faces:
+                # (j, ti) determines si, so each image entry is written once
+                w = images[j]
+                for ui in range(lm):
+                    x = v[si * lm + ui]
+                    if x:
+                        w[ti * lm + ui] = x if sign > 0 else -x
+            for w in images:
+                if not _is_expansion(w, support, tgt_den):
+                    raise StrandAssemblyError(
+                        f"contraction image not in the span of the {q - 1}-cycle "
+                        f"basis at degree {self.nu}"
+                    )
+            for m_j, w in zip(slices, images):
+                for row, ft in zip(m_j, free):
+                    row[c] = w[ft]
+        # only M_nu (q = 1) is ever printed; its rows are the monomials of nu
+        return LinearFormMatrix(
+            rows=len(free),
+            cols=len(vectors),
+            target_names=inst.target.names,
+            slices=slices,
+            den=den,
+            row_labels=[monomial_str(inst.ring, m) for m in self.monomials] if q == 1 else None,
+            row_monomials=self.monomials if q == 1 else None,
+        )
+
+
+def representation_matrix(inst: ProblemInstance, nu, warn_region=True) -> LinearFormMatrix:
+    """The first strand differential ``M_nu``, ``StrandComplex(inst,
+    nu).differential(1)``.
+
+    Rows are indexed by the monomials of multidegree ``nu``, columns by the
+    degree-``nu`` syzygies ``(g_0..g_n)`` of f; the (u, c) entry is
+    ``sum_j coeff(g_j, x^u) * T_j``.  A degree inside the unreliable region
+    is allowed but triggers :class:`InRegionWarning` when ``warn_region`` is
+    true; a degree with the wrong number of components raises ``ValueError``.
+    """
+    nu = tuple(nu)
+    notes = check_strand_degree(inst.blocks, inst.gamma, nu)
+    if warn_region:
+        for note in notes:
+            warnings.warn(note, InRegionWarning, stacklevel=2)
+    return StrandComplex(inst, nu).differential(1)
 
 
 def homology_dim(inst: ProblemInstance, q: int, d) -> int:

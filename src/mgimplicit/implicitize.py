@@ -37,15 +37,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
 from math import factorial, prod
-from operator import add, mul
+from operator import mul
 
-from .complexes import (
-    LinearFormMatrix,
-    ProblemInstance,
-    homology_dim,
-    koszul_differential_strand,
-    strand_differentials,
-)
+from .complexes import LinearFormMatrix, ProblemInstance, StrandComplex, homology_dim
 from .linalg import Slices, _bareiss, rank
 from .multipoly import (
     MultiPoly,
@@ -175,14 +169,6 @@ def _parameter_points(inst: ProblemInstance, seed: int):
     while True:
         point = sample_parameter_point(inst.ring, rng)
         yield point, [_eval_terms(fj.terms, point) for fj in inst.integer_forms]
-
-
-def _image_points(inst: ProblemInstance, seed: int):
-    """The values of the integer forms at the points of
-    :func:`_parameter_points`; ``None`` for a point on the base locus,
-    where every value is zero."""
-    for _, values in _parameter_points(inst, seed):
-        yield values if any(values) else None
 
 
 # --------------------------------------------------------------------------
@@ -468,46 +454,46 @@ def expected_degree_p1p1(inst: ProblemInstance, nu) -> int:
 # --------------------------------------------------------------------------
 # the structural certificate
 
-def _columns_are_syzygies(m: LinearFormMatrix, inst: ProblemInstance, nu) -> bool:
+def _columns_are_syzygies(m: LinearFormMatrix, koszul) -> bool:
     """Whether every column ``(g_0..g_n)`` of ``m = M_nu`` is a syzygy of the
-    integer forms, ``sum_j g_j f_j = 0`` exactly: the Koszul differential
-    at ``nu + gamma`` (:func:`koszul_differential_strand`) sends it to zero.
-    There ``g_j = sum_u M_j[u][c] x^u`` over the monomials ``u`` of
-    multidegree ``nu`` that index the rows, so column ``c`` of the slices
-    ``M_0, .., M_n`` stacked is the column in Koszul's ``(j, u)``
-    coordinates, form-major."""
+    integer forms, ``sum_j g_j f_j = 0`` exactly: ``koszul``, the Koszul
+    strand ``K_1`` at ``nu + gamma``, sends it to zero.  There ``g_j =
+    sum_u M_j[u][c] x^u`` over the monomials ``u`` of multidegree ``nu``
+    that index the rows, so column ``c`` of the slices ``M_0, .., M_n``
+    stacked is the column in Koszul's ``(j, u)`` coordinates, form-major."""
     stacked = list(chain.from_iterable(m.slices))
-    koszul = koszul_differential_strand(inst, 1, tuple(map(add, nu, inst.gamma)))
     if koszul.cols != len(stacked):
         return False
     return not any(any(sum(map(mul, k, g)) for k in koszul.data) for g in zip(*stacked))
 
 
-def _certify(m: LinearFormMatrix, nu, inst: ProblemInstance, delta: MultiPoly, even, seed: int) -> bool:
+def _certify(m: LinearFormMatrix, cx: StrandComplex, delta: MultiPoly, even, seed: int) -> bool:
     """Exact proof that ``delta(f) = 0``, read off how ``m = M_nu`` is built.
 
-    When every column of ``m`` is a syzygy (:func:`_columns_are_syzygies`),
-    the row of strand monomials ``(x^u)_u``, nonzero over ``Q(x)``, is a
-    left kernel vector of ``m(f(x))``; so every minor on all the rows of
-    ``m`` vanishes at ``f``, the first minor of Cayley's formula among
-    them.  As ``delta * prod(even) = prod(odd)`` holds exactly
-    (:func:`strand_determinant`), ``delta(f) = 0`` follows once
+    When every column of ``m`` is a syzygy (:func:`_columns_are_syzygies`
+    against ``cx.koszul(1)``, the Koszul strand whose kernel ``M_nu`` is
+    built from), the row of strand monomials ``(x^u)_u``, nonzero over
+    ``Q(x)``, is a left kernel vector of ``m(f(x))``; so every minor on all
+    the rows of ``m`` vanishes at ``f``, the first minor of Cayley's
+    formula among them.  As ``delta * prod(even) = prod(odd)`` holds
+    exactly (:func:`strand_determinant`), ``delta(f) = 0`` follows once
     ``prod(even)(f)`` is a nonzero polynomial, which one nonzero value at
     ``f(p0)`` proves; a square strand has no even minors.  ``p0`` is the
-    first point of :func:`rank_drop_check` off the base locus, and
-    ``delta`` must vanish at ``f(p0)`` as well, a check of ``delta``
-    against the minors it came from.  A failed check returns ``False``;
-    only an even minor that vanishes at ``f(p0)`` leaves the decision to
-    the grid of :func:`verify_implicit`.
+    first point of :func:`_parameter_points` off the base locus, which is
+    also the first point :func:`rank_drop_check` keeps, and ``delta`` must
+    vanish at ``f(p0)`` as well, a check of ``delta`` against the minors it
+    came from.  A failed check returns ``False``; only an even minor that
+    vanishes at ``f(p0)`` leaves the decision to the grid of
+    :func:`verify_implicit`.
     """
-    if not _columns_are_syzygies(m, inst, nu):
+    if not _columns_are_syzygies(m, cx.koszul(1)):
         return False
-    values = next(v for v in _image_points(inst, seed) if v is not None)
+    values = next(values for _, values in _parameter_points(cx.inst, seed) if any(values))
     if _eval_terms(delta.terms, values):
         return False
     if all(_eval_terms(minor.terms, values) for minor in even):
         return True
-    return verify_implicit(delta, inst)
+    return verify_implicit(delta, cx.inst)
 
 
 # --------------------------------------------------------------------------
@@ -586,12 +572,12 @@ def run_pipeline(
         warnings_list.append(f"auto-selected nu {tuple(nu)}")
     nu = tuple(nu)
     warnings_list.extend(check_strand_degree(inst.blocks, inst.gamma, nu))
-    diffs = strand_differentials(inst, nu)
-    m = next(diffs)
+    cx = StrandComplex(inst, nu)
+    m = cx.differential(1)
     if m.rows == 0 or m.cols == 0:
         raise PipelineError(f"empty strand at nu {nu}: matrix is {m.rows}x{m.cols}")
     try:
-        delta, even = _strand_determinant(chain([m], diffs))
+        delta, even = _strand_determinant(map(cx.differential, range(1, inst.n + 1)))
     except PipelineError as exc:
         raise PipelineError(f"at nu {nu}: {exc}") from exc
     # the determinant found m.rows pivots of M_nu at a grid point, so
@@ -615,7 +601,7 @@ def run_pipeline(
         warnings_list.append(
             f"determinant degree {delta.total_degree()} differs from the predicted {expected}"
         )
-    verified = _certify(m, nu, inst, delta, even, seed)
+    verified = _certify(m, cx, delta, even, seed)
     return ImplicitResult(
         delta=delta,
         nu=nu,

@@ -6,7 +6,7 @@ from operator import mul
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from mgimplicit import MultiPoly, ProblemInstance, QMatrix, parameter_ring, parse_poly, strand_basis
+from mgimplicit import MultiPoly, ProblemInstance, QMatrix, StrandComplex, parameter_ring, parse_poly, strand_basis
 from mgimplicit.regions import BlockStructure
 from oracles import rank_oracle
 
@@ -79,6 +79,13 @@ def mat_mul(a, b):
 
 def mat_vec(m, v):
     return [sum(map(mul, row, v)) for row in m.data]
+
+
+def differentials(inst, nu):
+    """The differentials ``d_1, .., d_n`` of the degree-``nu`` strand of the
+    cycle complex, read off one :class:`~mgimplicit.StrandComplex`, each
+    built when the iterator reaches it."""
+    return map(StrandComplex(inst, nu).differential, range(1, inst.n + 1))
 
 
 def strand_dims(diffs):

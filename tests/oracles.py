@@ -33,7 +33,7 @@ The symbolic expansions the package no longer ships live here too:
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring
@@ -350,18 +350,19 @@ def substitute_targets(p, images):
     return total
 
 
-def cycle_polys(cb, ring):
-    """The cycle basis ``cb`` as syzygies: for each basis vector, one
-    polynomial of multidegree ``cb.nu`` in ``ring`` per subset."""
-    lm = len(cb.monomials)
+def cycle_polys(cx, q):
+    """The q-cycle basis of the strand complex ``cx`` as syzygies: for each
+    basis vector, one polynomial of multidegree ``cx.nu`` in the parameter
+    ring per size-q subset."""
+    den, vectors = cx.cycles(q)
+    mons = cx.monomials
+    lm = len(mons)
     return [
         tuple(
-            MultiPoly.from_terms(
-                ring, ((m, Fraction(v[si * lm + ui], cb.den)) for ui, m in enumerate(cb.monomials))
-            )
-            for si in range(len(cb.subsets))
+            MultiPoly.from_terms(cx.inst.ring, ((m, Fraction(v[si * lm + ui], den)) for ui, m in enumerate(mons)))
+            for si in range(comb(len(cx.inst.f), q))
         )
-        for v in cb.vectors
+        for v in vectors
     ]
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from helpers import (
     GOLDEN_COEFFS,
     base_locus_probably_empty,
+    differentials,
     golden_instance,
     mat_mul,
     over,
@@ -22,6 +23,7 @@ from helpers import (
 from mgimplicit import (
     BlockStructure,
     QMatrix,
+    StrandComplex,
     complement_corners,
     expected_degree_p1p1,
     generic_rank,
@@ -34,7 +36,6 @@ from mgimplicit import (
     representation_matrix,
     run_pipeline,
     strand_determinant,
-    strand_differentials,
 )
 from mgimplicit.implicitize import sample_parameter_point
 from mgimplicit.multipoly import MultiPoly, eval_at
@@ -138,7 +139,7 @@ def test_criterion_6_invariant_suites():
             a, b = inst.gamma
             nu = (2 * a - 1, b - 1)
             # d^2 = 0 on the whole computed strand
-            assert compositions_vanish(list(strand_differentials(inst, nu)))
+            assert compositions_vanish(list(differentials(inst, nu)))
             # and on raw Koszul strands at another degree
             d = (2 * a, 2 * b)
             for q in range(1, len(inst.f)):
@@ -147,9 +148,7 @@ def test_criterion_6_invariant_suites():
                 assert not any(map(any, mat_mul(d1, d2)))
             # every syzygy is exact
             m = representation_matrix(inst, nu, warn_region=False)
-            from mgimplicit import cycle_basis
-
-            for cyc in cycle_polys(cycle_basis(inst, 1, nu), inst.ring):
+            for cyc in cycle_polys(StrandComplex(inst, nu), 1):
                 acc = MultiPoly.zero(inst.ring)
                 for gj, fj in zip(cyc, inst.f):
                     acc = acc + gj * fj

@@ -2,9 +2,10 @@
 
 The benchmark's tracer patches ``LinearFormMatrix.specialize`` and the
 ``MultiPoly`` operators on their classes, and reads functions under every
-module that imports them; its workloads call ``generic_rank`` and pass
-``samples=`` to ``run_pipeline``.  A refactor that drops one of them breaks
-the traced benchmark, so it fails here too.
+module that imports them; its workloads and instance draws call
+``generic_rank`` and the other package-root functions listed below, and
+pass ``samples=`` to ``run_pipeline``.  A refactor that drops one of them
+breaks the benchmark, so it fails here too.
 """
 
 import mgimplicit
@@ -23,7 +24,19 @@ def test_patched_methods_are_defined_on_their_classes():
 def test_shared_functions_are_one_object_under_every_name():
     assert implicitize.exact_div is multipoly.exact_div is mgimplicit.exact_div
     assert complexes.nullspace_basis is linalg.nullspace_basis
-    assert callable(mgimplicit.generic_rank)
+    # the package-root names the workloads and instance draws call
+    for name in (
+        "generic_rank",
+        "representation_matrix",
+        "suggest_nu",
+        "rank",
+        "eval_at",
+        "parse_poly",
+        "parameter_ring",
+        "load_problem",
+    ):
+        assert callable(getattr(mgimplicit, name)), name
+    assert callable(mgimplicit.ProblemInstance.from_polys)
 
 
 def test_run_pipeline_accepts_the_benchmark_call():

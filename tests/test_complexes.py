@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cayley_instances,
+    differentials,
     golden_instance,
     mat_mul,
     over,
@@ -15,12 +16,11 @@ from helpers import (
     random_poly,
     strand_dims,
 )
-import mgimplicit.complexes
 from mgimplicit import (
     InRegionWarning,
     ProblemInstance,
     StrandAssemblyError,
-    cycle_basis,
+    StrandComplex,
     homology_dim,
     koszul_differential_strand,
     parameter_ring,
@@ -28,7 +28,6 @@ from mgimplicit import (
     rank,
     representation_matrix,
     strand_dim,
-    strand_differentials,
     suggest_nu,
 )
 from mgimplicit.complexes import LinearFormMatrix
@@ -50,13 +49,13 @@ from oracles import (
 @pytest.mark.parametrize(
     "call",
     [
-        lambda inst, d: cycle_basis(inst, 0, d),
-        lambda inst, d: cycle_basis(inst, 1, d),
+        lambda inst, d: StrandComplex(inst, d).cycles(0),
+        lambda inst, d: StrandComplex(inst, d).cycles(1),
         lambda inst, d: koszul_differential_strand(inst, 1, d),
         lambda inst, d: koszul_differential_strand(inst, 2, d),
         lambda inst, d: homology_dim(inst, 0, d),
         lambda inst, d: homology_dim(inst, 1, d),
-        lambda inst, d: next(strand_differentials(inst, d)),
+        lambda inst, d: StrandComplex(inst, d).differential(1),
         lambda inst, d: representation_matrix(inst, d, warn_region=False),
         lambda inst, d: evaluation_points(inst, d),
     ],
@@ -74,7 +73,7 @@ from oracles import (
 )
 def test_strand_degree_needs_one_component_per_block(call, d):
     # golden has two blocks; a degree of another length used to be cut or
-    # padded by zip (cycle_basis(golden, 1, (3,)) gave 10 vectors)
+    # padded by zip (the 1-cycles of golden at (3,) were 10 vectors)
     with pytest.raises(ValueError, match="needs 2 components"):
         call(golden_instance(), d)
 
@@ -104,9 +103,9 @@ def test_from_polys_names_the_bad_polynomial(second, message):
 # -- Koszul strand matrices -----------------------------------------------------
 
 def test_koszul_syzygy_on_p1(p1_pair):
-    cb = cycle_basis(p1_pair, 1, (1,))
-    assert len(cb) == 1
-    g0, g1 = cycle_polys(cb, p1_pair.ring)[0]
+    cx = StrandComplex(p1_pair, (1,))
+    assert len(cx.cycles(1)[1]) == 1
+    g0, g1 = cycle_polys(cx, 1)[0]
     x = parse_poly("x", p1_pair.ring)
     y = parse_poly("y", p1_pair.ring)
     # the kernel is spanned by the Koszul relation (y, -x), up to sign
@@ -140,22 +139,21 @@ def test_koszul_empty_strand_short_circuits(golden):
 # -- cycle bases ------------------------------------------------------------------
 
 def test_cycle_basis_golden_count(golden):
-    cb = cycle_basis(golden, 1, (3, 1))
-    assert len(cb) == 8
+    _, vectors = StrandComplex(golden, (3, 1)).cycles(1)
+    assert len(vectors) == 8
 
 
 def test_cycle_basis_empty_strand(golden):
-    assert len(cycle_basis(golden, 1, (-1, 2))) == 0
+    assert len(StrandComplex(golden, (-1, 2)).cycles(1)[1]) == 0
 
 
 def test_cycle_basis_p1_degrees(p1_pair):
-    assert len(cycle_basis(p1_pair, 1, (0,))) == 0
-    assert len(cycle_basis(p1_pair, 1, (1,))) == 1
+    assert len(StrandComplex(p1_pair, (0,)).cycles(1)[1]) == 0
+    assert len(StrandComplex(p1_pair, (1,)).cycles(1)[1]) == 1
 
 
 def test_cycles_are_syzygies(golden):
-    cb = cycle_basis(golden, 1, (3, 1))
-    for cyc in cycle_polys(cb, golden.ring):
+    for cyc in cycle_polys(StrandComplex(golden, (3, 1)), 1):
         acc = MultiPoly.zero(golden.ring)
         for gj, fj in zip(cyc, golden.f):
             acc = acc + gj * fj
@@ -169,7 +167,7 @@ def test_cycle_count_rank_nullity(golden):
     m = koszul_differential_strand(golden, 1, (5, 3))
     r = rank(m)
     assert r == rank_oracle(m.data)
-    assert len(cycle_basis(golden, 1, nu)) == 4 * strand_dim(golden.blocks, nu) - r
+    assert len(StrandComplex(golden, nu).cycles(1)[1]) == 4 * strand_dim(golden.blocks, nu) - r
 
 
 # -- the representation matrix ------------------------------------------------------
@@ -196,10 +194,10 @@ def test_representation_matrix_warns_in_region(golden):
 def test_representation_matrix_entries_match_cycles(make):
     inst, nu = make()
     m = representation_matrix(inst, nu, warn_region=False)
-    cb = cycle_basis(inst, 1, nu)
+    cx = StrandComplex(inst, nu)
     mons = strand_basis(inst.blocks, nu)
-    assert (m.rows, m.cols) == (len(mons), len(cb)) and m.cols > 0
-    for c, cyc in enumerate(cycle_polys(cb, inst.ring)):
+    assert (m.rows, m.cols) == (len(mons), len(cx.cycles(1)[1])) and m.cols > 0
+    for c, cyc in enumerate(cycle_polys(cx, 1)):
         for i, mon in enumerate(mons):
             assert over(m.den, cells(m)[i])[c] == [g.coeff(mon) for g in cyc]
 
@@ -255,7 +253,7 @@ def test_generic_bilinear_matrix_is_2x2():
 # -- the full strand complex ---------------------------------------------------------
 
 def test_z_strand_golden(golden):
-    diffs = list(strand_differentials(golden, (3, 1)))
+    diffs = list(differentials(golden, (3, 1)))
     assert strand_dims(diffs) == [8, 8, 0, 0]
     assert compositions_vanish(diffs)
     # the first differential is the representation matrix
@@ -267,7 +265,7 @@ def test_z_strand_compositions_random():
     rng = random.Random(5)
     for _ in range(4):
         inst = random_p1p1_instance(1, 1, rng)
-        assert compositions_vanish(list(strand_differentials(inst, (1, 0))))
+        assert compositions_vanish(list(differentials(inst, (1, 0))))
 
 
 def single_block_instance():
@@ -294,7 +292,7 @@ def test_koszul_strand_matches_its_definition(inst, q):
 def test_z_strand_single_block_dimensions():
     # three generic binary forms on P^1: strand sizes follow rank-nullity
     inst, nu = single_block_instance()
-    diffs = list(strand_differentials(inst, nu))
+    diffs = list(differentials(inst, nu))
     assert compositions_vanish(diffs)
     for q in range(1, 3):
         strand_deg = tuple(x + q * g for x, g in zip(nu, inst.gamma))
@@ -321,7 +319,7 @@ def test_z_strand_matches_gauss_jordan_oracle(make, dims):
     # every differential against contraction images solved by Gauss-Jordan
     # in a cycle basis computed from scratch
     inst, nu = make()
-    diffs = list(strand_differentials(inst, nu))
+    diffs = list(differentials(inst, nu))
     assert strand_dims(diffs) == dims
     assert all(any(map(any, chain.from_iterable(d.slices))) for d in diffs[1:])
     mine = [[over(d.den, row) for row in cells(d)] for d in diffs]
@@ -333,18 +331,16 @@ def test_z_strand_rejects_corrupted_cycle_basis(monkeypatch):
     # 1-cycle basis; with one basis vector missing the exact re-expansion
     # check must refuse to assemble the second differential
     inst, nu = single_block_instance()
-    assert strand_dims(list(strand_differentials(inst, nu))) == [5, 7, 2]
-    intact = mgimplicit.complexes.cycle_basis
+    assert strand_dims(list(differentials(inst, nu))) == [5, 7, 2]
+    intact = StrandComplex._cycles
 
-    def drop_last_1_cycle(inst, q, nu):
-        cb = intact(inst, q, nu)
-        if q == 1:
-            cb.vectors = cb.vectors[:-1]
-        return cb
+    def drop_last_1_cycle(cx, q):
+        den, vectors = intact(cx, q)
+        return den, vectors[:-1] if q == 1 else vectors
 
-    monkeypatch.setattr(mgimplicit.complexes, "cycle_basis", drop_last_1_cycle)
+    monkeypatch.setattr(StrandComplex, "_cycles", drop_last_1_cycle)
     with pytest.raises(StrandAssemblyError, match="1-cycle basis"):
-        list(strand_differentials(inst, nu))
+        list(differentials(inst, nu))
 
 
 # -- homology dimensions ---------------------------------------------------------------

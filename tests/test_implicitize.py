@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -15,6 +16,7 @@ from helpers import (
     GOLDEN_COEFFS,
     base_locus_probably_empty,
     cayley_instances,
+    differentials,
     golden_instance,
     random_instance,
     random_p1p1_instance,
@@ -24,6 +26,7 @@ from mgimplicit import (
     MultiPoly,
     PipelineError,
     ProblemInstance,
+    StrandComplex,
     expected_degree_p1p1,
     generic_rank,
     normalize_poly,
@@ -34,7 +37,6 @@ from mgimplicit import (
     run_pipeline,
     strand_basis,
     strand_determinant,
-    strand_differentials,
     suggest_nu,
     target_ring,
     verify_implicit,
@@ -297,7 +299,7 @@ def test_strand_determinant_square_equals_det(golden_matrix, golden_delta):
 
 
 def test_strand_determinant_other_corner_vanishes(golden):
-    delta = strand_determinant(strand_differentials(golden, (1, 3)))
+    delta = strand_determinant(differentials(golden, (1, 3)))
     assert substitute_targets(delta, golden.f).is_zero()
 
 
@@ -313,6 +315,11 @@ def test_strand_determinant_non_exact_complex_raises():
     m = linear_matrix([[(1, 0, 0), (0, 1, 0)]])
     with pytest.raises(PipelineError, match="not exact"):
         strand_determinant([m])
+    # the same d_1 = [T_0, T_1] followed by a zero 2x1 d_2, which has rank
+    # 0 on the row that d_1 leaves
+    z = (0, 0, 0)
+    with pytest.raises(PipelineError, match="not exact: differential 2 has generic rank 0 < 1"):
+        strand_determinant([m, linear_matrix([[z], [z]])])
 
 
 def _reversed_basis(diffs, q):
@@ -329,7 +336,7 @@ def test_strand_determinant_does_not_depend_on_the_choice():
     # a net of plane quadrics: the strand complex at nu = 2 is [6, 9, 4, 1],
     # so the formula divides by a minor of d_2 and multiplies by one of d_3
     inst = random_instance([["x", "y", "z"]], (2,), 4, random.Random(2))
-    diffs = list(strand_differentials(inst, (2,)))
+    diffs = list(differentials(inst, (2,)))
     assert strand_dims(diffs) == [6, 9, 4, 1]
     delta = strand_determinant(diffs)
     assert delta.total_degree() == 6 - 3 + 1
@@ -355,7 +362,7 @@ def test_square_strands_end_after_the_first_differential(make):
     # strand_determinant stops after a square d_1 of full rank and never
     # builds the later terms; at the suggested nu they are all zero
     inst = make()
-    dims = strand_dims(list(strand_differentials(inst, suggest_nu(inst.blocks, inst.gamma))))
+    dims = strand_dims(list(differentials(inst, suggest_nu(inst.blocks, inst.gamma))))
     n = dims[0]
     assert n > 0 and dims == [n, n] + [0] * (inst.n - 1)
 
@@ -376,7 +383,7 @@ def test_strand_determinant_divides_only_by_even_minors(monkeypatch, name, divis
         return exact_div(p, q)
 
     monkeypatch.setattr(implicitize, "exact_div", counting_div)
-    delta = strand_determinant(strand_differentials(inst, suggest_nu(inst.blocks, inst.gamma)))
+    delta = strand_determinant(differentials(inst, suggest_nu(inst.blocks, inst.gamma)))
     assert len(divisors) == divisions
     assert verify_implicit(delta, inst)
 
@@ -393,16 +400,55 @@ def test_pipeline_builds_each_cycle_basis_once(monkeypatch, make, nu, built):
     # a square M_nu of full rank needs no q >= 2 cycle basis; the wide
     # [8, 9, 1] strand needs the 2-cycles but not the 3-cycles
     inst = make()
-    intact = complexes.cycle_basis
+    intact = StrandComplex._cycles
     calls = []
 
-    def counting(inst, q, nu):
+    def counting(cx, q):
         calls.append(q)
-        return intact(inst, q, nu)
+        return intact(cx, q)
 
-    monkeypatch.setattr(complexes, "cycle_basis", counting)
+    monkeypatch.setattr(StrandComplex, "_cycles", counting)
     assert run_pipeline(inst, nu).verified
     assert sorted(calls) == built
+
+
+@pytest.mark.parametrize(
+    "name, qs",
+    [("bigraded_22.json", [1]), ("p1p1_22_basepoint.json", [1, 2])],
+    ids=["golden-square", "basepoint-wide"],
+)
+def test_pipeline_builds_and_kernels_each_koszul_strand_once(monkeypatch, name, qs):
+    # M_nu, the Cayley chain and the certificate read one StrandComplex:
+    # each strand (q, nu + q*gamma) is built once and its kernel taken
+    # once; the strands of homology_dim, for the expected degree, have a
+    # degree of their own
+    inst = load_problem(PROBLEMS / name).instance()
+    nu = suggest_nu(inst.blocks, inst.gamma)
+
+    def degree(q):
+        return tuple(a + q * g for a, g in zip(nu, inst.gamma))
+
+    build, kernel = complexes.koszul_differential_strand, complexes.nullspace_basis
+    built, kerneled = [], []
+
+    def counting_build(inst, q, d):
+        m = build(inst, q, d)
+        built.append((m, (q, tuple(d))))
+        return m
+
+    def counting_kernel(m):
+        kerneled.append(next((key for k, key in built if k is m), None))
+        return kernel(m)
+
+    # under every name the package binds them to
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "mgimplicit"]:
+        for attr, wrapper in (("koszul_differential_strand", counting_build), ("nullspace_basis", counting_kernel)):
+            if attr in vars(module):
+                monkeypatch.setattr(module, attr, wrapper)
+    assert run_pipeline(inst).verified
+    strands = [(q, degree(q)) for q in qs]
+    assert sorted(key for _, key in built if key[1] == degree(key[0])) == strands
+    assert sorted(kerneled) == strands
 
 
 def _forced_base_point_instance(rng):
@@ -430,7 +476,7 @@ def test_strand_determinant_is_the_gcd_of_all_maximal_minors(inst):
     expected = MultiPoly.zero(inst.target)
     for cols in combinations(range(m.cols), m.rows):
         expected = gcd_poly(expected, implicitize._det_on_columns(m, cols, range(m.rows)))
-    assert strand_determinant(strand_differentials(inst, nu)) == expected
+    assert strand_determinant(differentials(inst, nu)) == expected
 
 
 # -- verification --------------------------------------------------------------------
@@ -651,27 +697,20 @@ def test_pipeline_certifies_without_the_grid(monkeypatch, name):
     assert calls == []
 
 
-def _with_first_matrix(diffs, m):
-    yield m
-    next(diffs)
-    yield from diffs
-
-
 def test_certificate_rejects_a_column_that_is_not_a_syzygy(golden, golden_delta, monkeypatch):
     nu = (3, 1)
     intact = representation_matrix(golden, nu)
     slices = [[list(row) for row in s] for s in intact.slices]
     slices[1][2][5] += 1
     corrupted = LinearFormMatrix(intact.rows, intact.cols, intact.target_names, slices, intact.den)
-    assert implicitize._columns_are_syzygies(intact, golden, nu)
-    assert not implicitize._columns_are_syzygies(corrupted, golden, nu)
+    cx = StrandComplex(golden, nu)
+    assert implicitize._columns_are_syzygies(intact, cx.koszul(1))
+    assert not implicitize._columns_are_syzygies(corrupted, cx.koszul(1))
     # with the true delta every other check passes, so only the columns reject
-    assert implicitize._certify(intact, nu, golden, golden_delta, [], 0)
-    assert not implicitize._certify(corrupted, nu, golden, golden_delta, [], 0)
-    strands = implicitize.strand_differentials
-    monkeypatch.setattr(
-        implicitize, "strand_differentials", lambda inst, nu: _with_first_matrix(strands(inst, nu), corrupted)
-    )
+    assert implicitize._certify(intact, cx, golden_delta, [], 0)
+    assert not implicitize._certify(corrupted, cx, golden_delta, [], 0)
+    differential = StrandComplex._differential
+    monkeypatch.setattr(StrandComplex, "_differential", lambda cx, q: corrupted if q == 1 else differential(cx, q))
     calls = _counting_verify(monkeypatch)
     assert not run_pipeline(golden, nu).verified
     assert calls == []
@@ -700,7 +739,7 @@ def test_certificate_rejects_a_corrupted_delta(monkeypatch, capsys, name):
 def test_vanishing_even_minor_falls_back_to_the_grid(monkeypatch):
     # an even minor that vanishes at f(p0) proves nothing, so the grid decides
     inst = load_problem(PROBLEMS / "p1p1_22_basepoint.json").instance()
-    values = next(v for v in implicitize._image_points(inst, 0) if v is not None)
+    values = next(v for _, v in implicitize._parameter_points(inst, 0) if any(v))
     line = MultiPoly.from_terms(inst.target, [((1, 0, 0, 0), values[1]), ((0, 1, 0, 0), -values[0])])
     assert line and implicitize._eval_terms(line.terms, values) == 0
     intact = implicitize._strand_determinant
@@ -883,10 +922,14 @@ def test_pipeline_rejects_empty_strand(golden):
         "divides",
         "corners_closed_form_2blocks",
         "try_exact_div",
+        "cycle_basis",
+        "CycleBasis",
+        "strand_differentials",
     ],
 )
 def test_test_only_helpers_are_not_exported(name):
-    # the symbolic reference code lives in tests/oracles.py; the package
+    # the symbolic reference code lives in tests/oracles.py, and the
+    # entry points that StrandComplex replaced keep no alias; the package
     # ships only what the pipeline, the command line and the benchmark call
     import mgimplicit
 

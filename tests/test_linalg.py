@@ -15,7 +15,7 @@ from helpers import cayley_instances, golden_instance, identity, mat_vec, over, 
 from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
 from mgimplicit import linalg
 from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
-from mgimplicit.implicitize import _image_points, _parameter_points, sample_parameter_point
+from mgimplicit.implicitize import _parameter_points, sample_parameter_point
 from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _kernel_certified, _pack, _unpack
 from oracles import (
     bareiss_gauss_jordan,
@@ -565,7 +565,7 @@ def specializations(draw):
     if kind == "surface":
         inst = draw(cayley_instances())
         m = representation_matrix(inst, suggest_nu(inst.blocks, inst.gamma), warn_region=False)
-        values = next(v for v in _image_points(inst, draw(st.integers(0, 99))) if v)
+        values = next(v for _, v in _parameter_points(inst, draw(st.integers(0, 99))) if any(v))
         scale = draw(st.sampled_from(SCALARS[1:]))
         return m, [scale * v for v in values]
     rows, cols, n = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(1, 10))
@@ -641,7 +641,7 @@ def _golden_m():
 def test_full_rank_and_on_surface_queries_never_build_entries():
     inst, m = _golden_m()
     off = m.specialize([1, 2, 3, 5])
-    on = m.specialize(next(v for v in _image_points(inst, 1) if v))
+    on = m.specialize(next(v for _, v in _parameter_points(inst, 1) if any(v)))
     with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
         assert rank(off) == 8
         assert rank(on) == 7
@@ -654,7 +654,7 @@ def test_oversize_point_falls_back_to_bareiss(monkeypatch):
     # same, but sum |y| leaves no room in the exact slots, so the check
     # fails and Bareiss decides
     inst, m = _golden_m()
-    values = next(v for v in _image_points(inst, 1) if v)
+    values = next(v for _, v in _parameter_points(inst, 1) if any(v))
     spec = m.specialize([2**300 * v for v in values])
     results = []
     check = Slices.annihilates
