@@ -39,8 +39,8 @@ from itertools import chain, combinations_with_replacement, islice
 from math import factorial, prod
 from operator import mul
 
-from .complexes import LinearFormMatrix, ProblemInstance, StrandComplex, homology_dim
-from .linalg import Slices, _bareiss, rank
+from .complexes import LinearFormMatrix, ProblemInstance, StrandComplex, _homology_dim
+from .linalg import Slices, _bareiss, rank, saturated_basis
 from .multipoly import (
     MultiPoly,
     _eval_terms,
@@ -229,21 +229,39 @@ def _interpolate_simplex(values, top):
     return {e: c for e, c in vals.items() if c}
 
 
+def _det(work, size):
+    """The determinant of the square integer matrix ``work``, which
+    :func:`_bareiss` eliminates in place."""
+    pivots, sign = _bareiss(work, size)
+    return sign * work[-1][-1] if len(pivots) == size else 0
+
+
 def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     """Exact signed determinant of the square submatrix of ``den * m`` on
     the columns ``cols`` and the rows ``rows``, as a target-ring polynomial
     with integer coefficients: ``den^N`` times the minor of ``m``, a scale
     that :func:`normalize_poly` removes.
 
-    The determinant is zero or a form of degree ``N = len(rows)``, so it is
-    fixed by its values on the ``C(N+n, n)`` monomials of degree ``N``
-    (see :func:`_interpolate_simplex`).  With ``m = sum_t T_t M_t / den``,
-    the submatrix keeps the slices ``M_t`` on ``rows`` and ``cols``, in a
-    plain :class:`~mgimplicit.linalg.Slices`, and each value is the
-    integer determinant of ``sum_t T_t M_t`` there, which
-    :meth:`~mgimplicit.linalg.Slices.evaluate` builds.  The result is
-    checked against one more integer determinant at a fixed point off the
-    grid.
+    With ``m = sum_t T_t M_t / den``, column ``c`` of the submatrix is
+    ``sum_t T_t M_t[rows, c]``, so it is fixed by the integer vector ``s_c``
+    of the slices' entries on ``rows``, stacked form-major.  A Q-basis
+    ``B = S X`` of the span of those vectors gives the pencil ``A_S(T) X``,
+    whose determinant is ``det(A_S) det(X)``.  The basis is the LLL-reduced
+    one of the saturated lattice :func:`~mgimplicit.linalg.saturated_basis`,
+    whose entries are far smaller than the canonical cycle vectors', and
+    ``det(X) = det(B_I) / det(S_I)`` on its coordinates ``I``.  Dependent
+    vectors are a constant relation among the columns, and then the minor
+    is zero without any evaluation.
+
+    The determinant of the reduced pencil is zero or a form of degree ``N
+    = len(rows)``, so it is fixed by its values on the ``C(N+n, n)``
+    monomials of degree ``N`` (see :func:`_interpolate_simplex`); each is
+    the integer determinant of the pencil there, which
+    :meth:`~mgimplicit.linalg.Slices.evaluate` builds.  Each coefficient is
+    then multiplied by ``det(S_I) / det(B_I)``, exactly, and the result is
+    checked against the integer determinant of the original submatrix at
+    a fixed point off the grid, which checks the interpolation and the
+    change of basis together.
     """
     cols = list(cols)
     rows = list(rows)
@@ -253,17 +271,26 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     ring = target_ring(m.target_names)
     if size == 0:
         return MultiPoly.constant(ring, 1)
-    sub = Slices([[[s[r][c] for c in cols] for r in rows] for s in m.slices], size, size)
-
-    def det_at(point):
-        work = sub.evaluate(point)
-        pivots, sign = _bareiss(work, size)
-        return sign * work[-1][-1] if len(pivots) == size else 0
-
-    values = {e: det_at((1,) + e[1:]) for e in strand_basis(ring.blocks, (size,))}
-    terms = _interpolate_simplex(values, size)
+    stacked = [[s[r][c] for s in m.slices for r in rows] for c in cols]
+    found = saturated_basis(stacked)
+    if found is None:
+        return MultiPoly.zero(ring)
+    basis, coords = found
+    reduced = Slices(
+        [[[b[t * size + r] for b in basis] for r in range(size)] for t in range(len(m.slices))], size, size
+    )
+    values = {e: _det(reduced.evaluate((1,) + e[1:]), size) for e in strand_basis(ring.blocks, (size,))}
+    det_s = _det([[v[c] for v in stacked] for c in coords], size)
+    det_b = _det([[b[c] for b in basis] for c in coords], size)
+    terms = {}
+    for e, c in _interpolate_simplex(values, size).items():
+        c, rem = divmod(c * det_s, det_b)
+        if rem:
+            raise ArithmeticError("the change of basis left a fraction in the determinant")
+        terms[e] = c
     check = [2] + [2 * (size + t) + 1 for t in range(1, ring.nvars)]
-    if _eval_terms(terms, check) != det_at(check):
+    sub = Slices([[[s[r][c] for c in cols] for r in rows] for s in m.slices], size, size)
+    if _eval_terms(terms, check) != _det(sub.evaluate(check), size):
         raise ArithmeticError("interpolated determinant disagrees with a direct evaluation")
     return MultiPoly(ring, terms)
 
@@ -284,8 +311,10 @@ def strand_determinant(diffs) -> MultiPoly:
     Every chosen minor is nonzero at its point, so none vanishes
     identically, and the determinant of an exact complex does not depend on
     the choice up to sign, so the normalized result is a function of the
-    input alone.  :func:`_det_on_columns` interpolates each minor at an
-    integer scale that the normalization removes.  The chain stops at the
+    input alone.  :func:`_det_on_columns` interpolates each minor on an
+    LLL-reduced basis of the saturated lattice of its columns and scales it
+    back exactly, to the minor of ``den * d_q``: an integer scale that the
+    normalization removes.  The chain stops at the
     first empty row set, so for a square ``d_1`` of full rank no later
     differential is built and the result is the one minor ``det(d_1)``.
     The later terms are zero when the strand is acyclic, as it is outside
@@ -440,6 +469,15 @@ def expected_degree_p1p1(inst: ProblemInstance, nu) -> int:
     """Predicted strand-determinant degree for four bidegree-(a, b) forms on
     P^1 x P^1 at ``nu = (2a-1, b-1)`` or ``(a-1, 2b-1)``:
     ``2ab - dim of the 2nd Koszul homology strand at (4a-1, 3b-1)``."""
+    return _expected_degree_p1p1(inst, nu, None)
+
+
+def _expected_degree_p1p1(inst: ProblemInstance, nu, cx) -> int:
+    """:func:`expected_degree_p1p1` in the run whose
+    :class:`StrandComplex` at ``nu`` is ``cx`` (or ``None``): at ``nu =
+    (2a-1, b-1)`` the homology degree is ``nu + 2*gamma``, so its ``K_2``
+    and that strand's kernel dimension are read from ``cx``, not built
+    again."""
     if inst.blocks.r != (1, 1):
         raise ValueError("degree formula applies to blocks (1, 1) only")
     if len(inst.f) != 4:
@@ -448,7 +486,7 @@ def expected_degree_p1p1(inst: ProblemInstance, nu) -> int:
     nu = tuple(nu)
     if nu not in {(2 * a - 1, b - 1), (a - 1, 2 * b - 1)}:
         raise ValueError(f"nu {nu} is not one of the formula corners for gamma {(a, b)}")
-    return 2 * a * b - homology_dim(inst, 2, (4 * a - 1, 3 * b - 1))
+    return 2 * a * b - _homology_dim(inst, 2, (4 * a - 1, 3 * b - 1), cx)
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +632,7 @@ def run_pipeline(
         )
     expected = None
     try:
-        expected = expected_degree_p1p1(inst, nu)
+        expected = _expected_degree_p1p1(inst, nu, cx)
     except ValueError:
         pass
     if expected is not None and delta.total_degree() != expected:

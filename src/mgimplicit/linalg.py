@@ -82,6 +82,18 @@ it, which is checked over Z on the basis.  That check fails only when
 the modular rank fell short of the rank, and then all rows are
 eliminated.  Every route gives the same canonical basis.
 
+:func:`saturated_basis` gives the determinants small columns: ``k``
+independent integer vectors span a lattice whose saturation, every
+integer vector of their Q-span, has an LLL-reduced basis (Lenstra,
+Lenstra & Lovász, Math. Ann. 261, 1982) of far smaller entries.  The
+canonical form is the Bareiss kernel of the vectors, back-substituted as
+for :func:`nullspace_basis`; it writes the span over ``k`` coordinates
+and one denominator ``den``, whose integral points form a coordinate
+lattice that contains ``den Z^k``, so its Hermite normal form is computed
+modulo ``den`` with entries below ``den``.  The lifted basis is reduced by
+the integral LLL of Cohen (Alg. 2.6.7) at ``delta = 3/4``: integers only,
+no floating point, and the same input always gives the same basis.
+
 Matrices at the scale this package needs (a few hundred rows/columns) are
 comfortably handled dense; sparse storage is deliberately out of scope.
 """
@@ -674,3 +686,217 @@ def _back_substituted_kernel(rows, cols):
         vectors.append(v)
     g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
     return d // g, [[x // g for x in v] for v in vectors]
+
+
+def saturated_basis(vectors):
+    """An LLL-reduced basis of ``span_Q(vectors) ∩ Z^m`` for ``k`` integer
+    vectors of length ``m``, as ``(basis, coords)``, or ``None`` when the
+    vectors are dependent over Q.  ``coords`` are ``k`` increasing
+    coordinates on which the input, and so the basis, is invertible.
+
+    The canonical form (:func:`_canonical_form`) writes every vector ``x``
+    of the span through its entries ``y = x[coords]``: ``x[j] = a_j . y /
+    den`` at the other coordinates.  So ``x`` is integral exactly when ``y``
+    lies in the coordinate lattice ``{y in Z^k : a_j . y == 0 mod den}``,
+    which contains ``den Z^k``; :func:`_coordinate_lattice` gives a basis
+    of it with entries below ``den``, which lifts to a basis of the
+    saturated lattice, reduced by :func:`_lll`.  Every step is a function
+    of the input alone, so the same vectors always give the same basis.
+    """
+    k = len(vectors)
+    if not k:
+        return [], []
+    m = len(vectors[0])
+    form = _canonical_form(vectors, m)
+    if form is None:
+        return None
+    den, coords, relations = form
+    basis = []
+    for y in _coordinate_lattice([a for _, a in relations], k, den):
+        x = [0] * m
+        for c, v in zip(coords, y):
+            x[c] = v
+        for j, a in relations:
+            x[j], rem = divmod(sum(map(mul, a, y)), den)
+            if rem:
+                raise ArithmeticError("a coordinate-lattice vector lifted to a fraction")
+        basis.append(x)
+    _lll(basis)
+    return basis, coords
+
+
+def _canonical_form(vectors, m):
+    """``(den, coords, relations)`` for ``k`` vectors of length ``m``, or
+    ``None`` when they are dependent: a vector ``x`` of their span is
+    ``x[j] = a . x[coords] / den`` at each other coordinate ``j``, for
+    ``(j, a)`` in ``relations``, with ``den > 0``.
+
+    When every vector is the only one nonzero at some coordinate (a
+    column of a first differential is a canonical cycle vector, the only
+    one nonzero at its own free coordinate) those coordinates are the
+    pivots, and the relations are the vectors themselves over the pivot
+    entries; nothing is eliminated.  Otherwise the form is read off the
+    canonical kernel of the vectors, back-substituted in their
+    :func:`_bareiss` echelon form: every vector of the span is orthogonal
+    to each kernel vector ``u``, which is ``den`` at its free column ``j``
+    and zero at the other free columns, so ``x[j] = -u[coords] . x[coords]
+    / den``.  There are ``m - k`` kernel vectors exactly when the vectors
+    are independent.
+    """
+    k = len(vectors)
+    owner = {}
+    for j, col in enumerate(zip(*vectors)):
+        if col.count(0) == k - 1:
+            i = next(i for i, x in enumerate(col) if x)
+            owner.setdefault(i, j)
+    if len(owner) == k:
+        coords = sorted(owner.values())
+        pivots = [vectors[i][owner[i]] for i in range(k)]
+        den = lcm(*pivots)
+        # y[p] is the pivot entry of vector i, whose weight in x is y[p] / c_i
+        order = sorted(range(k), key=owner.__getitem__)
+        scales = [den // pivots[i] for i in order]
+        chosen = set(coords)
+        relations = [(j, [vectors[i][j] * s for i, s in zip(order, scales)]) for j in range(m) if j not in chosen]
+    else:
+        den, kernel = _back_substituted_kernel(vectors, m)
+        if len(kernel) != m - k:
+            return None
+        free = [max(i for i, x in enumerate(u) if x) for u in kernel]
+        chosen = set(free)
+        coords = [c for c in range(m) if c not in chosen]
+        relations = [(j, [-u[c] for c in coords]) for j, u in zip(free, kernel)]
+    return den, coords, relations
+
+
+def _coordinate_lattice(relations, k, den):
+    """A basis of ``{y in Z^k : a . y == 0 mod den for a in relations}``,
+    which contains ``den Z^k``, with entries of absolute value below
+    ``den``.
+
+    That lattice is ``den H^-1 Z^k`` for any basis ``H`` of the lattice
+    ``R`` spanned by the relations and ``den Z^k``: ``y`` is in it exactly
+    when ``H y`` is in ``den Z^k``.  ``H`` is built in Hermite normal form
+    modulo ``den`` (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987;
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg.
+    2.4.8): upper triangular, with a diagonal that divides ``den``, from
+    ``den I`` on.  So ``den H^-1`` is integral and upper triangular, and
+    its columns, size-reduced against one another, are the basis.
+
+    Each relation is inserted column by column.  Where its entry is a
+    multiple of the diagonal, that multiple of the row is subtracted;
+    elsewhere extended Euclid replaces the pair (row, relation) by the row
+    with ``gcd(diagonal, entry)`` on the diagonal and a relation that is
+    zero there, a unimodular step.  Entries are kept modulo ``den``, since
+    ``den Z^k`` lies in ``R``: the rows stay triangular with the same
+    diagonal, hence a basis of ``R``.  A relation that ``H`` already
+    implies is reduced to zero by subtractions alone; on the cycle vectors
+    of a strand, the first relation or two imply the rest.
+    """
+    rows = [[den * (i == j) for j in range(k)] for i in range(k)]
+    for a in relations:
+        for c in range(k):
+            head = a[c] % den
+            if head:
+                row = rows[c]
+                q, r = divmod(head, row[c])
+                if r:
+                    h, s, t = _xgcd(row[c], head)
+                    u, v = row[c] // h, head // h
+                    rows[c] = [(s * x + t * y) % den for x, y in zip(row, a)]
+                    a = [(u * y - v * x) % den for x, y in zip(row, a)]
+                else:
+                    a = [(x - q * y) % den for x, y in zip(a, row)]
+    # the columns of den H^-1, by back substitution: H N = den I
+    basis = []
+    for j in range(k):
+        col = [0] * k
+        col[j] = den // rows[j][j]
+        for i in range(j - 1, -1, -1):
+            col[i] = -sum(map(mul, rows[i][i + 1 : j + 1], col[i + 1 : j + 1])) // rows[i][i]
+        for i in range(j - 1, -1, -1):
+            q = col[i] // basis[i][i]
+            if q:
+                col = [x - q * y for x, y in zip(col, basis[i])]
+        basis.append(col)
+    return basis
+
+
+def _xgcd(a, b):
+    """``(g, s, t)`` with ``g = gcd(a, b) = s a + t b``, for ``a, b >= 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _lll(b):
+    """LLL-reduce the independent integer vectors ``b`` in place, with
+    ``delta = 3/4`` and integers only (Lenstra, Lenstra & Lovász, Math.
+    Ann. 261, 1982; the integral version of Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.6.7).
+
+    ``d[i]`` is the Gram determinant of the first ``i`` vectors and
+    ``lam[i][j] = d[j + 1] mu_ij`` holds the Gram-Schmidt coefficients;
+    both are integers.  On return every ``|mu_ij| <= 1/2`` (size
+    reduction) and ``3 d[i + 1]^2 <= 4 (d[i] d[i + 2] + lam[i + 1][i]^2)``
+    (Lovász's condition at ``3/4``, scaled by ``d[i + 1]^2``).
+    """
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    if n:
+        d[1] = sum(map(mul, b[0], b[0]))
+    k, kmax = 1, 0
+    while k < n:
+        lk, lp = lam[k], lam[k - 1]
+        if k > kmax:
+            kmax = k
+            bk = b[k]
+            for j in range(k + 1):
+                lj = lam[j]
+                u = sum(map(mul, bk, b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                if j < k:
+                    lk[j] = u
+                else:
+                    d[k + 1] = u
+        # size reduction against b[k - 1] (Cohen's sub-algorithm RED)
+        t, dk = lk[k - 1], d[k]
+        if 2 * abs(t) > dk:
+            q = (2 * t + dk) // (2 * dk)
+            b[k] = [x - q * y for x, y in zip(b[k], b[k - 1])]
+            t -= q * dk
+            lk[k - 1] = t
+            for i in range(k - 1):
+                lk[i] -= q * lp[i]
+        dk1 = d[k + 1]
+        if 4 * dk1 * d[k - 1] < 3 * dk * dk - 4 * t * t:
+            # Lovász's condition fails: swap b[k - 1] and b[k]
+            b[k], b[k - 1] = b[k - 1], b[k]
+            lk[: k - 1], lp[: k - 1] = lp[: k - 1], lk[: k - 1]
+            new = (d[k - 1] * dk1 + t * t) // dk
+            for i in range(k + 1, kmax + 1):
+                li = lam[i]
+                v = li[k]
+                w = (dk1 * li[k - 1] - t * v) // dk
+                li[k] = w
+                li[k - 1] = (new * v + t * w) // dk1
+            d[k] = new
+            if k > 1:
+                k -= 1
+        else:
+            for j in range(k - 2, -1, -1):
+                t, dj = lk[j], d[j + 1]
+                if 2 * abs(t) > dj:
+                    q = (2 * t + dj) // (2 * dj)
+                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                    lk[j] = t - q * dj
+                    lj = lam[j]
+                    for i in range(j):
+                        lk[i] -= q * lj[i]
+            k += 1

@@ -28,7 +28,15 @@ The symbolic expansions the package no longer ships live here too:
 * :func:`divides` and :func:`poly_pow`, which the gcd tests and the PRS use;
 * :func:`long_division`, exact division that copies and rescans the whole
   remainder for each quotient term, which the package's one-pass
-  ``exact_div`` replaced.
+  ``exact_div`` replaced;
+* :func:`det_on_columns_canonical`, a minor of a linear-form matrix
+  interpolated on its canonical columns, which the package now takes on
+  an LLL-reduced basis of their saturated lattice instead; it is that old
+  route, the package's Bareiss and interpolation on the original entries,
+  kept to compare the new one with.
+
+:func:`lll_saturation_violation` checks that reduced basis with Fraction
+Gram-Schmidt coefficients and cofactor minors.
 """
 
 from fractions import Fraction
@@ -36,7 +44,9 @@ from itertools import combinations, product
 from math import comb, gcd
 from operator import mul
 
-from mgimplicit.multipoly import MultiPoly, exact_div, normalize_poly, target_ring
+from mgimplicit.implicitize import _interpolate_simplex
+from mgimplicit.linalg import Slices, _bareiss
+from mgimplicit.multipoly import MultiPoly, _eval_terms, exact_div, normalize_poly, target_ring
 from mgimplicit.regions import _check_gamma, region_RB, strand_basis
 
 
@@ -198,6 +208,85 @@ def det_cofactor(rows):
             total += sign * Fraction(rows[0][j]) * det_cofactor(minor)
         sign = -sign
     return total
+
+
+def lll_saturation_violation(vectors, found):
+    """Why ``found``, what ``linalg.saturated_basis`` returned for the
+    integer vectors ``vectors``, is wrong, or ``None`` when it is right.
+
+    Dependent vectors (over Q) must give ``None``.  Otherwise ``found`` is
+    ``(basis, coords)``: ``k`` integer vectors spanning the same Q-space,
+    saturated (for ``k <= 4``, the gcd of their ``k x k`` minors is 1, so
+    they span every integer vector of that space), LLL-reduced at ``delta
+    = 3/4`` (``|mu_ij| <= 1/2`` and ``|b*_i|^2 >= (3/4 - mu_(i,i-1)^2)
+    |b*_(i-1)|^2``, with exact Fraction Gram-Schmidt), and ``k`` increasing
+    coordinates on which the input has rank ``k``."""
+    k = len(vectors)
+    independent = k == 0 or rank_oracle(vectors) == k
+    if not independent:
+        return None if found is None else "dependent vectors gave a basis"
+    if found is None:
+        return "independent vectors were called dependent"
+    basis, coords = found
+    m = len(vectors[0]) if k else 0
+    if len(basis) != k or any(len(b) != m or not all(type(x) is int for x in b) for b in basis):
+        return f"not {k} integer vectors of length {m}"
+    if len(coords) != k or list(coords) != sorted(set(coords)) or any(not 0 <= c < m for c in coords):
+        return f"coordinates {coords} are not {k} increasing coordinates"
+    if k and rank_oracle([[v[c] for c in coords] for v in vectors]) != k:
+        return f"the input is singular on the coordinates {coords}"
+    if k and rank_oracle(list(vectors) + list(basis)) != k:
+        return "the basis spans another space"
+    if 1 <= k <= 4:
+        g = 0
+        for cols in combinations(range(m), k):
+            g = gcd(g, int(det_cofactor([[b[c] for c in cols] for b in basis])))
+            if g == 1:
+                break
+        if g != 1:
+            return f"the k x k minors have gcd {g}: the basis is not saturated"
+    # Gram-Schmidt over Q
+    star, norms = [], []
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        mus = []
+        for s, n in zip(star, norms):
+            mu = sum(map(mul, b, s)) / n
+            mus.append(mu)
+            v = [x - mu * y for x, y in zip(v, s)]
+        if any(abs(mu) > Fraction(1, 2) for mu in mus):
+            return f"vector {i} is not size-reduced: mu {mus}"
+        n = sum(x * x for x in v)
+        if i and n < (Fraction(3, 4) - mus[-1] ** 2) * norms[-1]:
+            return f"Lovasz's condition fails at vector {i}"
+        star.append(v)
+        norms.append(n)
+    return None
+
+
+def det_on_columns_canonical(m, cols, rows):
+    """The exact signed determinant of ``den * m`` on ``cols`` and
+    ``rows`` interpolated on the canonical columns themselves: one
+    integer determinant of ``sum_t T_t M_t`` per monomial of degree
+    ``len(rows)`` of the target ring, each at its own exponents with ``T_0
+    = 1``, then the simplex interpolation, checked at one more point."""
+    cols, rows = list(cols), list(rows)
+    size = len(rows)
+    ring = target_ring(m.target_names)
+    if size == 0:
+        return MultiPoly.constant(ring, 1)
+    sub = Slices([[[s[r][c] for c in cols] for r in rows] for s in m.slices], size, size)
+
+    def det_at(point):
+        work = sub.evaluate(point)
+        pivots, sign = _bareiss(work, size)
+        return sign * work[-1][-1] if len(pivots) == size else 0
+
+    values = {e: det_at((1,) + e[1:]) for e in strand_basis(ring.blocks, (size,))}
+    terms = _interpolate_simplex(values, size)
+    check = [2] + [2 * (size + t) + 1 for t in range(1, ring.nvars)]
+    assert _eval_terms(terms, check) == det_at(check)
+    return MultiPoly(ring, terms)
 
 
 def cells(m):

@@ -7,6 +7,7 @@ from itertools import combinations
 from math import lcm
 from operator import add
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,13 +42,20 @@ from mgimplicit import (
     target_ring,
     verify_implicit,
 )
-from mgimplicit import complexes, implicitize
+from mgimplicit import complexes, implicitize, linalg
 from mgimplicit.cli import main
 from mgimplicit.complexes import LinearFormMatrix
 from mgimplicit.multipoly import exact_div
 from mgimplicit.problem import load_problem
 from mgimplicit.regions import BlockStructure
-from oracles import det_cofactor_poly, gcd_poly, slices_of, substitute_targets, symbolic_rank_oracle
+from oracles import (
+    det_cofactor_poly,
+    det_on_columns_canonical,
+    gcd_poly,
+    slices_of,
+    substitute_targets,
+    symbolic_rank_oracle,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -292,6 +300,86 @@ def test_det_matches_cofactor_oracle(case):
             strand_determinant([m])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(square_linear_matrices())
+def test_dependent_columns_give_zero_without_the_grid(case):
+    # a constant relation among the columns proves the minor zero: one
+    # elimination for the canonical form, and no determinant on the grid
+    m, deficient = case
+    assume(deficient)
+    with (
+        mock.patch.object(implicitize, "_bareiss", wraps=implicitize._bareiss) as grid,
+        mock.patch.object(linalg, "_bareiss", wraps=linalg._bareiss) as canonical,
+    ):
+        assert implicitize._det_on_columns(m, range(m.cols), range(m.rows)).is_zero()
+    assert grid.call_count == 0
+    assert canonical.call_count == 1
+
+
+@st.composite
+def plane_quadric_nets(draw):
+    """Four ternary quadrics with nonzero coefficients in [-9, 9]: at ``nu =
+    2`` the strand complex is [6, 9, 4, 1], so Cayley's chain has minors of
+    ``d_1``, ``d_2`` and ``d_3``."""
+    ring = parameter_ring([["x", "y", "z"]])
+    mons = strand_basis(BlockStructure((2,)), (2,))
+    nonzero = st.integers(-9, 9).filter(bool)
+    return ProblemInstance.from_polys([MultiPoly(ring, {e: draw(nonzero) for e in mons}) for _ in range(4)])
+
+
+def _check_chain_minors(inst):
+    """Each minor of the Cayley chain at the suggested degree equals
+    :func:`det_on_columns_canonical`."""
+    calls = []
+    intact = implicitize._det_on_columns
+
+    def recording(m, cols, rows):
+        minor = intact(m, cols, rows)
+        calls.append((m, list(cols), list(rows), minor))
+        return minor
+
+    with mock.patch.object(implicitize, "_det_on_columns", recording):
+        strand_determinant(differentials(inst, suggest_nu(inst.blocks, inst.gamma)))
+    assert calls
+    for m, cols, rows, minor in calls:
+        assert minor == det_on_columns_canonical(m, cols, rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cayley_instances())
+def test_det_on_columns_matches_the_canonical_route(inst):
+    # every minor of the chain, d_2 of the wide instances included, equals
+    # the interpolation on the canonical columns
+    _check_chain_minors(inst)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(plane_quadric_nets())
+def test_det_on_columns_matches_the_canonical_route_through_d3(inst):
+    _check_chain_minors(inst)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
+def test_first_minor_is_interpolated_on_small_entries(name):
+    # a fall-back to the canonical columns (25 to 72 bits on these files)
+    # would fail: the reduced d_1 pencil has at most 8 bits on the golden
+    # surface and at most 16 on every problem file
+    bound = 8 if name == "bigraded_22.json" else 16
+    pencils = []
+    intact = implicitize.saturated_basis
+
+    def recording(vectors):
+        found = intact(vectors)
+        pencils.append(found[0])
+        return found
+
+    inst = load_problem(PROBLEMS / name).instance()
+    with mock.patch.object(implicitize, "saturated_basis", recording):
+        run_pipeline(inst)
+    bits = max(abs(x).bit_length() for b in pencils[0] for x in b)
+    assert bits <= bound
+
+
 # -- strand determinant ---------------------------------------------------------------
 
 def test_strand_determinant_square_equals_det(golden_matrix, golden_delta):
@@ -413,20 +501,25 @@ def test_pipeline_builds_each_cycle_basis_once(monkeypatch, make, nu, built):
 
 
 @pytest.mark.parametrize(
-    "name, qs",
-    [("bigraded_22.json", [1]), ("p1p1_22_basepoint.json", [1, 2])],
-    ids=["golden-square", "basepoint-wide"],
+    "name, nu, qs",
+    [
+        ("bigraded_22.json", None, [1]),
+        ("p1p1_22_basepoint.json", None, [1, 2]),
+        ("p1p1_22_basepoint.json", (3, 1), [1, 2]),
+    ],
+    ids=["golden-square", "basepoint-wide", "basepoint-wide-homology"],
 )
-def test_pipeline_builds_and_kernels_each_koszul_strand_once(monkeypatch, name, qs):
+def test_pipeline_builds_and_kernels_each_koszul_strand_once(monkeypatch, name, nu, qs):
     # M_nu, the Cayley chain and the certificate read one StrandComplex:
     # each strand (q, nu + q*gamma) is built once and its kernel taken
-    # once; the strands of homology_dim, for the expected degree, have a
-    # degree of their own
+    # once.  The strands of homology_dim, for the expected degree, have a
+    # degree of their own, except at nu = (2a-1, b-1), where its K_2 at
+    # (4a-1, 3b-1) = nu + 2*gamma is the complex's own and is read from it
     inst = load_problem(PROBLEMS / name).instance()
-    nu = suggest_nu(inst.blocks, inst.gamma)
+    strand_nu = suggest_nu(inst.blocks, inst.gamma) if nu is None else nu
 
     def degree(q):
-        return tuple(a + q * g for a, g in zip(nu, inst.gamma))
+        return tuple(a + q * g for a, g in zip(strand_nu, inst.gamma))
 
     build, kernel = complexes.koszul_differential_strand, complexes.nullspace_basis
     built, kerneled = [], []
@@ -445,7 +538,7 @@ def test_pipeline_builds_and_kernels_each_koszul_strand_once(monkeypatch, name, 
         for attr, wrapper in (("koszul_differential_strand", counting_build), ("nullspace_basis", counting_kernel)):
             if attr in vars(module):
                 monkeypatch.setattr(module, attr, wrapper)
-    assert run_pipeline(inst).verified
+    assert run_pipeline(inst, nu).verified
     strands = [(q, degree(q)) for q in qs]
     assert sorted(key for _, key in built if key[1] == degree(key[0])) == strands
     assert sorted(kerneled) == strands

@@ -11,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cayley_instances, golden_instance, identity, mat_vec, over, random_matrix, random_p1p1_instance
-from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, suggest_nu
-from mgimplicit import linalg
+from helpers import (
+    cayley_instances,
+    differentials,
+    golden_instance,
+    identity,
+    mat_vec,
+    over,
+    random_matrix,
+    random_p1p1_instance,
+)
+from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_matrix, strand_determinant, suggest_nu
+from mgimplicit import implicitize, linalg
 from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
 from mgimplicit.implicitize import _parameter_points, sample_parameter_point
 from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _kernel_certified, _pack, _unpack
@@ -21,6 +30,7 @@ from oracles import (
     bareiss_gauss_jordan,
     det_cofactor,
     echelon_mod_oracle,
+    lll_saturation_violation,
     nullspace_gauss_jordan,
     nullspace_oracle,
     rank_oracle,
@@ -763,3 +773,75 @@ def test_exact_check_decides_at_its_slot_width():
     assert images.annihilates([y], [v, -v]) is True
     assert images.annihilates([y], [2 * v + 1, 0]) is False
     assert images.annihilates([y], [2 * v + 2, 0]) is False
+
+
+# -- saturated, LLL-reduced lattice bases ----------------------------------------
+
+
+@st.composite
+def lattice_inputs(draw):
+    """``k`` integer vectors of length ``m >= k``, ``1 <= k <= 4``: random
+    ones (whose integer span is rarely saturated), ones with a vector that
+    is an integer combination of the others or zero, and canonical ones,
+    each the only one nonzero at a coordinate of its own, as the columns of
+    a first differential are."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, 8))
+    entries = st.lists(st.integers(-60, 60), min_size=m, max_size=m)
+    vectors = [draw(entries) for _ in range(k)]
+    kind = draw(st.sampled_from(["random", "dependent", "zero", "canonical", "scaled"]))
+    if kind == "dependent":
+        weights = draw(st.lists(st.integers(-4, 4), min_size=k - 1, max_size=k - 1))
+        vectors[-1] = [sum(w * v[j] for w, v in zip(weights, vectors)) for j in range(m)]
+    elif kind == "zero":
+        vectors[draw(st.integers(0, k - 1))] = [0] * m
+    elif kind == "canonical":
+        coords = draw(st.permutations(range(m)))[:k]
+        scale = draw(st.integers(1, 10**6))
+        for i, v in enumerate(vectors):
+            for j, c in enumerate(coords):
+                v[c] = scale if i == j else 0
+    elif kind == "scaled":
+        # an integer basis of a sublattice of large index: the vectors
+        # times a matrix of determinant other than +-1
+        mix = [[draw(st.integers(-9, 9)) for _ in range(k)] for _ in range(k)]
+        vectors = [[sum(mix[i][l] * vectors[l][j] for l in range(k)) for j in range(m)] for i in range(k)]
+    return vectors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_inputs())
+def test_saturated_basis_is_an_lll_reduced_basis_of_the_saturation(vectors):
+    before = [v[:] for v in vectors]
+    found = linalg.saturated_basis(vectors)
+    assert vectors == before
+    assert lll_saturation_violation(vectors, found) is None
+    # a function of the input alone
+    assert linalg.saturated_basis(before) == found
+
+
+def test_saturated_basis_of_a_single_vector_is_its_primitive_multiple():
+    basis, coords = linalg.saturated_basis([[0, 6, -4, 10]])
+    assert coords == [1]
+    assert basis == [[0, 3, -2, 5]]
+    assert linalg.saturated_basis([[0, 0, 0]]) is None
+    assert linalg.saturated_basis([]) == ([], [])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cayley_instances())
+def test_saturated_basis_on_the_stacked_columns_of_every_chain_minor(inst):
+    # the inputs the determinants pass: the columns of each minor of
+    # d_1, d_2, .. with the slices' entries stacked form-major
+    calls = []
+
+    def recording(vectors):
+        found = linalg.saturated_basis(vectors)
+        calls.append((vectors, found))
+        return found
+
+    with mock.patch.object(implicitize, "saturated_basis", recording):
+        strand_determinant(differentials(inst, suggest_nu(inst.blocks, inst.gamma)))
+    assert calls
+    for vectors, found in calls:
+        assert lll_saturation_violation(vectors, found) is None
