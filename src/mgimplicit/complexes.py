@@ -303,14 +303,6 @@ class StrandComplex:
         ``q = 0`` it is the identity basis of :attr:`monomials`."""
         return self._kept(self._cycles, q)
 
-    def kernel_dim(self, q) -> int:
-        """The dimension of ``Z_q``: the size of :meth:`cycles` when it is
-        built, else the nullity of :meth:`koszul`, with no kernel taken."""
-        if ("_cycles", q) in self._built:
-            return len(self._built[("_cycles", q)][1])
-        m = self.koszul(q)
-        return m.cols - rank(m)
-
     def differential(self, q) -> LinearFormMatrix:
         """The T-linear differential ``d_q: Z_q -> Z_(q-1)``, for ``1 <= q
         <= n``; ``differential(1)`` is the representation matrix ``M_nu``."""
@@ -401,7 +393,7 @@ def homology_dim(inst: ProblemInstance, q: int, d) -> int:
 def _homology_dim(inst: ProblemInstance, q: int, d, cx) -> int:
     """:func:`homology_dim`; when ``d`` is the degree ``nu + q*gamma`` of
     the strand ``K_q`` of the :class:`StrandComplex` ``cx`` (or ``None``),
-    ``K_q`` and its kernel dimension are read from ``cx``."""
+    ``K_q`` is read from ``cx``."""
     if q < 0:
         raise ValueError("q must be non-negative")
     n1 = len(inst.f)
@@ -410,10 +402,11 @@ def _homology_dim(inst: ProblemInstance, q: int, d, cx) -> int:
         return 0
     if q == 0:
         kernel_dim = strand_dim(inst.blocks, d)
-    elif cx is not None and d == _vadd(cx.nu, _vscale(q, inst.gamma)):
-        kernel_dim = cx.kernel_dim(q)
     else:
-        mq = koszul_differential_strand(inst, q, d)
+        if cx is not None and d == _vadd(cx.nu, _vscale(q, inst.gamma)):
+            mq = cx.koszul(q)
+        else:
+            mq = koszul_differential_strand(inst, q, d)
         kernel_dim = mq.cols - rank(mq)
     boundary_rank = 0
     if q + 1 <= n1:

@@ -86,8 +86,10 @@ eliminated.  Every route gives the same canonical basis.
 independent integer vectors span a lattice whose saturation, every
 integer vector of their Q-span, has an LLL-reduced basis (Lenstra,
 Lenstra & Lovász, Math. Ann. 261, 1982) of far smaller entries.  The
-canonical form is the Bareiss kernel of the vectors, back-substituted as
-for :func:`nullspace_basis`; it writes the span over ``k`` coordinates
+canonical form is read off the vectors themselves when each is the only
+one nonzero at a coordinate of its own, as canonical cycle vectors are,
+and otherwise off their Bareiss kernel, back-substituted as for
+:func:`nullspace_basis`; it writes the span over ``k`` coordinates
 and one denominator ``den``, whose integral points form a coordinate
 lattice that contains ``den Z^k``, so its Hermite normal form is computed
 modulo ``den`` with entries below ``den``.  The lifted basis is reduced by
@@ -732,16 +734,20 @@ def _canonical_form(vectors, m):
     ``(j, a)`` in ``relations``, with ``den > 0``.
 
     When every vector is the only one nonzero at some coordinate (a
-    column of a first differential is a canonical cycle vector, the only
-    one nonzero at its own free coordinate) those coordinates are the
-    pivots, and the relations are the vectors themselves over the pivot
-    entries; nothing is eliminated.  Otherwise the form is read off the
-    canonical kernel of the vectors, back-substituted in their
-    :func:`_bareiss` echelon form: every vector of the span is orthogonal
-    to each kernel vector ``u``, which is ``den`` at its free column ``j``
-    and zero at the other free columns, so ``x[j] = -u[coords] . x[coords]
-    / den``.  There are ``m - k`` kernel vectors exactly when the vectors
-    are independent.
+    column of a differential is a canonical cycle vector, the only one
+    nonzero at its own free coordinate, and every minor of the benchmark
+    instances keeps the rows of those coordinates) they are the pivots,
+    and the relations are the vectors themselves over the pivot entries;
+    nothing is eliminated.  (Eliminating them would pass through minors of
+    100-600 bits only to divide them away again: 0.06-1.5 ms more per
+    ``d_1`` minor of the benchmark instances.)  Otherwise, as for
+    dependent vectors or the columns of a minor whose rows drop a free
+    coordinate, the form is read off the canonical kernel of the vectors,
+    back-substituted in their :func:`_bareiss` echelon form: every vector
+    of the span is orthogonal to each kernel vector ``u``, which is ``den``
+    at its free column ``j`` and zero at the other free columns, so ``x[j]
+    = -u[coords] . x[coords] / den``.  There are ``m - k`` kernel vectors
+    exactly when the vectors are independent.
     """
     k = len(vectors)
     owner = {}
