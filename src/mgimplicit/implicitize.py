@@ -37,10 +37,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
 from math import factorial, prod
-from operator import mul
 
 from .complexes import LinearFormMatrix, ProblemInstance, StrandComplex, _homology_dim
-from .linalg import Slices, _bareiss, rank, saturated_basis
+from .linalg import Slices, _annihilated, _bareiss, rank, saturated_basis
 from .multipoly import (
     MultiPoly,
     _eval_terms,
@@ -322,7 +321,10 @@ def strand_determinant(diffs) -> MultiPoly:
     entries is never onto a nonzero free module (graded Nakayama), so
     exactness at the next term makes it zero too.  Only a chain that
     reaches ``d_2`` has even minors, and only then is the product of the
-    odd ones divided, exactly, by the product of the even ones.
+    odd ones divided, exactly, by the product of the even ones: both are
+    made primitive first, so by Gauss's lemma the quotient is the
+    primitive part of the determinant, up to sign, and every step of the
+    division stays in Z.
 
     Raises :class:`PipelineError` when no grid point gives a differential
     full rank on its rows, or rows remain after the last differential: the
@@ -338,7 +340,8 @@ def strand_determinant(diffs) -> MultiPoly:
 
 def _strand_determinant(diffs):
     """:func:`strand_determinant` and the even minors it divided by, which
-    :func:`_certify` reads: ``delta * prod(even) = prod(odd)`` exactly."""
+    :func:`_certify` reads: ``delta * prod(even) = c * prod(odd)`` exactly,
+    for a rational constant ``c != 0``."""
     minors = []
     degree = 0
     rows = None
@@ -379,7 +382,9 @@ def _strand_determinant(diffs):
     even = minors[1::2]
     delta = prod(minors[0::2], start=one)
     if even:
-        delta = exact_div(delta, prod(even, start=one))
+        # the quotient of the primitive parts is +-delta's primitive part
+        # (Gauss's lemma), so it stays in Z
+        delta = exact_div(normalize_poly(delta), normalize_poly(prod(even, start=one)))
     delta = normalize_poly(delta)
     if delta.total_degree() != degree:
         raise ArithmeticError(f"strand determinant has degree {delta.total_degree()}, not {degree}")
@@ -502,7 +507,7 @@ def _columns_are_syzygies(m: LinearFormMatrix, koszul) -> bool:
     stacked = list(chain.from_iterable(m.slices))
     if koszul.cols != len(stacked):
         return False
-    return not any(any(sum(map(mul, k, g)) for k in koszul.data) for g in zip(*stacked))
+    return all(_annihilated(koszul.data, g) for g in zip(*stacked))
 
 
 def _certify(m: LinearFormMatrix, cx: StrandComplex, delta: MultiPoly, even, seed: int) -> bool:
@@ -513,16 +518,16 @@ def _certify(m: LinearFormMatrix, cx: StrandComplex, delta: MultiPoly, even, see
     built from), the row of strand monomials ``(x^u)_u``, nonzero over
     ``Q(x)``, is a left kernel vector of ``m(f(x))``; so every minor on all
     the rows of ``m`` vanishes at ``f``, the first minor of Cayley's
-    formula among them.  As ``delta * prod(even) = prod(odd)`` holds
-    exactly (:func:`strand_determinant`), ``delta(f) = 0`` follows once
-    ``prod(even)(f)`` is a nonzero polynomial, which one nonzero value at
-    ``f(p0)`` proves; a square strand has no even minors.  ``p0`` is the
-    first point of :func:`_parameter_points` off the base locus, which is
-    also the first point :func:`rank_drop_check` keeps, and ``delta`` must
-    vanish at ``f(p0)`` as well, a check of ``delta`` against the minors it
-    came from.  A failed check returns ``False``; only an even minor that
-    vanishes at ``f(p0)`` leaves the decision to the grid of
-    :func:`verify_implicit`.
+    formula among them.  As ``delta * prod(even)`` is ``prod(odd)`` times
+    a nonzero constant (:func:`strand_determinant`), ``delta(f) = 0``
+    follows once ``prod(even)(f)`` is a nonzero polynomial, which one
+    nonzero value at ``f(p0)`` proves; a square strand has no even minors.
+    ``p0`` is the first point of :func:`_parameter_points` off the base
+    locus, which is also the first point :func:`rank_drop_check` keeps,
+    and ``delta`` must vanish at ``f(p0)`` as well, a check of ``delta``
+    against the minors it came from.  A failed check returns ``False``;
+    only an even minor that vanishes at ``f(p0)`` leaves the decision to
+    the grid of :func:`verify_implicit`.
     """
     if not _columns_are_syzygies(m, cx.koszul(1)):
         return False

@@ -23,21 +23,26 @@ The ``r`` pivots select a minor that is nonzero modulo ``_P``, hence a
 nonzero integer, so ``rank >= r``; a modular rank of ``min(rows, cols)``
 is therefore the rank.  Otherwise the pivot columns are ``r`` independent
 rows of the short side of the matrix, and their kernel modulo the wide
-fixed prime :data:`_Q` gives one vector per missing pivot.  Each is
-recovered over Q by rational reconstruction (Wang, Guy & Davenport,
-SIGSAM Bull. 16, 1982) and checked exactly against the whole short side;
-these independent vectors prove ``rank <= r``.  The certificate is short
-whenever the kernel is small: a strand matrix specialized at a point of
-the hypersurface, ``T = f(p)``, has the strand monomials at ``p`` as a
-left kernel vector, and when they span the kernel and lie within the
-reconstruction bound of ``_Q`` the rank is certified without Bareiss.
-A caller that knows such a vector can pass it: when the modular rank is
-one short of ``min(rows, cols)``, one nonzero vector that passes the
-exact check proves the rank, and no kernel is computed modulo ``_Q``.
-When a reconstruction or a check fails, :func:`_bareiss` decides, so the
+fixed prime :data:`_Q`, lifted and checked against the whole short side,
+gives one independent vector per missing pivot, which prove ``rank <=
+r``.  The certificate is short whenever the kernel is small: a strand
+matrix specialized at a point of the hypersurface, ``T = f(p)``, has the
+strand monomials at ``p`` as a left kernel vector, and when they span the
+kernel and lie within the reconstruction bound of ``_Q`` the rank is
+certified without Bareiss.  A caller that knows such a vector can pass
+it: when the modular rank is one short of ``min(rows, cols)``, one
+nonzero vector that passes the exact check proves the rank, and no
+kernel is computed modulo ``_Q``.
+
+Every kernel found modulo a prime is trusted through one routine,
+:func:`_lifted_kernel`: each vector is recovered over Q by rational
+reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 16, 1982) and kept
+only once an exact check over Z shows that it annihilates the rows it
+stands for (:func:`_annihilated` on a plain matrix).  When a
+reconstruction or a check fails, :func:`_bareiss` decides, so every
 result is exact whatever the primes.  Both primes are fixed, not drawn,
-so every rank takes the same route on every run.  No floating point, no
-tolerances.
+so every rank and kernel takes the same route on every run.  No floating
+point, no tolerances.
 
 Every modular elimination is one routine, :func:`_echelon_mod`, on packed
 rows (Dumas, Fousse & Salvy, J. Symbolic Comput. 46, 2011): modulo a
@@ -71,11 +76,11 @@ certificate fails.
 
 :func:`nullspace_basis` reads the kernel of a tall matrix off ``r`` of
 its rows: those whose columns are pivots of the transpose modulo ``_P``,
-which are independent over Q.  Their kernel modulo ``_P`` is lifted by
-the same rational reconstruction, over one common denominator, and
-checked over Z on every row of the matrix; ``cols - r`` exact kernel
-vectors, each ending in its own free column, are the canonical basis up
-to scale, since ``rank >= r``.  When the lift or the check fails, the
+which are independent over Q.  Their kernel modulo ``_P``, lifted and
+checked on every row of the matrix by the same :func:`_lifted_kernel`,
+is ``cols - r`` exact kernel vectors, each ending in its own free
+column: the canonical basis up to scale, since ``rank >= r``, brought
+over one common denominator.  When the lift or the check fails, the
 ``r`` rows are eliminated with Bareiss; their kernel contains the whole
 kernel, and the two are equal exactly when every dropped row annihilates
 it, which is checked over Z on the basis.  That check fails only when
@@ -515,26 +520,26 @@ def _lift(v, p):
     return v
 
 
-def _kernel_certified(independent, s, annihilates):
-    """Whether a matrix whose short side has ``s`` entries per row has no
-    more rank than ``independent``, the packed residues modulo :data:`_Q`
-    of a selection of those rows, has rows; ``annihilates(v)`` tells
-    whether the integer vector ``v`` annihilates every row of the short
-    side over Z.
+def _lifted_kernel(packed, cols, p, annihilates):
+    """The kernel modulo the Mersenne prime ``p`` of the packed rows
+    ``packed`` (of ``cols`` slots each), lifted to Q and checked over Z,
+    as ``(fc, v)`` pairs in the order of :func:`_kernel_mod`, or ``None``
+    at the first reconstruction or check that fails.
 
-    The kernel of ``independent`` modulo ``_Q`` has one vector per free
-    column of its echelon form (:func:`_kernel_mod`).  Each is lifted to Q
-    by rational reconstruction (:func:`_lift`) and must annihilate every
-    row of the short side.  The vectors are independent (each is nonzero
-    at its own free column and zero at the others), so together they prove
-    the bound.  ``False`` means that a reconstruction or a check failed,
-    which proves nothing.
+    Each vector is lifted by rational reconstruction (:func:`_lift`), over
+    its own common denominator, and kept once ``annihilates(v)`` confirms
+    that the integer vector ``v`` annihilates the rows it stands for over
+    Z.  ``v[fc]`` is nonzero and ``v`` is zero at the other free columns,
+    so the lifted vectors are independent.  ``None`` proves nothing: the
+    caller leaves the decision to :func:`_bareiss`.
     """
-    for _, v in _kernel_mod(independent, s, _Q):
-        v = _lift(v, _Q)
+    lifted = []
+    for fc, v in _kernel_mod(packed, cols, p):
+        v = _lift(v, p)
         if v is None or not annihilates(v):
-            return False
-    return True
+            return None
+        lifted.append((fc, v))
+    return lifted
 
 
 def rank(m: QMatrix, kernel=None) -> int:
@@ -543,8 +548,8 @@ def rank(m: QMatrix, kernel=None) -> int:
     ``rank >= r`` from one packed elimination modulo :data:`_P` of the wide
     orientation (:func:`_echelon_mod`, which unpacks nothing here); when
     ``r`` is short of ``s = min(rows, cols)``, ``rank <= r`` from kernel
-    vectors found modulo :data:`_Q` and checked over Z
-    (:func:`_kernel_certified`).  Only when that check fails does the
+    vectors found modulo :data:`_Q`, lifted and checked over Z
+    (:func:`_lifted_kernel`).  Only when that check fails does the
     fraction-free :func:`_bareiss` decide, on a copy.  The certificate is
     set out in the module docstring.
 
@@ -585,15 +590,17 @@ def rank(m: QMatrix, kernel=None) -> int:
         independent = partial(_pack, [b[c] for c in pivots], _Q)
     if len(pivots) == s - 1 and kernel is not None and any(kernel) and annihilates(kernel):
         return s - 1
-    if _kernel_certified(independent(), s, annihilates):
+    if _lifted_kernel(independent(), s, _Q, annihilates) is not None:
         return len(pivots)
     work = m.data if m.rows <= m.cols else list(zip(*m.data))
     return len(_bareiss([list(row) for row in work], n)[0])
 
 
-def _annihilated(columns, v):
-    """Whether ``v`` annihilates every vector of ``columns`` over Z."""
-    return not any(sum(map(mul, col, v)) for col in columns)
+def _annihilated(rows, v):
+    """Whether ``v`` annihilates every vector of ``rows`` over Z, one dot
+    product at a time: the exact check of a plain matrix's kernel vectors
+    (:meth:`Slices.annihilates` checks those of a specialization)."""
+    return not any(sum(map(mul, row, v)) for row in rows)
 
 
 def nullspace_basis(m: QMatrix):
@@ -615,12 +622,11 @@ def nullspace_basis(m: QMatrix):
 
     A tall matrix is first reduced to the rows that :func:`_echelon_mod`
     finds independent modulo :data:`_P` in its transpose, ``r`` of them,
-    independent over Q too.  Their kernel modulo ``_P`` in reversed
-    echelon form (:func:`_kernel_mod`), ``k = cols - r`` vectors, is lifted
-    by rational reconstruction (:func:`_lift`) and kept once every lifted
-    vector annihilates every row of the matrix over Z.  Each of them then
-    shows that its free column depends on the columns before it, and as
-    ``rank >= r`` they are as many as the free columns of the canonical
+    independent over Q too.  Their kernel modulo ``_P``, ``k = cols - r``
+    vectors, is kept once it is lifted and every lifted vector annihilates
+    every row of the matrix over Z (:func:`_lifted_kernel`).  Each of them
+    then shows that its free column depends on the columns before it, and
+    as ``rank >= r`` they are as many as the free columns of the canonical
     basis, so they are that basis up to scale: no Bareiss runs.  When a
     reconstruction or a check fails, the selected rows are eliminated with
     :func:`_bareiss` instead.  Their kernel, of dimension ``k``, contains
@@ -635,37 +641,18 @@ def nullspace_basis(m: QMatrix):
         return _back_substituted_kernel(m.data, m.cols)
     independent, _ = _echelon_mod(_pack(zip(*m.data), _P), m.rows, _P)
     selected = [m.data[i] for i in independent]
-    found = _reconstructed_kernel(m.data, selected, m.cols)
-    if found is not None:
-        return found
+    lifted = _lifted_kernel(_pack(selected, _P), m.cols, _P, partial(_annihilated, m.data))
+    if lifted is not None:
+        # each lifted w is w[fc] times the canonical vector of its free
+        # column fc: over the common denominator, in increasing order of fc
+        den = lcm(*(w[fc] for fc, w in lifted))
+        return _canonical_scale(den, [[x * (den // w[fc]) for x in w] for fc, w in reversed(lifted)])
     den, vectors = _back_substituted_kernel(selected, m.cols)
     kept = set(independent)
-    dropped = (row for i, row in enumerate(m.data) if i not in kept)
-    if any(sum(map(mul, row, v)) for row in dropped for v in vectors):
+    dropped = [row for i, row in enumerate(m.data) if i not in kept]
+    if not all(_annihilated(dropped, v) for v in vectors):
         return _back_substituted_kernel(m.data, m.cols)
     return den, vectors
-
-
-def _reconstructed_kernel(rows, independent, cols):
-    """The canonical kernel basis of the integer rows ``rows`` as ``(den,
-    vectors)``, from the kernel modulo :data:`_P` of ``independent``, rows
-    of ``rows`` that are independent modulo ``_P``, or ``None`` when a
-    reconstruction fails or a lifted vector does not annihilate every row
-    of ``rows`` over Z (see :func:`nullspace_basis`).  Each lifted vector
-    ``w`` is ``w[fc]`` times the canonical one of its free column ``fc``."""
-    scales, lifted = [], []
-    for fc, v in _kernel_mod(_pack(independent, _P), cols, _P):
-        w = _lift(v, _P)
-        if w is None or any(sum(map(mul, row, w)) for row in rows):
-            return None
-        scales.append(w[fc])
-        lifted.append(w)
-    # over the common denominator den, then divided by the content, in
-    # increasing order of the free columns
-    den = lcm(*scales)
-    vectors = [[x * (den // d) for x in w] for d, w in zip(reversed(scales), reversed(lifted))]
-    g = gcd(den, *chain.from_iterable(vectors))
-    return den // g, [[x // g for x in v] for v in vectors]
 
 
 def _back_substituted_kernel(rows, cols):
@@ -686,8 +673,15 @@ def _back_substituted_kernel(rows, cols):
                 if rem:
                     raise ArithmeticError("kernel back-substitution left a remainder")
         vectors.append(v)
-    g = gcd(d, *(x for v in vectors for x in v)) * (1 if d > 0 else -1)
-    return d // g, [[x // g for x in v] for v in vectors]
+    return _canonical_scale(d, vectors)
+
+
+def _canonical_scale(den, vectors):
+    """The kernel basis ``vectors / den`` as :func:`nullspace_basis`
+    returns it: ``den`` and every entry divided by their gcd, signed so
+    that ``den > 0``."""
+    g = gcd(den, *chain.from_iterable(vectors)) * (1 if den > 0 else -1)
+    return den // g, [[x // g for x in v] for v in vectors]
 
 
 def saturated_basis(vectors):

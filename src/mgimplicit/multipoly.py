@@ -484,7 +484,8 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     coefficients are divided as integers when no remainder is left.  The
     pipeline divides only where Cayley's formula has a denominator, the
     even minors of a wide strand
-    (:func:`~mgimplicit.implicitize.strand_determinant`)."""
+    (:func:`~mgimplicit.implicitize.strand_determinant`), and divides
+    primitive parts, whose quotient has integer coefficients."""
     p._check_ring(q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")

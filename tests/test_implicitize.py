@@ -410,6 +410,26 @@ def test_strand_determinant_non_exact_complex_raises():
         strand_determinant([m, linear_matrix([[z], [z]])])
 
 
+def test_cayley_quotient_divides_primitive_parts_in_integers():
+    # d_1 = [T_0, T_1], then d_2 = (-2 T_1, 2 T_0)^T: the minors are T_0 and
+    # 2 T_0, whose own quotient is the Fraction 1/2; that of their
+    # primitive parts is the integer 1
+    d1 = linear_matrix([[(1, 0, 0), (0, 1, 0)]])
+    d2 = linear_matrix([[(0, -2, 0)], [(2, 0, 0)]])
+    calls = []
+
+    def spy(p, q):
+        calls.append((p, q, exact_div(p, q)))
+        return calls[-1][2]
+
+    with mock.patch.object(implicitize, "exact_div", spy):
+        delta = strand_determinant([d1, d2])
+    assert delta == MultiPoly.constant(delta.ring, 1)
+    ((p, q, quotient),) = calls
+    assert normalize_poly(p) == p and normalize_poly(q) == q
+    assert quotient.terms and all(type(c) is int for c in quotient.terms.values())
+
+
 def _reversed_basis(diffs, q):
     """The strand complex with the basis of its q-th term in reverse order:
     the columns of ``d_q`` and the rows of ``d_(q+1)`` are reversed."""

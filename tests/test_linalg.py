@@ -25,7 +25,7 @@ from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_m
 from mgimplicit import implicitize, linalg
 from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
 from mgimplicit.implicitize import _parameter_points, sample_parameter_point
-from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _kernel_certified, _pack, _unpack
+from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _lifted_kernel, _pack, _unpack
 from oracles import (
     bareiss_gauss_jordan,
     det_cofactor,
@@ -82,6 +82,45 @@ def test_linalg_is_an_integer_leaf_module():
     names |= {n.module for n in imports if isinstance(n, ast.ImportFrom)}
     assert "fractions" not in names
     assert all(n.level == 0 for n in imports if isinstance(n, ast.ImportFrom))
+
+
+def _is_dot_product(node):
+    """Whether ``node`` is ``sum(map(mul, a, b))``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id == "map"
+        and bool(node.args[0].args)
+        and isinstance(node.args[0].args[0], ast.Name)
+        and node.args[0].args[0].id == "mul"
+    )
+
+
+def test_modular_kernels_are_lifted_and_checked_in_one_place():
+    # a kernel modulo a prime is trusted only through _lifted_kernel, and a
+    # plain exact annihilation test (any or all over dot products) is
+    # written once, in _annihilated; Slices.annihilates, the packed check
+    # of a specialization, tests one integer and no dot product
+    callers = {"_kernel_mod": set(), "_lift": set()}
+    loops = set()
+    for module in (linalg, implicitize):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                if node.func.id in callers:
+                    callers[node.func.id].add(fn.name)
+                if node.func.id in ("any", "all") and any(map(_is_dot_product, ast.walk(node))):
+                    loops.add(fn.name)
+    assert callers == {"_kernel_mod": {"_lifted_kernel"}, "_lift": {"_lifted_kernel"}}
+    assert loops == {"_annihilated"}
 
 
 def packed_echelon(rows, cols, p):
@@ -187,13 +226,14 @@ def test_rank_full_over_q_but_not_modulo_the_prime(data):
     assert rank(QMatrix(data)) == 2
 
 
-def test_rank_singular_modulo_both_primes_fails_the_exact_check():
+@pytest.mark.parametrize("p", [_P, _Q], ids=["P", "Q"])
+def test_rank_singular_modulo_both_primes_fails_the_exact_check(p):
     # column-primitive with determinant _P * _Q, and symmetric, so its own
-    # short side: the kernel vector (-1, 1) of its first row modulo _Q
-    # reconstructs, but it does not annihilate that row over Z
+    # short side: the kernel vector (-1, 1) of its first row modulo either
+    # prime reconstructs, but it does not annihilate that row over Z
     data = [[_P * _Q + 1, 1], [1, 1]]
     assert modular_rank(data, _P) == modular_rank(data, _Q) == 1
-    assert not _kernel_certified(_pack(data[:1], _Q), 2, lambda v: not any(sum(map(mul, row, v)) for row in data))
+    assert _lifted_kernel(_pack(data[:1], p), 2, p, lambda v: not any(sum(map(mul, row, v)) for row in data)) is None
     assert rank(QMatrix(data)) == 2
 
 
@@ -700,7 +740,7 @@ def test_kernel_candidate_never_changes_the_rank(case):
         kernel = [prod(map(pow, point, u)) for u in m.row_monomials]
         spec, expected = m.specialize(values), 7
         kernel = {"monomials": kernel, "wrong": [kernel[0] + 1] + kernel[1:], "zero": [0] * 8}[case]
-    with mock.patch.object(linalg, "_kernel_certified", wraps=_kernel_certified) as spy:
+    with mock.patch.object(linalg, "_lifted_kernel", wraps=_lifted_kernel) as spy:
         assert rank(spec, kernel) == expected
     assert spy.called == (case != "monomials")
     assert rank(spec) == rank(QMatrix(spec.data), kernel) == expected
