@@ -15,7 +15,12 @@ certificate.
 Determinants are computed by integer evaluation, never by eliminating
 polynomial matrices: a minor of degree ``N`` is interpolated from integer
 determinants at the degree-``N`` monomials of the target ring, each
-monomial evaluated at its own exponents.  The pipeline's certificate is
+monomial evaluated at its own exponents.  Those points are walked in
+nested loops over ``T_n..T_2`` with ``T_1`` innermost (:func:`_walk`), so
+each point's matrix is an earlier point's plus one slice of the pencil,
+and the interpolation reads its lines as positions in that order, built
+once per number of variables and degree (:func:`_simplex`).  The
+pipeline's certificate is
 structural (:func:`_certify`): the columns of ``M_nu`` are syzygies of f.
 :func:`verify_implicit` certifies an equation with no matrix behind it
 (``implicit verify``): it decides ``delta_k(f) = 0`` at the monomials of
@@ -35,8 +40,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, islice
+from functools import cache
+from itertools import accumulate, chain, combinations_with_replacement, islice, repeat
 from math import factorial, prod
+from operator import add, mul
 
 from .complexes import LinearFormMatrix, ProblemInstance, StrandComplex, _homology_dim
 from .linalg import Slices, _annihilated, _bareiss, rank, saturated_basis
@@ -173,21 +180,56 @@ def _parameter_points(inst: ProblemInstance, seed: int):
 # --------------------------------------------------------------------------
 # determinants of linear-form matrices, by interpolation
 
-def _stirling_first(top):
-    """Signed Stirling numbers of the first kind ``s[k][j]``, ``k <= top``:
-    ``x (x-1) ... (x-k+1) = sum_j s[k][j] x^j``."""
+@cache
+def _simplex(nvars, top):
+    """The grid of :func:`_interpolate_simplex` for ``nvars`` target
+    variables at degree ``top``, built once per pair: ``(exps, lines,
+    factorials, stirling)``.
+
+    ``exps`` lists the monomials of degree ``top`` in the order of
+    :func:`_walk`, increasing in ``(e_n, .., e_1)``; ``lines`` holds the
+    positions in ``exps`` of each line along ``T_1``, then ``T_2``, .., with
+    more than one point, in increasing ``e_t``; ``factorials[k]`` is ``k!``;
+    and
+    ``stirling[j]`` holds the signed Stirling numbers of the first kind
+    ``s(k, j)`` for ``k = j, .., top``, where ``x (x-1) ... (x-k+1) =
+    sum_j s(k, j) x^j``.  Every caller shares the result and only reads it.
+    """
+    exps = sorted(((top + 1 - sum(p),) + p[1:] for p in _grid(nvars, top)), key=lambda e: e[:0:-1])
+    at = {e: i for i, e in enumerate(exps)}
+    lines = [
+        [at[(e[0] - k,) + e[1:t] + (k,) + e[t + 1:]] for k in range(e[0] + 1)]
+        for t in range(1, nvars) for e in exps if e[0] and not e[t]
+    ]
     s = [[1]]
     for k in range(top):
-        prev = s[k] + [0]
-        s.append([(prev[j - 1] if j else 0) - k * prev[j] for j in range(k + 2)])
-    return s
+        s.append([a - k * b for a, b in zip([0] + s[k], s[k] + [0])])
+    stirling = [[row[j] for row in s[j:]] for j in range(top + 1)]
+    return exps, lines, [factorial(k) for k in range(top + 1)], stirling
 
 
-def _interpolate_simplex(values, top):
-    """Integer coefficients ``{e: c}`` of the form of degree ``top`` with
-    integer coefficients that takes ``values[e]`` at every monomial ``e`` of
-    degree ``top`` (the strand basis), each monomial evaluated at its own
-    exponents with ``T_0 = 1``.
+def _walk(rows, pencil, t, room):
+    """The determinants of ``rows + sum_(u <= t) a_u pencil[u]`` over all
+    ``a`` with ``|a| <= room``, increasing in ``(a_t, .., a_1)``: nested
+    loops with ``a_1`` innermost, which from ``rows = pencil[0]`` and ``t =
+    n`` is the order of :func:`_simplex` at degree ``room``.  Each matrix
+    is an earlier one plus one slice, built before :func:`_bareiss`
+    eliminates that earlier one in place; ``rows`` is consumed."""
+    if not t:
+        yield _det(rows, len(rows))
+        return
+    for left in range(room, -1, -1):
+        step = [list(map(add, row, s)) for row, s in zip(rows, pencil[t])] if left else None
+        yield from _walk(rows, pencil, t - 1, left)
+        rows = step
+
+
+def _interpolate_simplex(values, nvars, top):
+    """Integer coefficients ``{e: c}`` of the form of degree ``top`` in
+    ``nvars`` target variables, with integer coefficients, that takes
+    ``values[i]`` at the ``i``-th monomial ``e`` of degree ``top`` in the
+    walk order of :func:`_simplex`, each monomial evaluated at its own
+    exponents with ``T_0 = 1``.  ``values`` is overwritten.
 
     That grid is the simplex ``|a| <= top`` of ``(T_1..T_n)``, which is
     unisolvent for polynomials of total degree ``<= top``: one that vanishes
@@ -203,29 +245,22 @@ def _interpolate_simplex(values, top):
     dividing and expanding each ``binom(x, k) = x (x-1) ... (x-k+1) / k!``
     by Stirling numbers of the first kind gives the monomial coefficients.
     Every step is an integer pass along the lines of one variable, so it
-    never leaves the grid.
+    never leaves the grid.  The lines, factorials and Stirling numbers are
+    those of :func:`_simplex`, built once per ``(nvars, top)``.
     """
-    vals = dict(values)
-    # per t >= 1, each line from a monomial free of T_t, in increasing T_t
-    lines = [
-        [[(e[0] - k,) + e[1:t] + (k,) + e[t + 1:] for k in range(e[0] + 1)] for e in vals if not e[t]]
-        for t in range(1, len(next(iter(vals))))
-    ]
-    for axis_lines in lines:
-        for line in axis_lines:
-            v = [vals[e] for e in line]
-            for t in range(1, len(v)):
-                for k in range(len(v) - 1, t - 1, -1):
-                    v[k] -= v[k - 1]
-            for k, e in enumerate(line):
-                vals[e] = v[k] // factorial(k)
-    stirling = _stirling_first(top)
-    for axis_lines in lines:
-        for line in axis_lines:
-            v = [vals[e] for e in line]
-            for j, e in enumerate(line):
-                vals[e] = sum(stirling[k][j] * v[k] for k in range(j, len(v)))
-    return {e: c for e, c in vals.items() if c}
+    exps, lines, factorials, stirling = _simplex(nvars, top)
+    for line in lines:
+        v = [values[i] for i in line]
+        for t in range(1, len(v)):
+            for k in range(len(v) - 1, t - 1, -1):
+                v[k] -= v[k - 1]
+        for k, i in enumerate(line):
+            values[i] = v[k] // factorials[k]
+    for line in lines:
+        v = [values[i] for i in line]
+        for j, i in enumerate(line):
+            values[i] = sum(map(mul, stirling[j], v[j:]))
+    return {e: c for e, c in zip(exps, values) if c}
 
 
 def _det(work, size):
@@ -255,15 +290,18 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     The determinant of the reduced pencil is zero or a form of degree ``N
     = len(rows)``, so it is fixed by its values on the ``C(N+n, n)``
     monomials of degree ``N`` (see :func:`_interpolate_simplex`); each is
-    the integer determinant of the pencil there, which
-    :meth:`~mgimplicit.linalg.Slices.evaluate` builds.  Each coefficient is
-    then multiplied by ``det(S_I) / det(B_I)``, exactly, and the result is
-    checked against the integer determinant of the original submatrix at
-    a fixed point off the grid, which checks the interpolation and the
-    change of basis together.
+    the integer determinant of the pencil there.  :func:`_walk` visits
+    them so that each point's rows are an earlier point's plus one slice,
+    built before :func:`_bareiss` eliminates the earlier rows in place:
+    one ``N x N`` addition and one elimination per point, with no
+    evaluation from all the slices.  Each coefficient is then multiplied
+    by ``det(S_I) / det(B_I)``, exactly, and the result is checked against
+    the integer determinant of the original submatrix at a fixed point off
+    the grid (the one :meth:`~mgimplicit.linalg.Slices.evaluate` of the
+    minor), which checks the walk, the interpolation and the change of
+    basis together.
     """
-    cols = list(cols)
-    rows = list(rows)
+    cols, rows = list(cols), list(rows)
     size = len(rows)
     if len(cols) != size:
         raise ValueError(f"{len(cols)} columns do not make a square {size}-row submatrix")
@@ -275,14 +313,12 @@ def _det_on_columns(m: LinearFormMatrix, cols, rows) -> MultiPoly:
     if found is None:
         return MultiPoly.zero(ring)
     basis, coords = found
-    reduced = Slices(
-        [[[b[t * size + r] for b in basis] for r in range(size)] for t in range(len(m.slices))], size, size
-    )
-    values = {e: _det(reduced.evaluate((1,) + e[1:]), size) for e in strand_basis(ring.blocks, (size,))}
+    pencil = [[[b[t * size + r] for b in basis] for r in range(size)] for t in range(ring.nvars)]
+    values = list(_walk(pencil[0], pencil, ring.nvars - 1, size))
     det_s = _det([[v[c] for v in stacked] for c in coords], size)
     det_b = _det([[b[c] for b in basis] for c in coords], size)
     terms = {}
-    for e, c in _interpolate_simplex(values, size).items():
+    for e, c in _interpolate_simplex(values, ring.nvars, size).items():
         c, rem = divmod(c * det_s, det_b)
         if rem:
             raise ArithmeticError("the change of basis left a fraction in the determinant")
@@ -401,18 +437,12 @@ def _vanishes_on_grid(terms, k, inst) -> bool:
     nonzero value."""
     # each term as its coefficient and its (variable, exponent) factors
     terms = [(c, [(j, e) for j, e in enumerate(exps) if e]) for exps, c in terms.items()]
-    firsts = [start for start, _ in inst.ring.block_slices]
+    firsts = {start for start, _ in inst.ring.block_slices}
     for mon in strand_basis(inst.blocks, tuple(k * g for g in inst.gamma)):
-        point = list(mon)
-        for v in firsts:
-            point[v] = 1
-        powers = []
-        for f in inst.integer_forms:
-            y = _eval_terms(f.terms, point)
-            col = [1]
-            for _ in range(k):
-                col.append(col[-1] * y)
-            powers.append(col)
+        point = [1 if v in firsts else x for v, x in enumerate(mon)]
+        # powers[j][e] = f_j(point)^e
+        ys = [_eval_terms(f.terms, point) for f in inst.integer_forms]
+        powers = [list(accumulate(repeat(y, k), mul, initial=1)) for y in ys]
         total = 0
         for c, factors in terms:
             for j, e in factors:
@@ -459,10 +489,13 @@ def evaluation_points(inst: ProblemInstance, nu) -> dict:
     """Integer evaluations at strand degree ``nu``, known from ``D =
     strand_dim(nu)`` before any elimination.  Both grids are monomial bases
     of strands (see :func:`_interpolate_simplex`): ``determinant`` is the
-    degree-``D`` strand of the target ring, which the pipeline evaluates
-    for each maximal minor, and ``verification`` is at most the strand
-    ``D*gamma`` of the parameter ring, on which ``implicit verify``
-    (:func:`verify_implicit`) tests an equation of degree ``<= D``."""
+    degree-``D`` strand of the target ring, which the pipeline walks for
+    each maximal minor (:func:`_walk`: one slice-addition and one integer
+    elimination per point, plus three per minor for ``det(S_I)``,
+    ``det(B_I)`` and the check off the grid), and ``verification`` is at
+    most the strand ``D*gamma`` of the parameter ring, on which ``implicit
+    verify`` (:func:`verify_implicit`) tests an equation of degree ``<=
+    D``."""
     size = strand_dim(inst.blocks, nu)
     return {
         "determinant": strand_dim(inst.target.blocks, (size,)),

@@ -32,8 +32,11 @@ The symbolic expansions the package no longer ships live here too:
 * :func:`det_on_columns_canonical`, a minor of a linear-form matrix
   interpolated on its canonical columns, which the package now takes on
   an LLL-reduced basis of their saturated lattice instead; it is that old
-  route, the package's Bareiss and interpolation on the original entries,
-  kept to compare the new one with.
+  route, the package's Bareiss on the original entries, one
+  ``Slices.evaluate`` per grid point in strand-basis order and
+  :func:`interpolate_simplex_oracle`, the interpolation keyed by exponent
+  tuples, kept to compare the package's walked grid and its interpolation
+  on cached index lines with.
 
 :func:`lll_saturation_violation` checks that reduced basis with Fraction
 Gram-Schmidt coefficients and cofactor minors.
@@ -41,10 +44,9 @@ Gram-Schmidt coefficients and cofactor minors.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import mul
 
-from mgimplicit.implicitize import _interpolate_simplex
 from mgimplicit.linalg import Slices, _bareiss
 from mgimplicit.multipoly import MultiPoly, _eval_terms, exact_div, normalize_poly, target_ring
 from mgimplicit.regions import _check_gamma, region_RB, strand_basis
@@ -264,6 +266,50 @@ def lll_saturation_violation(vectors, found):
     return None
 
 
+def _stirling_first(top):
+    """Signed Stirling numbers of the first kind ``s[k][j]``, ``k <= top``:
+    ``x (x-1) ... (x-k+1) = sum_j s[k][j] x^j``."""
+    s = [[1]]
+    for k in range(top):
+        prev = s[k] + [0]
+        s.append([(prev[j - 1] if j else 0) - k * prev[j] for j in range(k + 2)])
+    return s
+
+
+def interpolate_simplex_oracle(values, top):
+    """Integer coefficients ``{e: c}`` of the form of degree ``top`` with
+    integer coefficients that takes ``values[e]`` at every monomial ``e`` of
+    degree ``top`` (the strand basis), each monomial evaluated at its own
+    exponents with ``T_0 = 1``: Newton coefficients by forward differences
+    along the lines that trade ``T_0`` for one ``T_t``, then monomial
+    coefficients by Stirling numbers of the first kind.  The lines are
+    rebuilt from the exponent tuples that key ``values`` on every call;
+    the package reads the same lines as positions in its walk order
+    instead, built once per number of variables and degree.
+    """
+    vals = dict(values)
+    # per t >= 1, each line from a monomial free of T_t, in increasing T_t
+    lines = [
+        [[(e[0] - k,) + e[1:t] + (k,) + e[t + 1:] for k in range(e[0] + 1)] for e in vals if not e[t]]
+        for t in range(1, len(next(iter(vals))))
+    ]
+    for axis_lines in lines:
+        for line in axis_lines:
+            v = [vals[e] for e in line]
+            for t in range(1, len(v)):
+                for k in range(len(v) - 1, t - 1, -1):
+                    v[k] -= v[k - 1]
+            for k, e in enumerate(line):
+                vals[e] = v[k] // factorial(k)
+    stirling = _stirling_first(top)
+    for axis_lines in lines:
+        for line in axis_lines:
+            v = [vals[e] for e in line]
+            for j, e in enumerate(line):
+                vals[e] = sum(stirling[k][j] * v[k] for k in range(j, len(v)))
+    return {e: c for e, c in vals.items() if c}
+
+
 def det_on_columns_canonical(m, cols, rows):
     """The exact signed determinant of ``den * m`` on ``cols`` and
     ``rows`` interpolated on the canonical columns themselves: one
@@ -283,7 +329,7 @@ def det_on_columns_canonical(m, cols, rows):
         return sign * work[-1][-1] if len(pivots) == size else 0
 
     values = {e: det_at((1,) + e[1:]) for e in strand_basis(ring.blocks, (size,))}
-    terms = _interpolate_simplex(values, size)
+    terms = interpolate_simplex_oracle(values, size)
     check = [2] + [2 * (size + t) + 1 for t in range(1, ring.nvars)]
     assert _eval_terms(terms, check) == det_at(check)
     return MultiPoly(ring, terms)

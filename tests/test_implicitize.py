@@ -52,6 +52,7 @@ from oracles import (
     det_cofactor_poly,
     det_on_columns_canonical,
     gcd_poly,
+    interpolate_simplex_oracle,
     slices_of,
     substitute_targets,
     symbolic_rank_oracle,
@@ -244,9 +245,9 @@ def test_det_zero_column_is_zero():
 def test_det_interpolation_is_checked_off_the_grid(golden_matrix, monkeypatch):
     interpolate = implicitize._interpolate_simplex
 
-    def corrupted(values, top):
-        coeffs = interpolate(values, top)
-        corner = max(values)  # T_0^top
+    def corrupted(values, nvars, top):
+        coeffs = interpolate(values, nvars, top)
+        corner = (top,) + (0,) * (nvars - 1)  # T_0^top
         coeffs[corner] = coeffs.get(corner, 0) + 1
         return coeffs
 
@@ -357,6 +358,68 @@ def test_det_on_columns_matches_the_canonical_route(inst):
 @given(plane_quadric_nets())
 def test_det_on_columns_matches_the_canonical_route_through_d3(inst):
     _check_chain_minors(inst)
+
+
+@st.composite
+def integer_pencils(draw):
+    """``(pencil, singular)``: a square pencil ``sum_t T_t M_t`` of size
+    0-7 in 2-5 target variables with entries in [-3, 3], some with one
+    slice all zero; ``singular`` when it is identically singular, by a
+    zero row or by skew-symmetric slices of odd size."""
+    nvars = draw(st.integers(2, 5))
+    size = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["dense", "zero slice", "zero row", "skew"]))
+    slices = [[[draw(st.integers(-3, 3)) for _ in range(size)] for _ in range(size)] for _ in range(nvars)]
+    if kind == "zero slice":
+        slices[draw(st.integers(0, nvars - 1))] = [[0] * size for _ in range(size)]
+    elif kind == "zero row" and size:
+        row = draw(st.integers(0, size - 1))
+        for s in slices:
+            s[row] = [0] * size
+    elif kind == "skew":
+        slices = [[[s[i][j] - s[j][i] for j in range(size)] for i in range(size)] for s in slices]
+    m = LinearFormMatrix(size, size, tuple(f"T_{t}" for t in range(nvars)), slices, den=1)
+    return m, (kind == "zero row" and size > 0) or (kind == "skew" and size % 2 == 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(integer_pencils())
+def test_walked_grid_matches_the_oracle_route(case):
+    # the walk adds one slice per point, and the interpolation reads its
+    # lines as positions; the oracle evaluates every point from all the
+    # slices and keys its lines by exponent tuples
+    m, singular = case
+    size, nvars = m.rows, len(m.slices)
+    minor = implicitize._det_on_columns(m, range(size), range(size))
+    assert minor == det_on_columns_canonical(m, range(size), range(size))
+    if singular:
+        assert minor.is_zero()
+    if not size:
+        return
+    exps = implicitize._simplex(nvars, size)[0]
+    assert sorted(exps) == sorted(strand_basis(target_ring(m.target_names).blocks, (size,)))
+    walked = list(implicitize._walk([list(row) for row in m.slices[0]], m.slices, nvars - 1, size))
+    assert walked == [implicitize._det(m.evaluate((1,) + e[1:]), size) for e in exps]
+    keyed = dict(zip(exps, walked))
+    assert implicitize._interpolate_simplex(walked, nvars, size) == interpolate_simplex_oracle(keyed, size)
+
+
+def test_golden_minor_walks_its_grid_without_evaluating_it(golden):
+    # the 165 grid points of the golden 8x8 d_1 minor, det(S_I), det(B_I)
+    # and the off-grid check are one elimination each, and only the check
+    # evaluates the slices
+    m = StrandComplex(golden, (1, 3)).differential(1)
+    assert (m.rows, m.cols) == (8, 8)
+    assert implicitize.evaluation_points(golden, (1, 3))["determinant"] == 165
+    evaluate = linalg.Slices.evaluate
+    with (
+        mock.patch.object(implicitize, "_bareiss", wraps=implicitize._bareiss) as eliminations,
+        mock.patch.object(linalg.Slices, "evaluate", autospec=True, side_effect=evaluate) as evaluations,
+    ):
+        minor = implicitize._det_on_columns(m, range(8), range(8))
+    assert not minor.is_zero()
+    assert eliminations.call_count == 165 + 3
+    assert evaluations.call_count == 1
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
