@@ -185,8 +185,8 @@ class Slices:
     ``j`` times ``2**(E * j)`` with the slot width ``E`` of
     :meth:`annihilates`.  A strand matrix
     (:class:`~mgimplicit.complexes.LinearFormMatrix`) is its own
-    ``Slices``; a plain one serves the determinants, which only
-    :meth:`evaluate`.
+    ``Slices``; a plain one holds the minor that the off-grid check of
+    :func:`~mgimplicit.implicitize._det_on_columns` evaluates once.
     """
 
     def __init__(self, slices, rows, cols):

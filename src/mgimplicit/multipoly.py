@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import chain
 from math import gcd, lcm
 
 from .regions import BlockStructure
@@ -214,14 +214,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.ring, other)
         self._check_ring(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            c0 = acc.get(e, 0) + c
-            if c0:
-                acc[e] = _whole(c0)
-            else:
-                acc.pop(e, None)
-        return MultiPoly(self.ring, acc)
+        return MultiPoly.from_terms(self.ring, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -229,8 +222,6 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -349,78 +340,63 @@ def parse_poly(text: str, ring: PolyRing) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text")
-    n = len(tokens)
+    # one end token, at the end of the last token, so every read has a token
+    _, last, pos = tokens[-1]
+    tokens.append(("end", "", pos + len(last)))
     i = 0
     terms = []
 
-    def peek(kind):
-        return i < n and tokens[i][0] == kind
+    def take(kind, spelled=None):
+        """Step past the next token and return its text if it is a ``kind``
+        (spelled ``spelled``); else None."""
+        nonlocal i
+        k, s, _ = tokens[i]
+        if k != kind or spelled not in (None, s):
+            return None
+        i += 1
+        return s
 
-    def peek_op(op):
-        return i < n and tokens[i][0] == "op" and tokens[i][1] == op
+    def expect(kind, message):
+        s = take(kind)
+        if s is None:
+            raise PolyParseError(message, tokens[i][2])
+        return s
 
-    while i < n:
-        sign = 1
-        if peek_op("+") or peek_op("-"):
-            if tokens[i][1] == "-":
-                sign = -1
-            i += 1
-            if i >= n:
-                raise PolyParseError("dangling sign", tokens[i - 1][2])
-        coeff = Fraction(1)
+    while True:
+        sign = take("op", "-") or take("op", "+")
+        if sign and tokens[i][0] == "end":
+            raise PolyParseError("dangling sign", tokens[i - 1][2])
+        coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0] * ring.nvars
-        if peek("int"):
-            num = int(tokens[i][1])
-            i += 1
-            if peek_op("/"):
-                i += 1
-                if not peek("int"):
-                    pos = tokens[i][2] if i < n else len(tokens[-1][1]) + tokens[-1][2]
-                    raise PolyParseError("expected denominator after '/'", pos)
-                den = int(tokens[i][1])
+        num = take("int")
+        if num is not None:
+            coeff *= int(num)
+            if take("op", "/"):
+                den = int(expect("int", "expected denominator after '/'"))
                 if den == 0:
-                    raise PolyParseError("zero denominator", tokens[i][2])
-                i += 1
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            if peek_op("*"):
-                i += 1
-            else:
-                # bare constant term
-                terms.append((tuple(exps), sign * coeff))
-                if i < n and not (peek_op("+") or peek_op("-")):
-                    raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
-                continue
-        while True:
-            if not peek("name"):
-                pos = tokens[i][2] if i < n else tokens[-1][2] + len(tokens[-1][1])
-                raise PolyParseError("expected a variable name", pos)
-            name = tokens[i][1]
-            var = ring.index.get(name)
-            if var is None:
-                raise PolyParseError(
-                    f"unknown variable {name!r} for this ring (expected one of {', '.join(ring.names)})",
-                    tokens[i][2],
-                )
-            i += 1
-            power = 1
-            if peek_op("^"):
-                i += 1
-                if not peek("int"):
-                    pos = tokens[i][2] if i < n else tokens[-1][2] + len(tokens[-1][1])
-                    raise PolyParseError("malformed exponent: expected a non-negative integer", pos)
-                power = int(tokens[i][1])
-                i += 1
-            exps[var] += power
-            if peek_op("*"):
-                i += 1
-                continue
-            break
-        terms.append((tuple(exps), sign * coeff))
-        if i < n and not (peek_op("+") or peek_op("-")):
+                    raise PolyParseError("zero denominator", tokens[i - 1][2])
+                coeff /= den
+        # a coefficient without '*' is a bare constant term
+        if num is None or take("op", "*"):
+            while True:
+                name = expect("name", "expected a variable name")
+                var = ring.index.get(name)
+                if var is None:
+                    raise PolyParseError(
+                        f"unknown variable {name!r} for this ring (expected one of {', '.join(ring.names)})",
+                        tokens[i - 1][2],
+                    )
+                power = 1
+                if take("op", "^"):
+                    power = int(expect("int", "malformed exponent: expected a non-negative integer"))
+                exps[var] += power
+                if not take("op", "*"):
+                    break
+        terms.append((tuple(exps), coeff))
+        if tokens[i][0] == "end":
+            return MultiPoly.from_terms(ring, terms)
+        if tokens[i][1] not in ("+", "-"):
             raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
-    return MultiPoly.from_terms(ring, terms)
 
 
 # --------------------------------------------------------------------------
@@ -525,33 +501,18 @@ def _heap_key(exps):
     return (-sum(exps), tuple(-x for x in exps))
 
 
-def _primitive_factor(coeffs) -> Rational:
-    """The positive rational that scales ``coeffs`` to coprime integers:
-    lcm of the denominators over gcd of the cleared numerators (1 when
-    every coefficient is zero)."""
-    coeffs = list(coeffs)
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in coeffs:
-        num = gcd(num, int(c * den))
-    return Fraction(den, num) if num else 1
-
-
 def normalize_poly(p: MultiPoly) -> MultiPoly:
     """Integer-primitive representative with positive leading coefficient:
-    ``int`` coefficients are divided by their gcd with ``//``, rational ones
-    scaled by their primitive factor."""
+    the coefficients times the lcm of their denominators, divided by the
+    gcd of those numerators, with the sign that makes the leading
+    coefficient positive; every coefficient of the result is an ``int``,
+    and the terms keep their order."""
     if p.is_zero():
         return p
-    _, lead = p.leading()
-    if all(map(isinstance, p.terms.values(), repeat(int))):
-        g = gcd(*p.terms.values())
-        if lead < 0:
-            g = -g
-        return MultiPoly(p.ring, {e: c // g for e, c in p.terms.items()})
-    factor = _primitive_factor(p.terms.values())
-    if lead < 0:
-        factor = -factor
-    return p.scale(factor)
+    coeffs = p.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*nums)
+    if p.leading()[1] < 0:
+        g = -g
+    return MultiPoly(p.ring, {e: c // g for e, c in zip(p.terms, nums)})

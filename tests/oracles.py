@@ -29,6 +29,10 @@ The symbolic expansions the package no longer ships live here too:
 * :func:`long_division`, exact division that copies and rescans the whole
   remainder for each quotient term, which the package's one-pass
   ``exact_div`` replaced;
+* :func:`parse_poly_oracle`, :func:`add_oracle` and
+  :func:`normalize_poly_oracle` (with :func:`_primitive_factor`), the
+  package's parser, sum and two-branch normalisation before each took one
+  route, copied verbatim to compare those routes with;
 * :func:`det_on_columns_canonical`, a minor of a linear-form matrix
   interpolated on its canonical columns, which the package now takes on
   an LLL-reduced basis of their saturated lattice instead; it is that old
@@ -43,12 +47,21 @@ Gram-Schmidt coefficients and cofactor minors.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, factorial, gcd
+from itertools import combinations, product, repeat
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from mgimplicit.linalg import Slices, _bareiss
-from mgimplicit.multipoly import MultiPoly, _eval_terms, exact_div, normalize_poly, target_ring
+from mgimplicit.multipoly import (
+    MultiPoly,
+    PolyParseError,
+    _eval_terms,
+    _tokenize,
+    _whole,
+    exact_div,
+    normalize_poly,
+    target_ring,
+)
 from mgimplicit.regions import _check_gamma, region_RB, strand_basis
 
 
@@ -555,6 +568,141 @@ def poly_pow(p, k):
     for _ in range(k):
         out = out * p
     return out
+
+
+# --------------------------------------------------------------------------
+# the parser, sum and normalisation the package replaced
+
+def parse_poly_oracle(text, ring):
+    """The package's parser before it read tokens through ``take`` and
+    ``expect`` after one end token: it computes the end-of-text position
+    at each of its three uses, checks the term separator after a bare
+    constant and after a product separately, and peeks with bounds checks.
+    Same grammar, messages and positions."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial text")
+    n = len(tokens)
+    i = 0
+    terms = []
+
+    def peek(kind):
+        return i < n and tokens[i][0] == kind
+
+    def peek_op(op):
+        return i < n and tokens[i][0] == "op" and tokens[i][1] == op
+
+    while i < n:
+        sign = 1
+        if peek_op("+") or peek_op("-"):
+            if tokens[i][1] == "-":
+                sign = -1
+            i += 1
+            if i >= n:
+                raise PolyParseError("dangling sign", tokens[i - 1][2])
+        coeff = Fraction(1)
+        exps = [0] * ring.nvars
+        if peek("int"):
+            num = int(tokens[i][1])
+            i += 1
+            if peek_op("/"):
+                i += 1
+                if not peek("int"):
+                    pos = tokens[i][2] if i < n else len(tokens[-1][1]) + tokens[-1][2]
+                    raise PolyParseError("expected denominator after '/'", pos)
+                den = int(tokens[i][1])
+                if den == 0:
+                    raise PolyParseError("zero denominator", tokens[i][2])
+                i += 1
+                coeff = Fraction(num, den)
+            else:
+                coeff = Fraction(num)
+            if peek_op("*"):
+                i += 1
+            else:
+                # bare constant term
+                terms.append((tuple(exps), sign * coeff))
+                if i < n and not (peek_op("+") or peek_op("-")):
+                    raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
+                continue
+        while True:
+            if not peek("name"):
+                pos = tokens[i][2] if i < n else tokens[-1][2] + len(tokens[-1][1])
+                raise PolyParseError("expected a variable name", pos)
+            name = tokens[i][1]
+            var = ring.index.get(name)
+            if var is None:
+                raise PolyParseError(
+                    f"unknown variable {name!r} for this ring (expected one of {', '.join(ring.names)})",
+                    tokens[i][2],
+                )
+            i += 1
+            power = 1
+            if peek_op("^"):
+                i += 1
+                if not peek("int"):
+                    pos = tokens[i][2] if i < n else tokens[-1][2] + len(tokens[-1][1])
+                    raise PolyParseError("malformed exponent: expected a non-negative integer", pos)
+                power = int(tokens[i][1])
+                i += 1
+            exps[var] += power
+            if peek_op("*"):
+                i += 1
+                continue
+            break
+        terms.append((tuple(exps), sign * coeff))
+        if i < n and not (peek_op("+") or peek_op("-")):
+            raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
+    return MultiPoly.from_terms(ring, terms)
+
+
+def add_oracle(self, other):
+    """``self + other`` by the package's sum before it went through
+    ``MultiPoly.from_terms``: a copy of the term map of ``self``, updated
+    term by term with those of ``other``."""
+    if isinstance(other, (int, Fraction)):
+        other = MultiPoly.constant(self.ring, other)
+    self._check_ring(other)
+    acc = dict(self.terms)
+    for e, c in other.terms.items():
+        c0 = acc.get(e, 0) + c
+        if c0:
+            acc[e] = _whole(c0)
+        else:
+            acc.pop(e, None)
+    return MultiPoly(self.ring, acc)
+
+
+def _primitive_factor(coeffs):
+    """The positive rational that scales ``coeffs`` to coprime integers:
+    lcm of the denominators over gcd of the cleared numerators (1 when
+    every coefficient is zero)."""
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    num = 0
+    for c in coeffs:
+        num = gcd(num, int(c * den))
+    return Fraction(den, num) if num else 1
+
+
+def normalize_poly_oracle(p):
+    """The package's normalisation before its single route: ``int``
+    coefficients divided by their gcd with ``//``, rational ones scaled by
+    :func:`_primitive_factor`; positive leading coefficient."""
+    if p.is_zero():
+        return p
+    _, lead = p.leading()
+    if all(map(isinstance, p.terms.values(), repeat(int))):
+        g = gcd(*p.terms.values())
+        if lead < 0:
+            g = -g
+        return MultiPoly(p.ring, {e: c // g for e, c in p.terms.items()})
+    factor = _primitive_factor(p.terms.values())
+    if lead < 0:
+        factor = -factor
+    return p.scale(factor)
 
 
 def complement_corners_oracle(blocks, gamma):

@@ -20,7 +20,16 @@ from mgimplicit import (
     target_ring,
 )
 from mgimplicit.regions import BlockStructure
-from oracles import divides, gcd_poly, long_division, poly_pow, substitute_targets
+from oracles import (
+    add_oracle,
+    divides,
+    gcd_poly,
+    long_division,
+    normalize_poly_oracle,
+    parse_poly_oracle,
+    poly_pow,
+    substitute_targets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,30 @@ def test_parse_requires_explicit_star(pring):
         parse_poly("3 s", pring)
 
 
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("", "empty polynomial text", None),
+        ("3 s", "expected '+' or '-' between terms", 2),
+        ("s +", "dangling sign", 2),
+        ("3/", "expected denominator after '/'", 2),
+        ("3/0*s", "zero denominator", 2),
+        ("s^-2", "malformed exponent: expected a non-negative integer", 2),
+        ("2/3*", "expected a variable name", 4),
+        ("s*w", "unknown variable 'w' for this ring (expected one of s, u, t, v)", 2),
+        ("s$", "unexpected character '$'", 1),
+    ],
+    ids=["empty", "separator", "sign", "denominator", "zero-denominator", "exponent", "name", "unknown", "character"],
+)
+def test_parse_error_message_and_position(pring, text, message, pos):
+    # one text per message; a position is the character the parser stopped
+    # at, or the end of the last token when the text ends too early
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text, pring)
+    assert info.value.pos == pos
+    assert str(info.value) == (message if pos is None else f"{message} (at position {pos})")
+
+
 def test_roundtrip_parse_print(pring, tring):
     rng = random.Random(11)
     blocks = BlockStructure((1, 1))
@@ -135,6 +168,30 @@ def test_parse_arbitrary_text_raises_only_parse_errors(text):
         parse_poly(text, parameter_ring([["s", "u"], ["t", "v"]]))
     except PolyParseError:
         pass
+
+
+def _parsed_or_error(parse, text, ring):
+    """The parsed terms in order, with the type of each coefficient, or the
+    error's message and position."""
+    try:
+        return [(e, c, type(c)) for e, c in parse(text, ring).terms.items()]
+    except PolyParseError as exc:
+        return str(exc), exc.pos
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12).map(lambda pieces: ("".join(pieces), None)),
+        st.text(max_size=16).map(lambda text: (text, None)),
+        polys().map(lambda p: (str(p), p.ring)),
+    )
+)
+def test_parse_matches_the_oracle_route(case):
+    # the same polynomial, or the same message at the same position
+    text, ring = case
+    ring = ring or parameter_ring([["s", "u"], ["t", "v"]])
+    assert _parsed_or_error(parse_poly, text, ring) == _parsed_or_error(parse_poly_oracle, text, ring)
 
 
 # -- grading -----------------------------------------------------------------
@@ -207,6 +264,23 @@ def test_product_with_a_constant_keeps_the_exponent_tuples(fs, pring, value):
     for product in (c * p, p * c):
         assert list(product.terms.items()) == list(expected.items())
         assert all(a is b for a, b in zip(product.terms, p.terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polys(), st.data())
+def test_add_and_sub_match_the_oracle_route(p, data):
+    # a polynomial of the same ring (p itself or its negation, so that every
+    # term cancels, among them), an int or a Fraction, on either side of p
+    exps = st.tuples(*[st.integers(0, 3)] * p.ring.nvars)
+    same_ring = st.lists(st.tuples(exps, COEFF), max_size=6).map(lambda t: MultiPoly.from_terms(p.ring, t))
+    q = data.draw(st.one_of(same_ring, st.sampled_from([p, -p]), COEFF))
+    if isinstance(q, MultiPoly):
+        left, left_minus = add_oracle(q, p), add_oracle(q, -p)
+    else:
+        left, left_minus = add_oracle(p, q), add_oracle(-p, q)
+    for got, want in [(p + q, add_oracle(p, q)), (p - q, add_oracle(p, -q)), (q + p, left), (q - p, left_minus)]:
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
 
 def test_mixed_ring_arithmetic_rejected(pring, tring):
@@ -428,7 +502,7 @@ def test_normalize_poly(tring):
 
 def test_normalize_poly_divides_integer_coefficients_by_their_gcd(tring):
     # integer coefficients are divided by their gcd with //; the same
-    # polynomial with Fraction coefficients takes the rational path
+    # polynomial with Fraction coefficients gives the same int coefficients
     p = parse_poly("-6*X_0^2 + 4*X_0*X_1 - 10*X_1^2", tring)
     rational = MultiPoly(tring, {e: Fraction(c) for e, c in p.terms.items()})
     expected = parse_poly("3*X_0^2 - 2*X_0*X_1 + 5*X_1^2", tring)
@@ -436,3 +510,14 @@ def test_normalize_poly_divides_integer_coefficients_by_their_gcd(tring):
         got = normalize_poly(q)
         assert got == expected and all(type(c) is int for c in got.terms.values())
         assert list(got.terms) == list(q.terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(polys(), st.booleans())
+def test_normalize_matches_the_oracle_route(p, negate):
+    # Fraction coefficients and negative leading coefficients included
+    p = -p if negate else p
+    got = normalize_poly(p)
+    assert got == normalize_poly_oracle(p)
+    assert all(type(c) is int for c in got.terms.values())
+    assert list(got.terms) == list(p.terms)
