@@ -22,7 +22,10 @@ slices: ``M = sum_t T_t M_t / den``, with ``M_t`` the coefficients of
 ``T_t``.  The contraction by ``e_j`` writes the slice ``M_j`` directly.
 The matrix is its own :class:`~mgimplicit.linalg.Slices`: a
 specialization at an integer point is lazy, and its rank is read off the
-slices packed modulo the certificate primes.
+slices packed modulo the certificate primes.  ``M_nu`` lifts the left
+kernel vector modulo a prime of a specialization at ``f(p)`` through its
+row monomials: it reads ``p`` off their ratios and returns the strand
+monomials at ``p``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
-from math import comb, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add
 
-from .linalg import QMatrix, Slices, _Specialized, nullspace_basis, rank
+from .linalg import QMatrix, Slices, _reconstruct, _Specialized, nullspace_basis, rank
 from .multipoly import (
     MultiPoly,
     NotMultihomogeneousError,
@@ -239,6 +242,57 @@ class LinearFormMatrix(Slices):
             t, v = next((t, v) for t, v in enumerate(values) if not isinstance(v, int))
             raise TypeError(f"value {t} is {v!r}, not an int")
         return _Specialized(self, tuple(values))
+
+    @property
+    def lift(self):
+        """:meth:`_monomial_lift` for ``M_nu`` when it is not tall, so that
+        its short side is indexed by its row monomials; else ``None``."""
+        if self.row_monomials is None or self.rows > self.cols:
+            return None
+        return self._monomial_lift
+
+    @cached_property
+    def _monomial_index(self):
+        return {u: i for i, u in enumerate(self.row_monomials)}
+
+    def _monomial_lift(self, v, p):
+        """The strand monomials ``(x^u)_u`` at the point ``x`` that the
+        left kernel vector ``v`` modulo ``p`` of ``M_nu(y)`` stands for,
+        or ``None``.  At ``y = f(x)`` of corank one, ``v`` is a multiple of
+        them modulo ``p``, so each ratio ``x_j / x_k`` is ``v`` at ``u -
+        e_k + e_j`` over ``v`` at ``u``, for the first monomial ``u`` where
+        ``v`` is nonzero and the first ``k`` of ``j``'s block with ``u_k >
+        0``, recovered by rational reconstruction modulo ``p``
+        (:func:`~mgimplicit.linalg._reconstruct`).  Each block of ``x`` is
+        those ratios over their common denominator, made primitive; a
+        variable of a block of degree 0 in ``nu`` is set to 0, which no
+        monomial reads.  ``None`` when a ratio does not reconstruct or the
+        monomial at ``u`` is zero.  Nothing here is trusted: the caller
+        checks the monomials over Z."""
+        index = self._monomial_index
+        bound = isqrt(p // 2)
+        i = next(i for i, x in enumerate(v) if x % p)
+        u = self.row_monomials[i]
+        scale = pow(v[i], -1, p)
+        blocks = {}
+        for j in range(len(u)):
+            for k in (k for k, e in enumerate(u) if e):
+                at = index.get(tuple(e - (t == k) + (t == j) for t, e in enumerate(u)))
+                if at is not None:
+                    ratio = _reconstruct(v[at] * scale % p, bound, p)
+                    if ratio is None:
+                        return None
+                    blocks.setdefault(k, []).append((j, ratio))
+                    break
+        x = [0] * len(u)
+        for ratios in blocks.values():
+            den = lcm(*(d for _, (_, d) in ratios))
+            coords = [n * (den // d) for _, (n, d) in ratios]
+            g = gcd(*coords)
+            for (j, _), c in zip(ratios, coords):
+                x[j] = c // g
+        lifted = [prod(map(pow, x, w)) for w in self.row_monomials]
+        return lifted if lifted[i] else None
 
     def to_json_dict(self, extra=None) -> dict:
         ring = target_ring(self.target_names)

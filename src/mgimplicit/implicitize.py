@@ -147,8 +147,11 @@ def rank_drop_check(
     When ``m`` is ``M_nu`` (it knows its row monomials) and not tall, the
     strand monomials at ``p`` go to :func:`~mgimplicit.linalg.rank` as a
     candidate left kernel vector: they are one whenever the columns are
-    syzygies of f, and they prove a rank drop by one without a kernel
-    modulo the certificate prime.  The ranks are the same either way.
+    syzygies of f.  ``rank`` tries them right after its square elimination
+    modulo the first prime, and when that leaves it one pivot short they
+    prove the drop with no kernel computed: neither the one that ``M_nu``
+    would lift through its monomials nor one modulo the second prime.
+    The ranks are the same either way.
     """
     _check_points(points)
     monomials = m.row_monomials if m.rows <= m.cols else None

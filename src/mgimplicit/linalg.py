@@ -17,22 +17,33 @@ columns instead of solved for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
 Bareiss only when a certificate fails.  A tall matrix is transposed, so
-every rank eliminates the wide orientation, once modulo the fixed prime
+every rank eliminates the wide orientation, modulo the fixed prime
 :data:`_P`.
-The ``r`` pivots select a minor that is nonzero modulo ``_P``, hence a
-nonzero integer, so ``rank >= r``; a modular rank of ``min(rows, cols)``
-is therefore the rank.  Otherwise the pivot columns are ``r`` independent
-rows of the short side of the matrix, and their kernel modulo the wide
-fixed prime :data:`_Q`, lifted and checked against the whole short side,
-gives one independent vector per missing pivot, which prove ``rank <=
-r``.  The certificate is short whenever the kernel is small: a strand
-matrix specialized at a point of the hypersurface, ``T = f(p)``, has the
-strand monomials at ``p`` as a left kernel vector, and when they span the
-kernel and lie within the reconstruction bound of ``_Q`` the rank is
-certified without Bareiss.  A caller that knows such a vector can pass
-it: when the modular rank is one short of ``min(rows, cols)``, one
-nonzero vector that passes the exact check proves the rank, and no
-kernel is computed modulo ``_Q``.
+Its ``r`` pivots select a minor that is nonzero modulo ``_P``, hence a
+nonzero integer, so ``rank >= r``; a modular rank of ``s = min(rows,
+cols)`` is therefore the rank.  Otherwise the pivot columns are ``r``
+independent rows of the short side of the matrix, and their kernel
+modulo the wide fixed prime :data:`_Q`, lifted and checked against the
+whole short side, gives one independent vector per missing pivot, which
+prove ``rank <= r``.  A caller that knows a kernel vector can pass it:
+when the modular rank is one short of ``s``, one nonzero vector that
+passes the exact check proves the rank, and no kernel is computed.
+
+A specialization of a :class:`Slices` matrix, as every rank query on a
+strand matrix is, first eliminates only ``s`` columns: ``s`` columns
+that are independent modulo ``_P`` at one fixed point, found once per
+matrix (every column of a square matrix, with no search).  ``s`` pivots
+prove full rank.  With ``s - 1``, the left kernel modulo ``_P`` read off
+the same echelon is one vector; the caller's candidate is tried first,
+then that vector, lifted and checked against every column, proves the
+drop.  This decides membership on the strand matrix ``M_nu``, whose
+rank drops exactly on the hypersurface: at ``T = f(p)`` of corank one
+the vector is a multiple of the strand monomials at ``p``, and ``M_nu``
+lifts it through them (:attr:`Slices.lift`), reading ``p`` off the
+ratios of neighbouring monomials, each recovered modulo ``_P``, and
+returning the monomials at ``p`` however large they are: the inversion
+of the parametrization at ``y``.  Fewer pivots, a failed lift or check,
+or no such columns fall through to the elimination of every column.
 
 Every kernel found modulo a prime is trusted through one routine,
 :func:`_lifted_kernel`: each vector is recovered over Q by rational
@@ -62,9 +73,9 @@ certified route.  Its slices are packed once per matrix, modulo each
 prime, and since ``M(y) == sum_t (y_t mod p) (M_t mod p)`` modulo ``p``,
 each packed row is that sum of whole packed slice rows, brought back
 below ``2**(k + 1)`` by the same two folds; the rows modulo ``_P`` and
-the pivot columns modulo ``_Q`` are residues of the same entries, so the
-pivots and the kernel vectors modulo ``_Q`` are those of the plain
-matrix.  The exact check of a kernel vector ``v`` is ``v^T M(y) =
+the columns modulo ``_P`` and ``_Q`` are residues of the same entries, so
+the pivots and the kernel vectors modulo either prime are those of the
+plain matrix.  The exact check of a kernel vector ``v`` is ``v^T M(y) =
 sum_t y_t (v^T M_t)``: with each row of ``M_t`` packed as one integer of
 ``E``-bit slots, signed entry ``j`` times ``2**(E * j)``, the integer
 ``sum_t y_t sum_i v_i row_(t,i)`` is ``sum_j c_j 2**(E * j)`` with ``c
@@ -125,16 +136,19 @@ from operator import add, mul
 # rank is trusted only as a lower bound, which holds for any prime, and
 # every lifted kernel vector is checked over Z.
 _P = 2**31 - 1
-# The prime of the kernel certificate in :func:`rank`, the Mersenne prime
-# 2**107 - 1.  Rational reconstruction modulo _Q recovers numerators
-# and denominators up to isqrt(_Q // 2), about 2**53, which covers the
-# strand monomials at a parameter point with coordinates up to 99
-# (implicitize.POINT_RANGE): 99**|nu| is about 2**46 at |nu| = 7.  On the
-# 300 on-surface rank queries of the benchmark's represent workload at
-# seeds 1-3, 2**61 - 1 fell back to Bareiss on 115 and 2**89 - 1 on 5;
-# 2**107 - 1 on none.  Fixed for the same reason as _P; correctness does
-# not depend on it either, since every recovered kernel vector is checked
-# over Z.
+# The prime of the kernel certificate in :func:`rank` when the square
+# elimination leaves it open, the Mersenne prime 2**107 - 1.  Rational
+# reconstruction modulo _Q recovers numerators and denominators up to
+# isqrt(_Q // 2), about 2**53, which covers the strand monomials at a
+# parameter point with coordinates up to 99 (implicitize.POINT_RANGE):
+# 99**|nu| is about 2**46 at |nu| = 7.  The on-surface queries of M_nu no
+# longer come here: the 300 of the benchmark's represent workload at seeds
+# 1-3 all take the monomial lift modulo _P of the square elimination.
+# Those that still come here drop by more than one, as at some points with
+# a zero coordinate, or meet a square elimination that drops by more than
+# the matrix does.  Fixed for the same reason as _P; correctness does not
+# depend on it either, since every recovered kernel vector is checked over
+# Z.
 _Q = 2**107 - 1
 
 
@@ -180,14 +194,19 @@ class Slices:
     shape, that are not changed afterwards.  The images are per instance,
     in the wide orientation of :func:`rank` (a tall ``M_t`` transposed,
     with ``short`` rows of ``long`` entries): its rows packed modulo
-    :data:`_P`, its columns packed modulo :data:`_Q` as
-    :func:`_echelon_mod` reads them, and its rows packed exactly, entry
-    ``j`` times ``2**(E * j)`` with the slot width ``E`` of
-    :meth:`annihilates`.  A strand matrix
+    :data:`_P`, its columns packed modulo ``_P`` and modulo :data:`_Q`
+    as :func:`_echelon_mod` reads them, and its rows packed exactly,
+    entry ``j`` times ``2**(E * j)`` with the slot width ``E`` of
+    :meth:`annihilates`; and the ``short`` columns that :func:`rank`
+    eliminates first.  A strand matrix
     (:class:`~mgimplicit.complexes.LinearFormMatrix`) is its own
     ``Slices``; a plain one holds the minor that the off-grid check of
     :func:`~mgimplicit.implicitize._det_on_columns` evaluates once.
     """
+
+    # how :func:`rank` lifts a left kernel vector modulo _P of its square
+    # elimination, ``lift(v, p)`` as for :func:`_lift`; None is ``_lift``
+    lift = None
 
     def __init__(self, slices, rows, cols):
         self.slices = slices
@@ -214,8 +233,24 @@ class Slices:
         return [_pack(self._wide(s), _P) for s in self.slices]
 
     @cached_property
+    def _columns_mod_p(self):
+        return [_pack(zip(*self._wide(s)), _P) for s in self.slices]
+
+    @cached_property
     def _columns_mod_q(self):
         return [_pack(zip(*self._wide(s)), _Q) for s in self.slices]
+
+    @cached_property
+    def _generic_columns(self):
+        """``short`` columns of the wide orientation that are independent
+        modulo :data:`_P` at one fixed point, the first ones in column
+        order, or ``None`` when there are no such columns there: every
+        column of a square matrix, with no search."""
+        if self.short == self.long:
+            return range(self.short)
+        point = [pow(3, (t + 2) ** 2, _P) for t in range(len(self.slices))]
+        pivots, _ = _echelon_mod(self.residues(point, _P), self.long, _P)
+        return pivots if len(pivots) == self.short else None
 
     @cached_property
     def _exact_rows(self):
@@ -237,17 +272,17 @@ class Slices:
         return width, top, images
 
     def residues(self, values, p, index=None):
-        """The rows modulo ``p`` of the wide orientation of ``M(values)``
-        (with ``p = _P``), or its columns ``index`` (with ``p = _Q``),
-        packed for :func:`_echelon_mod`: each ``sum_t (values[t] mod p) *
-        image_t``, two folds after every seven terms and at the end.  Every
-        product slot is below ``2**(2k)``, so seven of them plus a folded
-        slot stay below ``2**(2k + 3)``, which the folds take below
-        ``2**(k + 1)``, as :func:`_echelon_mod` needs."""
-        if p == _P:
+        """The rows modulo ``p = _P`` of the wide orientation of
+        ``M(values)``, or its columns ``index`` modulo ``p``, ``_P`` or
+        ``_Q``, packed for :func:`_echelon_mod`: each ``sum_t (values[t]
+        mod p) * image_t``, two folds after every seven terms and at the
+        end.  Every product slot is below ``2**(2k)``, so seven of them
+        plus a folded slot stay below ``2**(2k + 3)``, which the folds take
+        below ``2**(k + 1)``, as :func:`_echelon_mod` needs."""
+        if index is None:
             images, slots, index = self._rows_mod_p, self.long, range(self.short)
         else:
-            images, slots = self._columns_mod_q, self.short
+            images, slots = self._columns_mod_p if p == _P else self._columns_mod_q, self.short
         k = p.bit_length()
         lo, hi = _fold_masks(k, slots)
         terms = [(c, image) for c, image in zip((v % p for v in values), images) if c]
@@ -458,17 +493,18 @@ def _reconstruct(x, bound, p):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _kernel_mod(packed, cols, p):
+def _kernel_mod(packed, cols, p, echelon=None):
     """The kernel modulo the Mersenne prime ``p`` of the packed rows
     ``packed`` (of ``cols`` slots each), in reversed echelon form: for each
     free column ``fc`` of their echelon form, ``(fc, v)`` with ``v`` the
     residues of the kernel vector that is 1 at ``fc`` and 0 at the other
     free columns and after ``fc``.  A generator: it eliminates when it is
-    first advanced, and a caller that stops early back-substitutes no
+    first advanced, unless ``echelon`` is the :func:`_echelon_mod` of
+    ``packed`` already, and a caller that stops early back-substitutes no
     further vector.  The last free column comes first: its vector reaches
     the most pivot columns, so its entries are the likeliest to lie beyond
     a reconstruction bound, and a lift that fails does so at once."""
-    pivots, echelon = _echelon_mod(packed, cols, p)
+    pivots, echelon = echelon or _echelon_mod(packed, cols, p)
     # row i holds the columns from pivots[i] on
     rows = _unpack(pivots, echelon, cols, p)
     # the pivots' inverses from one modular inversion (Montgomery's trick)
@@ -520,22 +556,26 @@ def _lift(v, p):
     return v
 
 
-def _lifted_kernel(packed, cols, p, annihilates):
+def _lifted_kernel(packed, cols, p, annihilates, lift=None, echelon=None):
     """The kernel modulo the Mersenne prime ``p`` of the packed rows
     ``packed`` (of ``cols`` slots each), lifted to Q and checked over Z,
     as ``(fc, v)`` pairs in the order of :func:`_kernel_mod`, or ``None``
-    at the first reconstruction or check that fails.
+    at the first reconstruction or check that fails.  ``echelon``, when
+    given, is the finished :func:`_echelon_mod` of ``packed``.
 
     Each vector is lifted by rational reconstruction (:func:`_lift`), over
     its own common denominator, and kept once ``annihilates(v)`` confirms
     that the integer vector ``v`` annihilates the rows it stands for over
     Z.  ``v[fc]`` is nonzero and ``v`` is zero at the other free columns,
-    so the lifted vectors are independent.  ``None`` proves nothing: the
-    caller leaves the decision to :func:`_bareiss`.
+    so the lifted vectors are independent.  A ``lift`` of the caller's
+    own replaces :func:`_lift` and returns a nonzero integer vector or
+    ``None``; :func:`rank` passes one only for a kernel of dimension one.
+    ``None`` proves nothing: the caller leaves the decision to
+    :func:`_bareiss`.
     """
     lifted = []
-    for fc, v in _kernel_mod(packed, cols, p):
-        v = _lift(v, p)
+    for fc, v in _kernel_mod(packed, cols, p, echelon):
+        v = _lift(v, p) if lift is None else lift(v, p)
         if v is None or not annihilates(v):
             return None
         lifted.append((fc, v))
@@ -557,28 +597,45 @@ def rank(m: QMatrix, kernel=None) -> int:
     side, ``s`` integers ``v`` with ``v^T W = 0`` for the wide orientation
     ``W`` (the rows of ``m`` unless it is tall): when ``r = s - 1``, a
     nonzero ``v`` that passes the exact check proves ``rank <= s - 1`` by
-    itself, and no kernel is computed modulo ``_Q``.  Any other candidate
-    changes nothing, so the rank never depends on it.
+    itself, and no kernel is computed.  Any other candidate changes
+    nothing, so the rank never depends on it.
 
     A strand matrix specialized at an integer point ``y``
-    (:meth:`~mgimplicit.complexes.LinearFormMatrix.specialize`) takes the
-    same route on residues formed from its packed slices
-    (:meth:`Slices.residues`), which are those of its entries, and checks
-    each kernel vector in the slices' exact slots
-    (:meth:`Slices.annihilates`): it builds its entries only for Bareiss,
-    which decides when a vector does not fit those slots too.  The pivots,
-    the kernel vectors modulo ``_Q`` and so the route and the rank are
-    those of the plain matrix of the same entries.
+    (:meth:`~mgimplicit.complexes.LinearFormMatrix.specialize`) is first
+    eliminated modulo ``_P`` on the ``s`` columns of
+    :attr:`Slices._generic_columns` alone, packed from the columns of its
+    slices (:meth:`Slices.residues`): ``s`` pivots return ``s``, and
+    ``s - 1`` pivots return ``s - 1`` once ``kernel``, or the one left
+    kernel vector modulo ``_P`` of that echelon lifted by
+    :attr:`Slices.lift`, passes the exact check against every column.
+    Anything else falls through to the route above, on residues formed
+    from the packed slices, which are those of its entries; each kernel
+    vector is checked in the slices' exact slots
+    (:meth:`Slices.annihilates`).  It builds its entries only for
+    Bareiss, which decides when a vector does not fit those slots too.
+    The rank is that of the plain matrix of the same entries.
     """
     s, n = min(m.rows, m.cols), max(m.rows, m.cols)
     if kernel is not None and len(kernel) != s:
         raise ValueError(f"a kernel candidate needs {s} entries, not {len(kernel)}")
     if isinstance(m, _Specialized):
         a, y = m.matrix, m.values
+        annihilates = partial(a.annihilates, y)
+        columns = a._generic_columns
+        if columns is not None:
+            square = a.residues(y, _P, columns)
+            echelon = _echelon_mod(square, s, _P)
+            if len(echelon[0]) == s:
+                return s
+            if len(echelon[0]) == s - 1:
+                if kernel is not None and any(kernel) and annihilates(kernel):
+                    return s - 1
+                if _lifted_kernel(square, s, _P, annihilates, a.lift, echelon) is not None:
+                    return s - 1
+                kernel = None
         pivots, _ = _echelon_mod(a.residues(y, _P), n, _P)
         if len(pivots) == s:
             return s
-        annihilates = partial(a.annihilates, y)
         independent = partial(a.residues, y, _Q, pivots)
     else:
         work = m.data if m.rows <= m.cols else list(zip(*m.data))

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     identity,
     mat_vec,
     over,
+    random_instance,
     random_matrix,
     random_p1p1_instance,
 )
@@ -701,8 +702,9 @@ def test_full_rank_and_on_surface_queries_never_build_entries():
 
 def test_oversize_point_falls_back_to_bareiss(monkeypatch):
     # the same projective point times 2**300: its kernel vector is the
-    # same, but sum |y| leaves no room in the exact slots, so the check
-    # fails and Bareiss decides
+    # same, but sum |y| leaves no room in the exact slots, so every check
+    # refuses, the strand monomials lifted modulo _P as well as the
+    # kernel modulo _Q, and Bareiss decides once
     inst, m = _golden_m()
     values = next(v for _, v in _parameter_points(inst, 1) if any(v))
     spec = m.specialize([2**300 * v for v in values])
@@ -711,7 +713,7 @@ def test_oversize_point_falls_back_to_bareiss(monkeypatch):
     monkeypatch.setattr(Slices, "annihilates", lambda *args: results.append(check(*args)) or results[-1])
     with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
         assert rank(spec) == 7
-    assert results == [False]
+    assert results == [False, False]
     assert spy.call_count == 1
 
 
@@ -759,12 +761,106 @@ def test_specialize_refuses_a_non_integer_value_before_building_entries(monkeypa
         m.specialize([1, Fraction(1, 2)])
 
 
+def _quadric_net_m():
+    """``M_2`` of four ternary quadrics, ``6 x 9``: wide."""
+    inst = random_instance([["x", "y", "z"]], (2,), 4, random.Random(3))
+    m = representation_matrix(inst, (2,), warn_region=False)
+    assert (m.rows, m.cols) == (6, 9)
+    return m
+
+
 def test_ranks_at_two_points_pack_the_slices_once():
+    # the columns of each slice modulo _P, packed once and kept on m; a
+    # square matrix eliminates all of them, and a wide one the columns
+    # that its rows modulo _P, also packed once, pick at a fixed point
+    for m, images in [(_golden_m()[1], ["_columns_mod_p"]), (_quadric_net_m(), ["_columns_mod_p", "_rows_mod_p"])]:
+        with mock.patch.object(linalg, "_pack", wraps=_pack) as spy:
+            assert rank(m.specialize([1, 2, 3, 5])) == rank(m.specialize([2, 3, 5, 7])) == m.rows
+        assert [call.args[1] for call in spy.call_args_list] == [_P] * len(images) * len(m.slices)
+        assert sorted(k for k in ("_rows_mod_p", "_columns_mod_p", "_columns_mod_q") if k in vars(m)) == images
+
+
+def test_on_surface_query_eliminates_once_modulo_p():
+    # the left kernel modulo _P of the square elimination, lifted through
+    # the strand monomials, proves the drop: no kernel modulo _Q
+    inst, m = _golden_m()
+    point, values = next(pv for pv in _parameter_points(inst, 1) if any(pv[1]))
+    lifts = []
+    lift = LinearFormMatrix._monomial_lift
+    with (
+        mock.patch.object(linalg, "_echelon_mod", wraps=_echelon_mod) as echelon,
+        mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as bareiss,
+        mock.patch.object(LinearFormMatrix, "_monomial_lift", lambda *a: lifts.append(lift(*a)) or lifts[-1]),
+    ):
+        assert rank(m.specialize(values)) == 7
+    assert echelon.call_count == 1 and not bareiss.called
+    assert "_columns_mod_q" not in vars(m)
+    # the lift is the strand monomials at the point, up to scale
+    monomials = [prod(map(pow, point, u)) for u in m.row_monomials]
+    (lifted,) = lifts
+    assert [x * monomials[0] for x in lifted] == [x * lifted[0] for x in monomials]
+
+
+def test_off_surface_query_on_a_wide_matrix_eliminates_a_square():
+    m = _quadric_net_m()
+    assert len(m._generic_columns) == 6
+    with mock.patch.object(linalg, "_echelon_mod", wraps=_echelon_mod) as spy:
+        for values in ([3, -7, 11, 5], [-2, 9, 4, 13]):
+            assert rank(m.specialize(values)) == 6
+    # one elimination of 6 packed columns of 6 slots per query
+    assert [(len(call.args[0]), call.args[1]) for call in spy.call_args_list] == [(6, 6)] * 2
+
+
+def test_square_matrix_runs_no_column_search():
     _, m = _golden_m()
-    with mock.patch.object(linalg, "_pack", wraps=_pack) as spy:
-        assert rank(m.specialize([1, 2, 3, 5])) == rank(m.specialize([2, 3, 5, 7])) == 8
-    # the rows of each slice modulo _P, packed once and kept on m
-    assert [call.args[1] for call in spy.call_args_list] == [_P] * len(m.slices)
+    with mock.patch.object(linalg, "_echelon_mod", wraps=_echelon_mod) as spy:
+        assert rank(m.specialize([1, 2, 3, 5])) == 8
+    assert [(len(call.args[0]), call.args[1]) for call in spy.call_args_list] == [(8, 8)]
+    assert m._generic_columns == range(8) and "_rows_mod_p" not in vars(m)
+
+
+@st.composite
+def membership_queries(draw):
+    """``(m, values, on)``: ``M_nu`` of a Cayley-property instance at its
+    suggested ``nu`` at ``y = lambda f(p)``, ``lambda`` 1 or -3 and ``p``
+    with zero coordinates allowed (``on``), or at a random ``y``; a tall
+    ``M_nu``, one below the suggested ``nu`` in one block, at either; or
+    the ``THIN`` matrix, whose rank drops by two, at a random ``y``."""
+    kind = draw(st.sampled_from(["surface", "random", "tall", "thin"]))
+    if kind == "thin":
+        return _thin_m(), draw(st.lists(st.integers(-99, 99), min_size=2, max_size=2)), False
+    inst = draw(cayley_instances())
+    nu = suggest_nu(inst.blocks, inst.gamma)
+    if kind == "tall":
+        lowered = (nu[:b] + (nu[b] - 1,) + nu[b + 1 :] for b in range(len(nu)) if nu[b])
+        talls = [m for m in (representation_matrix(inst, d, warn_region=False) for d in lowered) if m.rows > m.cols > 0]
+        assume(talls)
+        m = talls[0]
+    else:
+        m = representation_matrix(inst, nu, warn_region=False)
+    if kind == "random" or kind == "tall" and draw(st.booleans()):
+        return m, draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(inst.f), max_size=len(inst.f))), False
+    point = []
+    for start, stop in inst.ring.block_slices:
+        coords = st.lists(st.just(0) | st.integers(-99, 99), min_size=stop - start, max_size=stop - start)
+        point += draw(coords.filter(any))
+    scale = draw(st.sampled_from([1, -3]))
+    values = [scale * eval_at(f, dict(zip(inst.ring.names, point))) for f in inst.integer_forms]
+    return m, values, kind == "surface"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(membership_queries())
+def test_membership_rank_matches_bareiss(case):
+    # on-surface hits, where the rank drops by one, are decided modulo
+    # the primes: the strand monomials lifted from the square elimination,
+    # or the kernel modulo _Q when that elimination drops further
+    m, values, on = case
+    with mock.patch.object(linalg, "_bareiss", wraps=_bareiss) as spy:
+        found = rank(m.specialize(values))
+    assert found == len(_bareiss(m.evaluate(values), m.cols)[0])
+    if on and found == m.rows - 1:
+        assert not spy.called
 
 
 @pytest.mark.parametrize("scale", [_P, _Q * _P, -_P])
