@@ -37,12 +37,12 @@ prove full rank.  With ``s - 1``, the left kernel modulo ``_P`` read off
 the same echelon is one vector; the caller's candidate is tried first,
 then that vector, lifted and checked against every column, proves the
 drop.  This decides membership on the strand matrix ``M_nu``, whose
-rank drops exactly on the hypersurface: at ``T = f(p)`` of corank one
-the vector is a multiple of the strand monomials at ``p``, and ``M_nu``
+rank drops on the hypersurface: at ``T = f(p)`` of corank one the
+vector is a multiple of the strand monomials at ``p``, and ``M_nu``
 lifts it through them (:attr:`Slices.lift`), reading ``p`` off the
 ratios of neighbouring monomials, each recovered modulo ``_P``, and
 returning the monomials at ``p`` however large they are: the inversion
-of the parametrization at ``y``.  Fewer pivots, a failed lift or check,
+of the parametrization at ``T``.  Fewer pivots, a failed lift or check,
 or no such columns fall through to the elimination of every column.
 
 Every kernel found modulo a prime is trusted through one routine,
