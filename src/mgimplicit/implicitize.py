@@ -80,8 +80,16 @@ def generic_rank(m: LinearFormMatrix) -> int:
     at one of those points.  Each point costs one rank; a rank-deficient
     ``m`` is specialized at every point, ``C(k + n, n)`` of them for
     ``n + 1`` target variables, a count known before any elimination.
+
+    A wide or tall ``m`` whose :attr:`~mgimplicit.linalg.Slices._generic_columns`
+    are found has rank ``k`` with no grid: their ``k`` pivots modulo
+    :data:`~mgimplicit.linalg._P` at one fixed point are a ``k x k`` minor
+    that is nonzero there, hence a nonzero polynomial.  A square ``m``
+    keeps the grid, since its columns are all of them, found by no search.
     """
     limit = min(m.rows, m.cols)
+    if m.short < m.long and m._generic_columns is not None:
+        return limit
     best = 0
     for point in _grid(len(m.target_names), limit):
         best = max(best, rank(m.specialize(point)))

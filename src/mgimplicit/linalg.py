@@ -9,11 +9,24 @@ intermediate value is an integer (a minor of the input, by Sylvester's
 identity), so each division by the previous pivot is an exact ``//``.
 No polynomial matrix is ever eliminated.  Pivoting is deterministic --
 the first nonzero entry in column order -- which makes ranks,
-determinants and kernel bases reproducible from run to run.
+determinants and kernel bases reproducible from run to run.  Row scaling
+is lazy (Bareiss, Math. Comp. 22, 1968): a row whose entry in the pivot
+column is zero is skipped, since the step would only multiply it by the
+pivot and divide it by the previous one.  Those factors telescope, so a
+row keeps the pivot of the step that last updated it, its level, and its
+next update divides by that level instead of the previous pivot; the
+result is the eager row, a minor of the input, so the division stays
+exact.  A skipped row that becomes the pivot row is brought up to date
+first, times the previous pivot over its level.  Pivots, pivot rows and
+sign are those of the eager elimination.  On the sparse Koszul strands
+about half of the row updates are skipped.
 Kernel bases that no modular kernel gives are back-substituted in the
-same echelon form; every kernel basis is canonical and integer over one
-least common denominator, so coordinates in it are read off at the free
-columns instead of solved for.
+same echelon form, of the rows sorted sparsest first (in the spirit of
+Markowitz, Management Sci. 3, 1957) and read through each pivot row's
+nonzero entries; every kernel basis is canonical and integer over one
+least common denominator, so it does not depend on the order of the rows,
+and coordinates in it are read off at the free columns instead of solved
+for.
 
 :func:`rank` certifies its answer from modular eliminations and calls on
 Bareiss only when a certificate fails.  A tall matrix is transposed, so
@@ -113,11 +126,14 @@ the integral LLL of Cohen (Alg. 2.6.7) at ``delta = 3/4``: integers only,
 no floating point, and the same input always gives the same basis.
 
 Matrices at the scale this package needs (a few hundred rows/columns) are
-comfortably handled dense; sparse storage is deliberately out of scope.
+comfortably handled dense; sparse storage is deliberately out of scope,
+and sparsity is used only by skipping zeros: in the lazy row scaling, the
+row order and the back-substitution of a kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, lcm
@@ -339,19 +355,31 @@ class _Specialized(QMatrix):
 def _bareiss(work, cols):
     """Fraction-free row echelon form of the integer matrix ``work``, in place.
 
-    Each update divides by the previous pivot with an exact ``//``
-    (Sylvester's identity guarantees exactness).  Returns ``(pivot_cols,
-    sign)``: the pivot column indices in order and the row-swap permutation
-    sign.  Row ``i`` is zero left of its pivot, and its entry in column
-    ``j`` is the minor on the first ``i + 1`` permuted rows and the columns
-    ``pivot_cols[:i] + [j]``, so the last pivot is the minor on the pivot
-    columns; for a square input of full rank it is the determinant times
-    ``sign``.
+    Returns ``(pivot_cols, sign)``: the pivot column indices in order and
+    the row-swap permutation sign.  Pivot row ``i`` is zero left of its
+    pivot, and its entry in column ``j`` is the minor on the first ``i +
+    1`` permuted rows and the columns ``pivot_cols[:i] + [j]``, so the last
+    pivot is the minor on the pivot columns; for a square input of full
+    rank it is the determinant times ``sign``.  Only the pivot rows are
+    guaranteed to be such minors; the rows left below the last pivot are
+    zero.
+
+    A row whose entry in the pivot column is zero is skipped: eagerly it
+    would become ``piv * row // prev``, and over the steps it skips those
+    factors telescope to the current pivot over ``level[i]``, the pivot of
+    the step that last updated it.  So its next update is ``(piv * row -
+    head * pivot_row) // level[i]``, which is the eager row, a minor, by
+    Sylvester's identity: the division is exact.  A skipped row that
+    becomes the pivot row is first brought up to date, ``* prev //
+    level``, exactly too.  The pivot rule, the pivots, the sign and every
+    pivot row are those of the eager elimination.
     """
     rows = len(work)
     pivot_cols = []
     sign = 1
     prev = 1
+    # level[i]: the pivot of the step that last updated row i (1 before any)
+    level = [1] * rows
     pr = 0
     for pc in range(cols):
         pivot_at = None
@@ -363,15 +391,22 @@ def _bareiss(work, cols):
             continue
         if pivot_at != pr:
             work[pr], work[pivot_at] = work[pivot_at], work[pr]
+            level[pr], level[pivot_at] = level[pivot_at], level[pr]
             sign = -sign
         row_p = work[pr]
+        if level[pr] != prev:
+            lev = level[pr]
+            row_p[pc:] = [x * prev // lev for x in row_p[pc:]]
         piv = row_p[pc]
         for i in range(pr + 1, rows):
             row_i = work[i]
             head = row_i[pc]
-            for j in range(pc + 1, cols):
-                row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
-            row_i[pc] = 0
+            if head:
+                lev = level[i]
+                for j in range(pc + 1, cols):
+                    row_i[j] = (piv * row_i[j] - head * row_p[j]) // lev
+                row_i[pc] = 0
+                level[i] = piv
         prev = piv
         pivot_cols.append(pc)
         pr += 1
@@ -675,7 +710,11 @@ def nullspace_basis(m: QMatrix):
     (the minor ``A_J`` on its pivot columns), is back-substituted in that
     form with exact divisions: by Cramer's rule its entry at pivot column
     ``J_k`` is minus ``A_J`` with column ``J_k`` replaced by column ``j``
-    (Bareiss, Math. Comp. 22, 1968).
+    (Bareiss, Math. Comp. 22, 1968).  The rows are eliminated sparsest
+    first, so that more of them skip each step of the lazy row scaling of
+    :func:`_bareiss`; ``A_J`` then depends on the order, but the canonical
+    basis and its least common denominator do not, so neither does the
+    result.  Each pivot row is read through its nonzero entries only.
 
     A tall matrix is first reduced to the rows that :func:`_echelon_mod`
     finds independent modulo :data:`_P` in its transpose, ``r`` of them,
@@ -715,18 +754,31 @@ def nullspace_basis(m: QMatrix):
 def _back_substituted_kernel(rows, cols):
     """The canonical kernel basis of the integer rows ``rows`` as ``(den,
     vectors)``, back-substituted in their :func:`_bareiss` echelon form
-    (see :func:`nullspace_basis`)."""
-    work = [row[:] for row in rows]
+    (see :func:`nullspace_basis`).
+
+    The copied rows are sorted by their count of nonzero entries, a stable
+    sort: sparse rows skip more steps of the lazy row scaling, and the
+    canonical ``(den, vectors)`` does not depend on the order of the rows.
+    The back-substitution runs over each pivot row's nonzero entries right
+    of its pivot, kept as index and value lists and cut at the free column
+    ``fc`` with :func:`bisect.bisect_right`."""
+    work = sorted((row[:] for row in rows), key=lambda row: cols - row.count(0))
     pivots, _ = _bareiss(work, cols)
     d = work[len(pivots) - 1][pivots[-1]] if pivots else 1
+    # per pivot row: its pivot column and pivot, and the indices and values
+    # of its nonzero entries right of the pivot
+    sparse = []
+    for row, pc in zip(work, pivots):
+        at = [j for j in range(pc + 1, cols) if row[j]]
+        sparse.append((pc, row[pc], at, [row[j] for j in at]))
     vectors = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         v = [0] * cols
         v[fc] = d
-        for i in range(len(pivots) - 1, -1, -1):
-            row_i, pc = work[i], pivots[i]
+        for pc, piv, at, values in reversed(sparse):
             if pc < fc:
-                v[pc], rem = divmod(-sum(map(mul, row_i[pc + 1 : fc + 1], v[pc + 1 : fc + 1])), row_i[pc])
+                k = bisect_right(at, fc)
+                v[pc], rem = divmod(-sum(map(mul, values[:k], map(v.__getitem__, at[:k]))), piv)
                 if rem:
                     raise ArithmeticError("kernel back-substitution left a remainder")
         vectors.append(v)

@@ -33,6 +33,9 @@ The symbolic expansions the package no longer ships live here too:
   :func:`normalize_poly_oracle` (with :func:`_primitive_factor`), the
   package's parser, sum and two-branch normalisation before each took one
   route, copied verbatim to compare those routes with;
+* :func:`bareiss_eager`, the package's fraction-free elimination before
+  it left rows with a zero in the pivot column unscaled, copied verbatim:
+  every row below a pivot is updated at every step;
 * :func:`det_on_columns_canonical`, a minor of a linear-form matrix
   interpolated on its canonical columns, which the package now takes on
   an LLL-reduced basis of their saturated lattice instead; it is that old
@@ -117,6 +120,50 @@ def nullspace_oracle(rows, ncols):
             v[pc] = -m[i][fc]
         basis.append([int(x) if x.denominator == 1 else x for x in v])
     return basis
+
+
+def bareiss_eager(work, cols):
+    """Fraction-free row echelon form of the integer matrix ``work``, in place.
+
+    Each update divides by the previous pivot with an exact ``//``
+    (Sylvester's identity guarantees exactness).  Returns ``(pivot_cols,
+    sign)``: the pivot column indices in order and the row-swap permutation
+    sign.  Row ``i`` is zero left of its pivot, and its entry in column
+    ``j`` is the minor on the first ``i + 1`` permuted rows and the columns
+    ``pivot_cols[:i] + [j]``, so the last pivot is the minor on the pivot
+    columns; for a square input of full rank it is the determinant times
+    ``sign``.
+    """
+    rows = len(work)
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    pr = 0
+    for pc in range(cols):
+        pivot_at = None
+        for i in range(pr, rows):
+            if work[i][pc]:
+                pivot_at = i
+                break
+        if pivot_at is None:
+            continue
+        if pivot_at != pr:
+            work[pr], work[pivot_at] = work[pivot_at], work[pr]
+            sign = -sign
+        row_p = work[pr]
+        piv = row_p[pc]
+        for i in range(pr + 1, rows):
+            row_i = work[i]
+            head = row_i[pc]
+            for j in range(pc + 1, cols):
+                row_i[j] = (piv * row_i[j] - head * row_p[j]) // prev
+            row_i[pc] = 0
+        prev = piv
+        pivot_cols.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return pivot_cols, sign
 
 
 def bareiss_gauss_jordan(work, cols):

@@ -140,6 +140,17 @@ def test_generic_rank_beyond_the_first_grid_point():
     assert generic_rank(_diagonal_t1_t2()) == 2
 
 
+def test_generic_rank_of_a_wide_matrix_is_its_column_search():
+    # the 6 pivots modulo _P that pick the generic columns of a fresh 6x9
+    # quadric-net M_nu prove rank 6: one elimination, no grid point
+    inst = random_instance([["x", "y", "z"]], (2,), 4, random.Random(3))
+    m = representation_matrix(inst, (2,), warn_region=False)
+    assert (m.rows, m.cols) == (6, 9)
+    with mock.patch.object(linalg, "_echelon_mod", wraps=linalg._echelon_mod) as spy:
+        assert generic_rank(m) == 6
+    assert spy.call_count == 1
+
+
 def test_strand_determinant_beyond_the_first_grid_point():
     ring = target_ring(["T_0", "T_1", "T_2"])
     assert strand_determinant([_diagonal_t1_t2()]) == normalize_poly(parse_poly("T_1*T_2", ring))

@@ -26,8 +26,19 @@ from mgimplicit import QMatrix, eval_at, nullspace_basis, rank, representation_m
 from mgimplicit import implicitize, linalg
 from mgimplicit.complexes import LinearFormMatrix, koszul_differential_strand
 from mgimplicit.implicitize import _parameter_points, sample_parameter_point
-from mgimplicit.linalg import _P, _Q, Slices, _bareiss, _echelon_mod, _lifted_kernel, _pack, _unpack
+from mgimplicit.linalg import (
+    _P,
+    _Q,
+    Slices,
+    _back_substituted_kernel,
+    _bareiss,
+    _echelon_mod,
+    _lifted_kernel,
+    _pack,
+    _unpack,
+)
 from oracles import (
+    bareiss_eager,
     bareiss_gauss_jordan,
     det_cofactor,
     echelon_mod_oracle,
@@ -477,12 +488,13 @@ def kernel_matrices(draw):
 
 
 @st.composite
-def koszul_strands(draw):
-    """``koszul_differential_strand(inst, q, nu + q * gamma)``, q = 1 or 2,
-    at the suggested ``nu`` of a Cayley-property instance: the kernels whose
-    bases are the sources of ``d_1 = M_nu`` and of ``d_2``."""
+def koszul_strands(draw, qs=(1, 2)):
+    """``koszul_differential_strand(inst, q, nu + q * gamma)``, ``q`` in
+    ``qs``, at the suggested ``nu`` of a Cayley-property instance: the
+    kernels whose bases are the sources of ``d_1 = M_nu`` (``q = 1``, a
+    wide strand) and of ``d_2`` (``q = 2``, a tall one)."""
     inst = draw(cayley_instances())
-    q = draw(st.sampled_from([1, 2]))
+    q = draw(st.sampled_from(qs))
     nu = suggest_nu(inst.blocks, inst.gamma)
     return koszul_differential_strand(inst, q, [a + q * g for a, g in zip(nu, inst.gamma)])
 
@@ -491,6 +503,70 @@ def koszul_strands(draw):
 @given(st.one_of(kernel_matrices(), koszul_strands()))
 def test_nullspace_back_substitution_matches_gauss_jordan(m):
     assert nullspace_basis(m) == nullspace_gauss_jordan(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(kernel_matrices(), koszul_strands(qs=(1,))), st.data())
+def test_canonical_kernel_does_not_depend_on_row_order(m, data):
+    # the back-substitution eliminates the rows sparsest first, and the
+    # canonical basis is the same for every order of the rows
+    order = data.draw(st.permutations(range(m.rows)))
+    shuffled = [m.data[i] for i in order]
+    assert nullspace_basis(QMatrix(shuffled, cols=m.cols)) == nullspace_basis(m)
+    assert _back_substituted_kernel(shuffled, m.cols) == _back_substituted_kernel(m.data, m.cols)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Integer matrices of 1-9 rows and columns for :func:`_bareiss`:
+    sparse (10-40 % nonzero), dense (entries up to 2**64), rank-deficient
+    (a product through a thinner inner dimension), with zero columns, or
+    a staircase: ``k`` rows, row ``i`` zero left of column ``i`` and
+    nonzero there, above sparse rows.  In a staircase row ``i`` waits
+    ``i`` steps with a zero in the pivot column and then becomes the pivot
+    row; in a sparse matrix rows wait and are then updated."""
+    kind = draw(st.sampled_from(["sparse", "dense", "deficient", "zero_columns", "staircase"]))
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    nonzero = st.integers(-9, 9).filter(bool)
+    dense = st.integers(-(2**64), 2**64) | st.integers(-9, 9)
+
+    def sparse(c, density):
+        return [draw(nonzero) if draw(st.integers(0, 9)) < density else 0 for _ in range(c)]
+
+    if kind == "dense":
+        return [[draw(dense) for _ in range(cols)] for _ in range(rows)]
+    if kind == "deficient":
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = [[draw(dense) for _ in range(inner)] for _ in range(rows)]
+        columns = [[draw(dense) for _ in range(inner)] for _ in range(cols)]
+        return [[sum(map(mul, row, col)) for col in columns] for row in left]
+    if kind == "zero_columns":
+        zero = draw(st.sets(st.integers(0, cols - 1)))
+        return [[0 if j in zero else draw(dense) for j in range(cols)] for _ in range(rows)]
+    density = draw(st.integers(1, 4))
+    if kind == "sparse":
+        return [sparse(cols, density) for _ in range(rows)]
+    k = min(draw(st.integers(3, 9)), cols)
+    stairs = [[0] * i + [draw(nonzero)] + sparse(cols - i - 1, density) for i in range(k)]
+    return stairs + [sparse(cols, density) for _ in range(rows)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(elimination_inputs())
+def test_lazy_bareiss_matches_the_eager_oracle(data):
+    cols = len(data[0])
+    lazy, eager = [row[:] for row in data], [row[:] for row in data]
+    found = _bareiss(lazy, cols)
+    assert found == bareiss_eager(eager, cols)
+    # the pivot rows are the eager ones, minors of the input, and every
+    # row below the last pivot is zero
+    r = len(found[0])
+    assert lazy[:r] == eager[:r]
+    assert not any(map(any, lazy[r:]))
+    k = min(len(data), cols)
+    square = [row[:k] for row in data[:k]]
+    pivots, sign = bareiss_eager(square, k)
+    assert implicitize._det([row[:k] for row in data[:k]], k) == (sign * square[-1][-1] if len(pivots) == k else 0)
 
 
 R1, R2 = [1, 2, 3, 4], [2, 3, 5, 7]
